@@ -76,7 +76,7 @@ from .reversal import (
     stationary_distribution,
     verify_reversal_distribution,
 )
-from .rng import RngStream, coordinate_hash
+from .rng import RngStream
 from .stopping import StoppingReport, StoppingRule
 
 __version__ = "0.1.0"

@@ -20,12 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .environment import Trajectory, sample_environment_batch
+from .environment import Trajectory, sample_environment_batch, walk_until_stopped
 from .errors import PreconditionError
 from .graph import DirectedGraph, WeightAssignment
-from .parallel import MeanAccumulator, run_chunked
+from .parallel import MeanAccumulator, bernoulli_se, run_chunked
 from .rng import RngStream
-from .stopping import CAP, StoppingReport, StoppingRule
+from .stopping import StoppingRule
 
 # switch point between compensated log summation and log-Gamma differences;
 # summation is exact to an ulp per term, lgamma cheaper once counts get large
@@ -156,38 +156,15 @@ def urn_path_probability(w: WeightAssignment, traj: Trajectory) -> float:
 def reinforced_walk(w: WeightAssignment, start: int, stop: StoppingRule, rng: RngStream):
     """Sample the oriented-edge linearly reinforced walk; its trajectory law is
     the annealed law of the Dirichlet environment with the same weights."""
-    g = w.graph
-    coords = g.coords
-    if stop.needs_coords() and coords is None:
-        raise ValueError("stopping rule needs coordinates but the graph has none")
     urn = UrnState(w, start)
-    gen = rng.generator()
-    vertices = [int(start)]
-    edge_ids = []
-    step = 0
-    reason = stop.check(urn.vertex, coords[urn.vertex] if coords is not None else None, 0)
-    buf = gen.random(256)
-    buf_i = 0
-    while reason is None:
-        if step >= stop.max_steps:
-            reason = CAP
-            break
+
+    def choose_edge(_v, u):
         eids, probs = urn.step_weights()
-        if buf_i == len(buf):
-            buf = gen.random(256)
-            buf_i = 0
-        u = buf[buf_i]
-        buf_i += 1
-        k = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-        if k >= len(eids):
-            k = len(eids) - 1
-        eid = int(eids[k])
-        urn.advance(eid)
-        edge_ids.append(eid)
-        vertices.append(urn.vertex)
-        step += 1
-        reason = stop.check(urn.vertex, coords[urn.vertex] if coords is not None else None, step)
-    return Trajectory(vertices, edge_ids), StoppingReport(reason, step, urn.vertex)
+        k = min(int(np.searchsorted(np.cumsum(probs), u, side="right")), len(eids) - 1)
+        urn.advance(int(eids[k]))
+        return int(eids[k])
+
+    return walk_until_stopped(w.graph, start, stop, rng, choose_edge)
 
 
 def reinforced_trace_frequency(w: WeightAssignment, traj: Trajectory, replicas: int,
@@ -221,15 +198,8 @@ def reinforced_trace_frequency(w: WeightAssignment, traj: Trajectory, replicas: 
         hit = np.all((us >= lows) & (us < highs), axis=1)
         return int(hit.sum())
 
-    counts = run_chunked(run_chunk, replicas, workers)
-    hits = sum(counts)
-    return _bernoulli_estimate(hits, replicas)
-
-
-def _bernoulli_estimate(hits: int, n: int):
-    p = hits / n
-    sd = math.sqrt(n / (n - 1) * p * (1 - p)) if n > 1 else 0.0
-    return p, sd / math.sqrt(n)
+    hits = sum(run_chunked(run_chunk, replicas, workers))
+    return hits / replicas, bernoulli_se(hits, replicas)
 
 
 def annealed_path_probability_mc(g: DirectedGraph, w: WeightAssignment, traj: Trajectory,

@@ -82,6 +82,17 @@ def _parse_int_list(text: str) -> list:
         raise PreconditionError(f"malformed integer list {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count of at least 1; anything else is a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _resolve_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return int(args.seed)
@@ -372,7 +383,7 @@ def run_grid(args) -> int:
 def _add_common(p, replicas=None, steps=True):
     p.add_argument("--seed", type=int, default=None,
                    help=f"RNG seed (default: RWRE_SEED env var, else {DEFAULT_SEED})")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="worker threads; affects speed only, never results (default 1)")
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json",
@@ -383,7 +394,7 @@ def _add_common(p, replicas=None, steps=True):
         p.add_argument("--replicas", type=int, default=replicas,
                        help=f"Monte Carlo replicas (default {replicas})")
     if steps:
-        p.add_argument("--steps", type=int, default=100_000,
+        p.add_argument("--steps", type=_positive_int, default=100_000,
                        help="step cap per walk (default 100000)")
 
 

@@ -53,15 +53,17 @@ class Environment:
         np.add.at(P, (g.tails, g.heads), self.probabilities)
         return P
 
-    def cumulative_rows(self):
-        """(cumulative table, padded heads, degrees) for fast stepping."""
-        g = self.graph
-        pad_eid, pad_head, deg = g.padded_out_tables()
-        probs = self.probabilities[pad_eid]
-        dmax = pad_eid.shape[1]
-        mask = np.arange(dmax)[None, :] < deg[:, None]
-        probs = np.where(mask, probs, 0.0)
-        return np.cumsum(probs, axis=1), pad_head, deg
+
+def cumulative_rows(g: DirectedGraph, probs: np.ndarray):
+    """(cumulative table, padded heads, degrees) for fast stepping.
+
+    `probs` holds one probability per edge on its last axis, with any leading
+    batch axes (one per environment); the table has shape
+    (*batch, n_vertices, max out-degree), zero-filled past each degree.
+    """
+    pad_eid, pad_head, deg = g.padded_out_tables()
+    live = np.arange(pad_eid.shape[1])[None, :] < deg[:, None]
+    return np.cumsum(np.where(live, probs[..., pad_eid], 0.0), axis=-1), pad_head, deg
 
 
 @dataclass
@@ -137,24 +139,23 @@ def path_probability(env: Environment, traj: Trajectory) -> float:
     return float(np.exp(log_path_probability(env, traj)))
 
 
-def quenched_walk(env: Environment, start: int, stop: StoppingRule, rng: RngStream):
-    """Sample the Markov chain of `env` from `start` until `stop` fires.
+def walk_until_stopped(g: DirectedGraph, start: int, stop: StoppingRule, rng: RngStream,
+                       choose_edge):
+    """Scalar walk loop shared by the quenched and the reinforced walk.
 
-    Returns (trajectory, report); hitting the step cap is reported as a
-    truncation, not an error.  Coordinate rules require the graph to carry
-    vertex coordinates.
+    From `start`, draw one buffered uniform u per step from `rng` and follow
+    edge `choose_edge(v, u)` out of the current vertex v, until `stop` fires
+    or its step cap hits.  Returns (trajectory, report); hitting the cap is
+    reported as a truncation, not an error.
     """
-    g = env.graph
     coords = g.coords
     if stop.needs_coords() and coords is None:
         raise ValueError("stopping rule needs coordinates but the graph has none")
-    cum, pad_head, deg = env.cumulative_rows()
-    pad_eid = g.padded_out_tables()[0]
-
+    heads = g.heads
     gen = rng.generator()
-    vertices = [start]
+    v = int(start)
+    vertices = [v]
     edge_ids = []
-    v = start
     reason = stop.check(v, coords[v] if coords is not None else None, 0)
     step = 0
     buf = gen.random(256)
@@ -166,18 +167,32 @@ def quenched_walk(env: Environment, start: int, stop: StoppingRule, rng: RngStre
         if buf_i == len(buf):
             buf = gen.random(256)
             buf_i = 0
-        u = buf[buf_i]
+        eid = choose_edge(v, buf[buf_i])
         buf_i += 1
-        row = cum[v]
-        k = int(np.searchsorted(row, u, side="right"))
-        if k >= deg[v]:
-            k = deg[v] - 1
-        edge_ids.append(int(pad_eid[v, k]))
-        v = int(pad_head[v, k])
+        v = int(heads[eid])
+        edge_ids.append(eid)
         vertices.append(v)
         step += 1
         reason = stop.check(v, coords[v] if coords is not None else None, step)
     return Trajectory(vertices, edge_ids), StoppingReport(reason, step, v)
+
+
+def quenched_walk(env: Environment, start: int, stop: StoppingRule, rng: RngStream):
+    """Sample the Markov chain of `env` from `start` until `stop` fires.
+
+    Returns (trajectory, report); hitting the step cap is reported as a
+    truncation, not an error.  Coordinate rules require the graph to carry
+    vertex coordinates.
+    """
+    g = env.graph
+    cum, _, deg = cumulative_rows(g, env.probabilities)
+    pad_eid = g.padded_out_tables()[0]
+
+    def choose_edge(v, u):
+        k = min(int(np.searchsorted(cum[v], u, side="right")), deg[v] - 1)
+        return int(pad_eid[v, k])
+
+    return walk_until_stopped(g, start, stop, rng, choose_edge)
 
 
 @dataclass
@@ -235,6 +250,7 @@ def write_environment(env: Environment, fh):
 
 
 def read_environment(g: DirectedGraph, fh) -> Environment:
+    """Parse the lines written by write_environment into an environment on `g`."""
     p = np.full(g.n_edges, np.nan)
     for lineno, raw in enumerate(fh, start=1):
         line = raw.strip()
@@ -243,8 +259,15 @@ def read_environment(g: DirectedGraph, fh) -> Environment:
         parts = line.split()
         if parts[0] != "env" or len(parts) != 4:
             raise GraphFormatError(f"line {lineno}: expected `env <vertex> <edge-id> <probability>`")
-        eid = int(parts[2])
-        p[eid] = float(parts[3])
+        try:
+            v, eid, prob = int(parts[1]), int(parts[2]), float(parts[3])
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: malformed number in {line!r}") from None
+        if not 0 <= eid < g.n_edges:
+            raise GraphFormatError(f"line {lineno}: edge id {eid} out of range 0..{g.n_edges - 1}")
+        if v != g.tails[eid]:
+            raise GraphFormatError(f"line {lineno}: edge {eid} leaves vertex {g.tails[eid]}, not {v}")
+        p[eid] = prob
     if np.isnan(p).any():
         raise GraphFormatError("environment file does not cover every edge")
     return Environment(g, p)

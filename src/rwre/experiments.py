@@ -8,37 +8,37 @@ probability of reaching abscissa L before ever backtracking below the start,
 whose large-L limit bounds the directional-transience probability from below.
 
 Finite-graph walks run vectorized across replicas in lockstep with an
-active-set that shrinks as walks get absorbed.  Lattice walks generate their
-environment lazily: a vertex's transition row is drawn on first visit from a
-generator keyed by (replica, coordinate hash), so revisits are consistent and
-memory stays proportional to the visited region.
+active-set that shrinks as walks get absorbed.  Every lattice output is an
+annealed quantity, so lattice walks never sample an environment: they run as
+the oriented-edge linearly reinforced walk, whose path law is the annealed
+law (Enriquez & Sabot 2002; Pemantle 1988).  Each walk keeps crossing counts
+at the sites it visits and takes one uniform per step.
 
 Replica counts are split into fixed-size chunks with one RNG stream per
-chunk (one stream per replica for lattice walks); worker count never changes
-any output.
+chunk; worker count never changes any output.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .environment import sample_environment_batch
+from .environment import cumulative_rows, sample_environment_batch
 from .errors import PreconditionError
 from .graph import (
     CylinderSpec,
     DirectedGraph,
     LatticeSpec,
-    WeightAssignment,
     build_cylinder_band,
     build_cylinder_graph,
 )
-from .parallel import CHUNK_REPLICAS, run_chunked
-from .rng import RngStream, coordinate_hash
-from .stopping import CAP, LEFT, RIGHT, TARGET, TRANSVERSE, StoppingReport, StoppingRule
+from .parallel import bernoulli_se, run_chunked
+from .rng import RngStream
+from .stopping import CAP, LEFT, RIGHT, TARGET, StoppingReport, StoppingRule
 
 __all__ = [
     "ExperimentResult",
@@ -58,7 +58,6 @@ __all__ = [
     "LEFT",
     "RIGHT",
     "TARGET",
-    "TRANSVERSE",
 ]
 
 DEFAULT_STEP_CAP = 100_000
@@ -103,36 +102,40 @@ class ExperimentResult:
         }
 
 
-def bernoulli_se(hits: int, n: int) -> float:
-    """Standard error of a hit frequency (sample sd over sqrt n)."""
-    if n <= 1:
-        return 0.0
-    p = hits / n
-    return math.sqrt(p * (1.0 - p) * n / (n - 1.0) / n)
-
-
 def expected_exit_probability(lattice: LatticeSpec) -> float:
     """1 - beta_1/alpha_1, the exact right-exit probability of the cylinder
     experiment and the lower bound of the transience ones."""
     return 1.0 - lattice.beta(1) / lattice.alpha(1)
 
 
-def _batch_cumulative(g: DirectedGraph, probs: np.ndarray):
-    """Per-replica cumulative out-edge rows over the padded adjacency table."""
-    pad_eid, pad_head, deg = g.padded_out_tables()
-    p = probs[:, pad_eid]
-    dmax = pad_eid.shape[1]
-    live = np.arange(dmax)[None, :] < deg[:, None]
-    p = np.where(live[None, :, :], p, 0.0)
-    return np.cumsum(p, axis=2), pad_head, deg
+def _walk_until_absorbed(g: DirectedGraph, probs: np.ndarray, start: int,
+                         absorbing: np.ndarray, gen: np.random.Generator, step_cap: int):
+    """Walk one replica per environment row of `probs` from `start`, in
+    lockstep, until it steps onto a vertex where `absorbing` is True.
 
-
-def _step_active(cum, pad_head, deg, pos, active, u):
-    """Advance the active replicas one step; returns their new vertices."""
-    rows = cum[active, pos[active]]
-    k = np.sum(u[:, None] > rows, axis=1)
-    k = np.minimum(k, deg[pos[active]] - 1)
-    return pad_head[pos[active], k]
+    Each step draws one uniform per still-active walker.  Returns each
+    walker's final vertex, the vertex it left on its absorbing step (-1 where
+    it never got absorbed), and the indices of the walkers the step cap
+    stopped.
+    """
+    cum, pad_head, deg = cumulative_rows(g, probs)
+    size = probs.shape[0]
+    pos = np.full(size, start, dtype=np.int64)
+    left = np.full(size, -1, dtype=np.int64)
+    active = np.arange(size)
+    for _ in range(step_cap):
+        if active.size == 0:
+            break
+        u = gen.random(active.size)
+        here = pos[active]
+        k = np.sum(u[:, None] > cum[active, here], axis=1)
+        nxt = pad_head[here, np.minimum(k, deg[here] - 1)]
+        pos[active] = nxt
+        done = absorbing[nxt]
+        if done.any():
+            left[active[done]] = here[done]
+            active = active[~done]
+    return pos, left, active
 
 
 def cylinder_delta_exit(spec: CylinderSpec, replicas: int, rng: RngStream,
@@ -153,28 +156,15 @@ def cylinder_delta_exit(spec: CylinderSpec, replicas: int, rng: RngStream,
     delta = cg.outside
     right_mask = np.zeros(g.n_vertices, dtype=bool)
     right_mask[cg.right_face] = True
+    absorbing = np.zeros(g.n_vertices, dtype=bool)
+    absorbing[delta] = True
 
     def run_chunk(chunk_index: int, size: int):
         gen = rng.with_stream(chunk_index).generator()
         probs = sample_environment_batch(g, cg.weights, gen, size)
-        cum, pad_head, deg = _batch_cumulative(g, probs)
-        pos = np.full(size, delta, dtype=np.int64)
-        active = np.arange(size)
-        hits = 0
-        returned = 0
-        for _ in range(step_cap):
-            if active.size == 0:
-                break
-            u = gen.random(active.size)
-            nxt = _step_active(cum, pad_head, deg, pos, active, u)
-            back = nxt == delta
-            if back.any():
-                prev = pos[active][back]
-                hits += int(right_mask[prev].sum())
-                returned += int(back.sum())
-            pos[active] = nxt
-            active = active[~back]
-        return hits, returned, active.size
+        _, left, capped = _walk_until_absorbed(g, probs, delta, absorbing, gen, step_cap)
+        hits = int(right_mask[left[left >= 0]].sum())
+        return hits, size - capped.size, capped.size
 
     hits = returned = truncated = 0
     for h, r, t in run_chunked(run_chunk, replicas, workers):
@@ -216,27 +206,14 @@ def cylinder_exit_from_origin(spec: CylinderSpec, replicas: int, rng: RngStream,
     g = band.graph
     right_mask = np.zeros(g.n_vertices, dtype=bool)
     right_mask[band.right_absorbing] = True
-    left_mask = np.zeros(g.n_vertices, dtype=bool)
-    left_mask[band.left_absorbing] = True
+    absorbing = right_mask.copy()
+    absorbing[band.left_absorbing] = True
 
     def run_chunk(chunk_index: int, size: int):
         gen = rng.with_stream(chunk_index).generator()
         probs = sample_environment_batch(g, band.weights, gen, size)
-        cum, pad_head, deg = _batch_cumulative(g, probs)
-        pos = np.full(size, band.origin, dtype=np.int64)
-        active = np.arange(size)
-        right = 0
-        for _ in range(step_cap):
-            if active.size == 0:
-                break
-            u = gen.random(active.size)
-            nxt = _step_active(cum, pad_head, deg, pos, active, u)
-            pos[active] = nxt
-            r = right_mask[nxt]
-            l = left_mask[nxt]
-            right += int(r.sum())
-            active = active[~(r | l)]
-        return right, active.size
+        pos, _, capped = _walk_until_absorbed(g, probs, band.origin, absorbing, gen, step_cap)
+        return int(right_mask[pos].sum()), capped.size
 
     right = truncated = 0
     for r, t in run_chunked(run_chunk, replicas, workers):
@@ -255,38 +232,71 @@ def cylinder_exit_from_origin(spec: CylinderSpec, replicas: int, rng: RngStream,
     )
 
 
-def _lattice_moves(lattice: LatticeSpec):
-    """Coordinate deltas in weight order: +e_1, -e_1, +e_2, -e_2, ..."""
-    d = lattice.dimension
-    moves = []
-    for axis in range(d):
-        for sign in (1, -1):
-            delta = [0] * d
-            delta[axis] = sign
-            moves.append(tuple(delta))
-    return moves
+# Stride of the integer site key x_1 + x_2 S + x_3 S^2 + ...: keys stay
+# distinct while every coordinate is below S/2 in magnitude, which no walk
+# shorter than 2^61 steps can break.
+_SITE_STRIDE = 1 << 62
+_UNIFORM_BLOCK = 1024
 
 
-def _sample_lattice_row(rng: RngStream, replica: int, coord, wvec: np.ndarray):
-    """Cumulative transition row at a lattice vertex, keyed so any revisit in
-    the same replica sees the same draw."""
-    gen = rng.with_stream(replica).keyed_generator(coordinate_hash(coord))
-    gammas = gen.gamma(wvec)
-    total = gammas.sum()
-    acc = 0.0
-    row = []
-    for gval in gammas:
-        acc += gval / total
-        row.append(acc)
-    return row
+def _chunk_uniforms(gen: np.random.Generator):
+    """Endless iterator over a chunk stream's uniforms, drawn in blocks; the
+    walks of a chunk consume it one after another."""
+    return itertools.chain.from_iterable(
+        iter(lambda: gen.random(_UNIFORM_BLOCK).tolist(), None))
 
 
-def _pick(row, u: float) -> int:
-    k = 0
-    last = len(row) - 1
-    while k < last and u >= row[k]:
-        k += 1
-    return k
+class _UrnWalk:
+    """Walk from the origin of Z^d under the annealed law of the Dirichlet
+    environment, run as the oriented-edge linearly reinforced walk.
+
+    From site x the walk steps along direction i (weight order +e_1, -e_1,
+    +e_2, ...) with probability (w_i + N(x,i)) / (sum_j w_j + N(x)), where
+    N(x,i) counts its earlier steps from x along i and N(x) its earlier
+    departures from x.  Only visited sites hold counts.  `x1` is the current
+    abscissa, `top` its running maximum and `steps` the steps taken so far.
+    """
+
+    def __init__(self, lattice: LatticeSpec, uniforms):
+        w = list(lattice.weights)
+        self._fresh = w + [sum(w)]  # per site: w_i + N(x,i) for each i, then the total
+        self._key_moves = []
+        self._dx = []
+        for axis in range(lattice.dimension):
+            for sign in (1, -1):
+                self._key_moves.append(sign * _SITE_STRIDE ** axis)
+                self._dx.append(sign if axis == 0 else 0)
+        self._sites = {}
+        self._uniforms = uniforms
+        self._key = 0
+        self.x1 = self.top = self.steps = 0
+
+    def run(self, max_steps: int, lo=-math.inf, hi=math.inf):
+        """Step until `max_steps` steps in all, or until the abscissa leaves
+        the open band (lo, hi)."""
+        sites, fresh = self._sites, self._fresh
+        key_moves, dx = self._key_moves, self._dx
+        total = len(fresh) - 1
+        last = total - 1
+        uniform = self._uniforms.__next__
+        key, x1, top, steps = self._key, self.x1, self.top, self.steps
+        while steps < max_steps and lo < x1 < hi:
+            row = sites.get(key)
+            if row is None:
+                row = sites[key] = fresh[:]
+            t = uniform() * row[total]
+            k = 0
+            while k < last and t >= row[k]:
+                t -= row[k]
+                k += 1
+            row[k] += 1.0
+            row[total] += 1.0
+            key += key_moves[k]
+            x1 += dx[k]
+            steps += 1
+            if x1 > top:
+                top = x1
+        self._key, self.x1, self.top, self.steps = key, x1, top, steps
 
 
 def lattice_transience(lattice: LatticeSpec, levels, replicas: int, step_cap: int,
@@ -312,54 +322,21 @@ def lattice_transience(lattice: LatticeSpec, levels, replicas: int, step_cap: in
     if not levels or any(L < 1 for L in levels):
         raise PreconditionError("levels must be positive integers")
     lmax = max(levels)
-    d = lattice.dimension
-    moves = _lattice_moves(lattice)
-    wvec = np.asarray(lattice.weights)
 
     def run_chunk(chunk_index: int, size: int):
-        base = chunk_index * CHUNK_REPLICAS
+        uniforms = _chunk_uniforms(rng.with_stream(chunk_index).generator())
         maxima = np.empty(size, dtype=np.int64)
-        backtracked = np.empty(size, dtype=bool)
         capped = np.empty(size, dtype=bool)
         for i in range(size):
-            rep = base + i
-            gen = rng.with_stream(rep).generator()
-            env = {}
-            coord = (0,) * d
-            x1max = 0
-            buf = gen.random(512)
-            bi = 0
-            steps = 0
-            x1 = 0
-            while steps < step_cap:
-                row = env.get(coord)
-                if row is None:
-                    row = _sample_lattice_row(rng, rep, coord, wvec)
-                    env[coord] = row
-                if bi == len(buf):
-                    buf = gen.random(512)
-                    bi = 0
-                k = _pick(row, buf[bi])
-                bi += 1
-                move = moves[k]
-                coord = tuple(c + m for c, m in zip(coord, move))
-                steps += 1
-                x1 = coord[0]
-                if x1 > x1max:
-                    x1max = x1
-                    if x1max >= lmax:
-                        break
-                elif x1 < 0:
-                    break
-            maxima[i] = x1max
-            backtracked[i] = x1 < 0
-            capped[i] = not backtracked[i] and x1max < lmax
-        return maxima, backtracked, capped
+            walk = _UrnWalk(lattice, uniforms)
+            walk.run(step_cap, -1, lmax)
+            maxima[i] = walk.top
+            capped[i] = walk.x1 >= 0 and walk.top < lmax
+        return maxima, capped
 
     chunks = run_chunked(run_chunk, replicas, workers)
     maxima = np.concatenate([c[0] for c in chunks])
-    backtracked = np.concatenate([c[1] for c in chunks])
-    capped = np.concatenate([c[2] for c in chunks])
+    capped = np.concatenate([c[1] for c in chunks])
     truncated = int(capped.sum())
 
     results = []
@@ -417,43 +394,18 @@ def velocity_probe(lattice: LatticeSpec, horizons, replicas: int, rng: RngStream
     horizons = sorted(int(n) for n in horizons)
     if not horizons or horizons[0] < 1:
         raise PreconditionError("horizons must be positive integers")
-    d = lattice.dimension
-    moves = _lattice_moves(lattice)
-    wvec = np.asarray(lattice.weights)
-    nmax = horizons[-1]
 
     def run_chunk(chunk_index: int, size: int):
-        base = chunk_index * CHUNK_REPLICAS
-        sums = np.zeros(len(horizons))
-        sums_sq = np.zeros(len(horizons))
-        for i in range(size):
-            rep = base + i
-            gen = rng.with_stream(rep).generator()
-            env = {}
-            coord = (0,) * d
-            buf = gen.random(1024)
-            bi = 0
-            hnext = 0
-            for step in range(1, nmax + 1):
-                row = env.get(coord)
-                if row is None:
-                    row = _sample_lattice_row(rng, rep, coord, wvec)
-                    env[coord] = row
-                if bi == len(buf):
-                    buf = gen.random(1024)
-                    bi = 0
-                k = _pick(row, buf[bi])
-                bi += 1
-                move = moves[k]
-                coord = tuple(c + m for c, m in zip(coord, move))
-                if step == horizons[hnext]:
-                    x1 = coord[0]
-                    sums[hnext] += x1
-                    sums_sq[hnext] += x1 * x1
-                    hnext += 1
-            if hnext != len(horizons):
-                raise RuntimeError("horizon bookkeeping out of step")
-        return sums, sums_sq
+        uniforms = _chunk_uniforms(rng.with_stream(chunk_index).generator())
+        sums = [0] * len(horizons)
+        sums_sq = [0] * len(horizons)
+        for _ in range(size):
+            walk = _UrnWalk(lattice, uniforms)
+            for j, n in enumerate(horizons):
+                walk.run(n)
+                sums[j] += walk.x1
+                sums_sq[j] += walk.x1 * walk.x1
+        return np.array(sums, dtype=np.float64), np.array(sums_sq, dtype=np.float64)
 
     total = np.zeros(len(horizons))
     total_sq = np.zeros(len(horizons))

@@ -417,10 +417,8 @@ def reverse_weights(w: WeightAssignment, reversed_graph: DirectedGraph) -> Weigh
     return WeightAssignment(w.values.copy(), reversed_graph)
 
 
-def divergence(w: WeightAssignment, g: DirectedGraph = None) -> np.ndarray:
+def divergence(w: WeightAssignment) -> np.ndarray:
     """Out-weight sum minus in-weight sum per vertex; sums to zero over vertices."""
-    if g is None:
-        g = w.graph
     return w.vertex_sums() - w.in_sums()
 
 
@@ -446,23 +444,40 @@ def read_graph(fh):
         if parts[0] == "vertices":
             if len(parts) != 2:
                 raise GraphFormatError(f"line {lineno}: malformed vertices header")
-            n_vertices = int(parts[1])
+            try:
+                n_vertices = int(parts[1])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: malformed number in {line!r}") from None
+            if n_vertices < 1:
+                raise GraphFormatError(f"line {lineno}: vertex count must be positive")
         elif parts[0] == "edge":
             if len(parts) != 5:
                 raise GraphFormatError(f"line {lineno}: expected `edge <id> <tail> <head> <weight>`")
-            eid, tail, head = int(parts[1]), int(parts[2]), int(parts[3])
-            weight = float(parts[4])
+            try:
+                eid, tail, head, weight = int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: malformed number in {line!r}") from None
             if eid in rows:
                 raise GraphFormatError(f"line {lineno}: duplicate edge id {eid}")
-            rows[eid] = (tail, head, weight)
+            rows[eid] = (tail, head, weight, lineno)
         else:
             raise GraphFormatError(f"line {lineno}: unknown record {parts[0]!r}")
     if n_vertices is None:
         raise GraphFormatError("missing `vertices` header")
-    if sorted(rows) != list(range(len(rows))):
-        raise GraphFormatError("edge ids must be dense 0..E-1")
+    if not rows:
+        raise GraphFormatError("no `edge` records")
+    # ids are distinct, so all lying in 0..E-1 means they are dense
+    for eid, (tail, head, _, lineno) in rows.items():
+        if not 0 <= eid < len(rows):
+            raise GraphFormatError(
+                f"line {lineno}: edge id {eid} out of range; ids must be dense 0..{len(rows) - 1}")
+        if not (0 <= tail < n_vertices and 0 <= head < n_vertices):
+            raise GraphFormatError(f"line {lineno}: endpoint out of range 0..{n_vertices - 1}")
     edges = [(rows[i][0], rows[i][1]) for i in range(len(rows))]
     weights = [rows[i][2] for i in range(len(rows))]
     g = DirectedGraph(n_vertices, edges)
-    g.validate()
+    try:
+        g.validate()
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from None
     return g, WeightAssignment(weights, g)

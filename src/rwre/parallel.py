@@ -39,6 +39,14 @@ def run_chunked(fn, total: int, workers: int = 1, chunk: int = CHUNK_REPLICAS):
         return [f.result() for f in futures]
 
 
+def bernoulli_se(hits: int, n: int) -> float:
+    """Standard error of a hit frequency (sample sd over sqrt n)."""
+    if n <= 1:
+        return 0.0
+    p = hits / n
+    return math.sqrt(p * (1.0 - p) * n / (n - 1.0) / n)
+
+
 class MeanAccumulator:
     """Ordered fold of per-chunk (sum, sum of squares, count) triples."""
 

@@ -1,8 +1,10 @@
 """Reproducible random-number streams built on the counter-based Philox generator.
 
 A stream is addressed by ``(seed, stream)``; accessing stream k never requires
-fast-forwarding through streams 0..k-1.  Sub-keys (e.g. one per lattice vertex)
-hang off a stream without consuming state from it.
+fast-forwarding through streams 0..k-1.  Every experiment draws from one
+stream per chunk of replicas, so the worker count never enters the
+addressing.  Sub-keyed generators hang off a stream without consuming state
+from it; no experiment uses them.
 """
 
 from __future__ import annotations
@@ -40,15 +42,3 @@ class RngStream:
         seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream, *key))
         return np.random.Generator(np.random.Philox(seq))
 
-
-_MIX_MULT = 0x9E3779B97F4A7C15
-_MASK64 = (1 << 64) - 1
-
-
-def coordinate_hash(coords) -> int:
-    """Stable 64-bit mix of integer coordinates, for per-vertex stream keys."""
-    h = 0x243F6A8885A308D3
-    for c in coords:
-        h ^= (int(c) * _MIX_MULT) & _MASK64
-        h = ((h << 31 | h >> 33) * 0xBF58476D1CE4E5B9) & _MASK64
-    return h

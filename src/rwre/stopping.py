@@ -1,12 +1,11 @@
-"""Stopping rules for walks: first-coordinate thresholds, vertex hits,
-transverse escape, and a mandatory step cap.
+"""Stopping rules for walks: first-coordinate thresholds, vertex hits, and a
+mandatory step cap.
 
 The right rule fires when the first coordinate reaches `right_level` or more,
 the left rule when it reaches `left_level` or less; the backtrack time of the
 transience experiments is the left rule at level -1.  The target rule fires on
-hitting a vertex at step n >= 1.  The transverse rule fires when the sup-norm
-of the coordinates orthogonal to axis 1 exceeds `transverse_radius`.  At step
-0 the coordinate rules are already live; the target rule is not.
+hitting a vertex at step n >= 1.  At step 0 the coordinate rules are already
+live; the target rule is not.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ CAP = "cap"
 RIGHT = "right"
 LEFT = "left"
 TARGET = "target"
-TRANSVERSE = "transverse"
 
 
 @dataclass(frozen=True)
@@ -27,21 +25,16 @@ class StoppingRule:
     right_level: Optional[int] = None
     left_level: Optional[int] = None
     target: Optional[int] = None
-    transverse_radius: Optional[int] = None
 
     def __post_init__(self):
         if self.max_steps < 1:
             raise ValueError("a step cap >= 1 is mandatory")
 
     def needs_coords(self) -> bool:
-        return (
-            self.right_level is not None
-            or self.left_level is not None
-            or self.transverse_radius is not None
-        )
+        return self.right_level is not None or self.left_level is not None
 
     def check(self, vertex: int, coords, step: int) -> Optional[str]:
-        """Reason fired at this position, or None.  Priority: right, left, target, transverse."""
+        """Reason fired at this position, or None.  Priority: right, left, target."""
         if coords is not None:
             if self.right_level is not None and coords[0] >= self.right_level:
                 return RIGHT
@@ -49,9 +42,6 @@ class StoppingRule:
                 return LEFT
         if self.target is not None and step >= 1 and vertex == self.target:
             return TARGET
-        if self.transverse_radius is not None and coords is not None and len(coords) > 1:
-            if max(abs(c) for c in coords[1:]) > self.transverse_radius:
-                return TRANSVERSE
         return None
 
 

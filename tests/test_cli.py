@@ -272,6 +272,30 @@ def test_graph_file_missing(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("line", ["edge 0 0 x 1", "edge 0 0 7 1", "edge 3 0 1 1"])
+def test_graph_file_bad_line_exits_two(capsys, tmp_path, line):
+    path = tmp_path / "graph.txt"
+    path.write_text(f"vertices 2\nedge 1 1 0 1\n{line}\n")
+    code, out, err = run_cli(capsys, "annealed-prob", "--graph-file", str(path),
+                             "--path", "0,1")
+    assert code == 2
+    assert err.startswith("error: line 3:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["transience", "--alpha", "2,1", "--steps", "0"],
+    ["transience", "--alpha", "2,1", "--steps", "-5"],
+    ["cylinder-delta", "--alpha", "2,1", "--steps", "0"],
+    ["ruin", "--alpha", "2,1", "--workers", "0"],
+    ["velocity", "--alpha", "2,1", "--workers", "-1"],
+])
+def test_nonpositive_steps_or_workers_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"{argv[-2]}: must be at least 1" in capsys.readouterr().err
+
+
 def test_missing_graph_source(capsys):
     code, out, err = run_cli(capsys, "annealed-prob", "--path", "0,1")
     assert code == 2 and "need --graph-file" in err
@@ -286,3 +310,16 @@ def test_worker_determinism_byte_identical(capsys, tmp_path):
     assert main(common + ["--workers", "4", "--out", str(f4)]) == 0
     capsys.readouterr()
     assert f1.read_bytes() == f4.read_bytes()
+
+
+def test_velocity_worker_determinism_byte_identical(capsys, tmp_path):
+    # 9000 replicas make two chunks, so two workers really split the work
+    files = []
+    for workers in (1, 2):
+        path = tmp_path / f"velocity-w{workers}.json"
+        assert main(["velocity", "--alpha", "2,1,1,1", "--horizons", "5,50",
+                     "--replicas", "9000", "--seed", "31", "--workers", str(workers),
+                     "--out", str(path)]) == 0
+        files.append(path.read_bytes())
+    capsys.readouterr()
+    assert files[0] == files[1]

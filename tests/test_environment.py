@@ -212,6 +212,19 @@ def test_environment_dump_errors():
         read_environment(g, io.StringIO("probability 0 0 1.0\n"))
 
 
+@pytest.mark.parametrize("text, line", [
+    ("env 0 0 x\n", 1),
+    ("env 0 zero 1.0\n", 1),
+    ("env 0 0 1.0\nenv 1 2 1.0\n", 2),    # edge id out of range
+    ("env 0 0 1.0\nenv 1 -1 1.0\n", 2),   # negative ids do not wrap around
+    ("env 0 0 1.0\nenv 0 1 1.0\n", 2),    # edge 1 leaves vertex 1
+])
+def test_environment_dump_bad_fields_name_the_line(text, line):
+    g = DirectedGraph(2, [(0, 1), (1, 0)])
+    with pytest.raises(GraphFormatError, match=f"line {line}:"):
+        read_environment(g, io.StringIO(text))
+
+
 def test_environment_row_sum_validation():
     g = DirectedGraph(2, [(0, 1), (0, 0), (1, 0)])
     with pytest.raises(ValueError):

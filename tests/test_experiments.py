@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,8 @@ from rwre import (
     PreconditionError,
     RngStream,
     StoppingRule,
+    Trajectory,
+    annealed_path_probability_exact,
     bernoulli_se,
     build_cylinder_band,
     build_torus,
@@ -24,6 +27,7 @@ from rwre import (
     trap_condition,
     velocity_probe,
 )
+from rwre.experiments import _chunk_uniforms, _UrnWalk
 
 
 def lat_2d(*weights):
@@ -142,6 +146,39 @@ def test_transience_one_dimensional_matches_ruin_oracle():
     oracle = ruin_exit_probability(lat, 3, 20_000, RngStream(72))
     combined = math.hypot(res.standard_error, oracle.standard_error)
     assert abs(res.estimate - oracle.estimate) <= 3 * combined
+
+
+def test_lattice_urn_walk_law_matches_exact_formula():
+    # The lattice walker's law over its first 4 steps in d=1 against the exact
+    # annealed formula on a 9-cycle, which 4 steps cannot wrap around: an
+    # independent check of the urn update.  All 16 paths are tested at once,
+    # so the acceptance suite's multiple-testing policy applies: at most one
+    # path beyond |z| = 3 and none beyond 6.
+    lat = LatticeSpec((2.0, 1.0))
+    g, w = build_torus(lat, [9])
+    n = 40_000
+    uniforms = _chunk_uniforms(RngStream(85).generator())
+    counts = {}
+    for _ in range(n):
+        walk = _UrnWalk(lat, uniforms)
+        xs = []
+        for step in range(1, 5):
+            walk.run(step)
+            xs.append(walk.x1)
+        counts[tuple(xs)] = counts.get(tuple(xs), 0) + 1
+    zs = []
+    total = 0.0
+    for signs in itertools.product((1, -1), repeat=4):
+        xs = tuple(itertools.accumulate(signs))
+        exact = annealed_path_probability_exact(
+            w, Trajectory.from_vertices(g, [0] + [x % 9 for x in xs]))
+        total += exact
+        freq = counts.get(xs, 0) / n
+        zs.append((freq - exact) / math.sqrt(exact * (1.0 - exact) / n))
+    assert total == pytest.approx(1.0, abs=1e-12)
+    assert sum(counts.values()) == n and len(counts) == 16
+    assert max(abs(z) for z in zs) <= 6.0
+    assert sum(abs(z) > 3.0 for z in zs) <= 1
 
 
 def test_transience_undecided_accounting():

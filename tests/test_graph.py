@@ -239,3 +239,25 @@ def test_graph_text_comments_and_errors():
         read_graph(io.StringIO("vertices 2\nedge 1 0 1 1.0\n"))  # not dense
     with pytest.raises(GraphFormatError):
         read_graph(io.StringIO("vertices 2\nwhat 0\n"))
+
+
+@pytest.mark.parametrize("text, line", [
+    ("vertices two\n", 1),
+    ("vertices 2\nedge 0 0 x 1\n", 2),
+    ("vertices 2\nedge 0 0 1 heavy\n", 2),
+    ("vertices 2\nedge 0 0 1 1.0\n# c\nedge 1 1 2 1.0\n", 4),   # head out of range
+    ("vertices 2\nedge 0 -1 1 1.0\n", 2),                        # tail out of range
+    ("vertices 2\nedge 0 0 1 1.0\nedge 5 1 0 1.0\n", 3),         # edge id out of range
+])
+def test_graph_text_bad_numbers_and_ranges_name_the_line(text, line):
+    with pytest.raises(GraphFormatError, match=f"line {line}:"):
+        read_graph(io.StringIO(text))
+
+
+def test_graph_text_structural_errors_are_format_errors():
+    with pytest.raises(GraphFormatError):
+        read_graph(io.StringIO("vertices 0\n"))
+    with pytest.raises(GraphFormatError):
+        read_graph(io.StringIO("vertices 2\n"))  # no edges
+    with pytest.raises(GraphFormatError, match="out-degree 0"):
+        read_graph(io.StringIO("vertices 2\nedge 0 0 1 1.0\n"))

@@ -3,7 +3,6 @@ import pytest
 
 from rwre import RngStream
 from rwre.parallel import CHUNK_REPLICAS, MeanAccumulator, chunk_sizes, run_chunked
-from rwre.rng import coordinate_hash
 
 
 def test_stream_reproducible_and_restartable():
@@ -44,16 +43,6 @@ def test_keyed_generator_disjoint_from_plain_stream():
     # even key element 0 must not collide with the unkeyed stream
     s = RngStream(9, 2)
     assert not np.array_equal(s.generator().random(4), s.keyed_generator(0).random(4))
-
-
-def test_coordinate_hash_stable_and_spread():
-    h = coordinate_hash((3, -2, 11))
-    assert h == coordinate_hash((3, -2, 11))
-    assert h != coordinate_hash((3, 2, 11))
-    assert h != coordinate_hash((-2, 3, 11))
-    values = {coordinate_hash((x, y)) for x in range(-20, 20) for y in range(-20, 20)}
-    assert len(values) == 1600
-    assert all(0 <= v < 2**64 for v in values)
 
 
 def test_chunk_sizes_partition():
