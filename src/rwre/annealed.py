@@ -91,24 +91,24 @@ def annealed_log_paths_batch(w: WeightAssignment, edge_index_matrix: np.ndarray)
     """Vectorized exact log-probabilities for many short paths.
 
     `edge_index_matrix` is (n_paths, max_len) of edge ids with -1 padding.
-    Intended for enumeration suites; uses gammaln throughout.
+    Per-path edge and departure counts are the multiplicities of the
+    (path, edge) and (path, tail vertex) pairs, so only nonzero counts enter
+    the gammaln terms and nothing of size n_paths x n_edges is allocated.
+    Intended for enumeration suites.
     """
     g = w.graph
-    n_paths, _ = edge_index_matrix.shape
-    sums = w.vertex_sums()
-    out = np.empty(n_paths)
-    for i in range(n_paths):
-        eids = edge_index_matrix[i]
-        eids = eids[eids >= 0]
-        e_cnt = np.bincount(eids, minlength=g.n_edges)
-        v_cnt = np.zeros(g.n_vertices, dtype=np.int64)
-        np.add.at(v_cnt, g.tails[eids], 1)
-        ne = np.flatnonzero(e_cnt)
-        nv = np.flatnonzero(v_cnt)
-        num = np.sum(gammaln(w.values[ne] + e_cnt[ne]) - gammaln(w.values[ne]))
-        den = np.sum(gammaln(sums[nv] + v_cnt[nv]) - gammaln(sums[nv]))
-        out[i] = num - den
-    return out
+    n_paths = edge_index_matrix.shape[0]
+    path, col = np.nonzero(edge_index_matrix >= 0)
+    eids = edge_index_matrix[path, col]
+
+    def log_rising(keys, width, base):
+        """Per path, sum of log rising factorials of base[key] by key counts."""
+        pairs, n = np.unique(path * width + keys, return_counts=True)
+        a = base[pairs % width]
+        return np.bincount(pairs // width, gammaln(a + n) - gammaln(a), minlength=n_paths)
+
+    return (log_rising(eids, g.n_edges, w.values)
+            - log_rising(g.tails[eids], g.n_vertices, w.vertex_sums()))
 
 
 class UrnState:

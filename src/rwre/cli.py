@@ -82,15 +82,18 @@ def _parse_int_list(text: str) -> list:
         raise PreconditionError(f"malformed integer list {text!r}")
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for a count of at least 1; anything else is a usage error (exit 2)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type for a count of at least `minimum`; anything else is a
+    usage error (exit 2)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
 
 
 def _resolve_seed(args) -> int:
@@ -383,7 +386,7 @@ def run_grid(args) -> int:
 def _add_common(p, replicas=None, steps=True):
     p.add_argument("--seed", type=int, default=None,
                    help=f"RNG seed (default: RWRE_SEED env var, else {DEFAULT_SEED})")
-    p.add_argument("--workers", type=_positive_int, default=1,
+    p.add_argument("--workers", type=_int_at_least(1), default=1,
                    help="worker threads; affects speed only, never results (default 1)")
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json",
@@ -391,10 +394,10 @@ def _add_common(p, replicas=None, steps=True):
     p.add_argument("--timing", action="store_true",
                    help="record wall time in the output (off by default so reruns are byte-identical)")
     if replicas is not None:
-        p.add_argument("--replicas", type=int, default=replicas,
+        p.add_argument("--replicas", type=_int_at_least(0), default=replicas,
                        help=f"Monte Carlo replicas (default {replicas})")
     if steps:
-        p.add_argument("--steps", type=_positive_int, default=100_000,
+        p.add_argument("--steps", type=_int_at_least(1), default=100_000,
                        help="step cap per walk (default 100000)")
 
 

@@ -120,11 +120,10 @@ def sample_environment_batch(g: DirectedGraph, w: WeightAssignment,
 
 
 def _normalize_rows(g: DirectedGraph, gammas: np.ndarray) -> np.ndarray:
-    grouped = gammas[..., g.out_edge_ids]
-    sums = np.add.reduceat(grouped, g.out_offsets[:-1], axis=-1)
-    out = np.empty_like(gammas)
-    out[..., g.out_edge_ids] = grouped / np.repeat(sums, g.out_degrees, axis=-1)
-    return out
+    """Divide each edge's Gamma draw by the sum over its tail's out-edges,
+    which are summed in `out_edge_ids` order (0/0 gives a NaN row)."""
+    sums = np.add.reduceat(gammas[..., g.out_edge_ids], g.out_offsets[:-1], axis=-1)
+    return gammas / sums[..., g.tails]
 
 
 def log_path_probability(env: Environment, traj: Trajectory) -> float:

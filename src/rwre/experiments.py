@@ -8,11 +8,18 @@ probability of reaching abscissa L before ever backtracking below the start,
 whose large-L limit bounds the directional-transience probability from below.
 
 Finite-graph walks run vectorized across replicas in lockstep with an
-active-set that shrinks as walks get absorbed.  Every lattice output is an
-annealed quantity, so lattice walks never sample an environment: they run as
-the oriented-edge linearly reinforced walk, whose path law is the annealed
-law (Enriquez & Sabot 2002; Pemantle 1988).  Each walk keeps crossing counts
-at the sites it visits and takes one uniform per step.
+active-set that shrinks as walks get absorbed.  A lockstep step costs a
+fixed numpy call overhead however few walkers remain, and most lockstep
+steps of a cylinder chunk move only a few stragglers, so once the active set
+is small the remaining walkers finish in a plain Python loop.  That loop draws
+the same uniforms in the same walker order and picks the same edge from the
+same cumulative row, so records are byte-identical to an all-lockstep run.
+
+Every lattice output is an annealed quantity, so lattice walks never sample
+an environment: they run as the oriented-edge linearly reinforced walk, whose
+path law is the annealed law (Enriquez & Sabot 2002; Pemantle 1988).  Each
+walk keeps crossing counts at the sites it visits and takes one uniform per
+step.
 
 Replica counts are split into fixed-size chunks with one RNG stream per
 chunk; worker count never changes any output.
@@ -62,6 +69,12 @@ __all__ = [
 
 DEFAULT_STEP_CAP = 100_000
 
+# Active-walker count at or below which `_walk_until_absorbed` leaves lockstep
+# numpy stepping (about 20 us of call overhead per step, whatever the count)
+# for a plain Python loop.  Of 0, 16, 24, 48, 96 and 192, 48 ran the cylinder
+# benchmark's calls fastest.
+_SCALAR_TAIL = 48
+
 
 @dataclass
 class ExperimentResult:
@@ -110,22 +123,29 @@ def expected_exit_probability(lattice: LatticeSpec) -> float:
 
 def _walk_until_absorbed(g: DirectedGraph, probs: np.ndarray, start: int,
                          absorbing: np.ndarray, gen: np.random.Generator, step_cap: int):
-    """Walk one replica per environment row of `probs` from `start`, in
-    lockstep, until it steps onto a vertex where `absorbing` is True.
+    """Walk one replica per environment row of `probs` from `start` until it
+    steps onto a vertex where `absorbing` is True, or `step_cap` steps pass.
 
-    Each step draws one uniform per still-active walker.  Returns each
-    walker's final vertex, the vertex it left on its absorbing step (-1 where
-    it never got absorbed), and the indices of the walkers the step cap
-    stopped.
+    Every step draws `gen.random(n)` for the n still-active walkers, in
+    walker order, and walker i follows the first edge whose cumulative
+    probability is at least its uniform (the last edge if none is; NaN rows
+    take edge 0).  While more than `_SCALAR_TAIL` walkers are active a step
+    is a handful of numpy calls over all of them; the stragglers left after
+    that finish in a plain Python loop, which draws the same uniforms and
+    picks the same edges, so the phase split never changes a result or the
+    generator's final state.  The step cap counts across both phases.
+
+    Returns each walker's final vertex, the vertex it left on its absorbing
+    step (-1 where it never got absorbed), and the indices of the walkers
+    the step cap stopped.
     """
     cum, pad_head, deg = cumulative_rows(g, probs)
     size = probs.shape[0]
     pos = np.full(size, start, dtype=np.int64)
     left = np.full(size, -1, dtype=np.int64)
     active = np.arange(size)
-    for _ in range(step_cap):
-        if active.size == 0:
-            break
+    steps = 0
+    while steps < step_cap and active.size > _SCALAR_TAIL:
         u = gen.random(active.size)
         here = pos[active]
         k = np.sum(u[:, None] > cum[active, here], axis=1)
@@ -135,7 +155,40 @@ def _walk_until_absorbed(g: DirectedGraph, probs: np.ndarray, start: int,
         if done.any():
             left[active[done]] = here[done]
             active = active[~done]
-    return pos, left, active
+        steps += 1
+    if steps == step_cap or active.size == 0:
+        return pos, left, active
+
+    walkers = active.tolist()
+    rows = cum[active].tolist()
+    here = pos[active].tolist()
+    heads = pad_head.tolist()
+    last = (deg - 1).tolist()
+    stops = absorbing.tolist()
+    for _ in range(step_cap - steps):
+        if not walkers:
+            break
+        kept = []
+        for j, u in enumerate(gen.random(len(walkers)).tolist()):
+            v = here[j]
+            row = rows[j][v]
+            k, kmax = 0, last[v]
+            while k < kmax and u > row[k]:
+                k += 1
+            nxt = heads[v][k]
+            if stops[nxt]:
+                pos[walkers[j]] = nxt
+                left[walkers[j]] = v
+            else:
+                here[j] = nxt
+                kept.append(j)
+        if len(kept) < len(walkers):
+            walkers = [walkers[j] for j in kept]
+            rows = [rows[j] for j in kept]
+            here = [here[j] for j in kept]
+    capped = np.array(walkers, dtype=np.int64)
+    pos[capped] = here
+    return pos, left, capped
 
 
 def cylinder_delta_exit(spec: CylinderSpec, replicas: int, rng: RngStream,

@@ -28,8 +28,11 @@ def chunk_sizes(total: int, chunk: int = CHUNK_REPLICAS):
 def run_chunked(fn, total: int, workers: int = 1, chunk: int = CHUNK_REPLICAS):
     """Run fn(chunk_index, size) over all chunks, returning results in chunk order.
 
-    Threads suit the workloads here: the heavy lifting is numpy, which
-    releases the GIL.
+    Workers are threads, so chunks overlap only where they run in numpy
+    code that releases the GIL (batch sampling, lockstep steps, stationary
+    solves).  Lattice walks and the scalar tail of cylinder walks are pure
+    Python and hold it; the benchmark's `replicas_per_s_w2` and
+    `parallel.speedup_w2` measure how much `workers=2` gains per workload.
     """
     sizes = chunk_sizes(total, chunk)
     if workers <= 1 or len(sizes) == 1:

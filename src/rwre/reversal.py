@@ -267,8 +267,10 @@ def verify_reversal_distribution(g: DirectedGraph, w: WeightAssignment, k: int,
     with weights `w`, stationary distribution solved per sample) is compared
     with the exact annealed value under the reversed weights; the report
     carries one z-score per path.  The empty path is omitted: both sides are
-    identically 1.
+    identically 1, so k must be at least 1.
     """
+    if k < 1:
+        raise PreconditionError(f"path length k must be at least 1, got {k}")
     if replicas < 100:
         raise PreconditionError("at least 100 replicas required")
     require_null_divergence(w)

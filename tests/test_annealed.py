@@ -12,6 +12,7 @@ from rwre import (
     Trajectory,
     UrnState,
     WeightAssignment,
+    annealed_log_path_probability,
     annealed_log_paths_batch,
     annealed_path_probability_exact,
     annealed_path_probability_mc,
@@ -156,6 +157,22 @@ def test_batch_log_probabilities_match_scalar():
     for i, p in enumerate(paths):
         expected = math.log(annealed_path_probability_exact(w, traj_from_edges(g, p)))
         assert logs[i] == pytest.approx(expected, abs=1e-12)
+
+
+def test_batch_log_probabilities_every_short_torus_path():
+    # all 340 paths of length 1..4 from a vertex of the 2x2 torus, plus an
+    # empty (all-padding) row, against the scalar formula path by path
+    g, w = build_torus(LatticeSpec((2.0, 0.5, 1.3, 0.7)), [2, 2])
+    paths = enumerate_paths(g, 0, 4)
+    assert len(paths) == 340
+    mat = np.full((len(paths) + 1, 4), -1, dtype=np.int64)
+    for i, p in enumerate(paths):
+        mat[i, :len(p)] = p
+    logs = annealed_log_paths_batch(w, mat)
+    for i, p in enumerate(paths):
+        expected = annealed_log_path_probability(w, traj_from_edges(g, p))
+        assert logs[i] == pytest.approx(expected, rel=1e-12)
+    assert logs[-1] == 0.0
 
 
 def test_urn_state_bookkeeping():

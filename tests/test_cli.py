@@ -296,6 +296,22 @@ def test_nonpositive_steps_or_workers_exit_two(capsys, argv):
     assert f"{argv[-2]}: must be at least 1" in capsys.readouterr().err
 
 
+def test_negative_replicas_exit_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["annealed-prob", "--alpha", "2,1", "--torus", "3", "--path", "0,1",
+              "--replicas", "-5"])
+    assert exc.value.code == 2
+    assert "--replicas: must be at least 0" in capsys.readouterr().err
+
+
+def test_reverse_check_needs_a_path_length(capsys):
+    code, out, err = run_cli(capsys, "reverse-check", "--alpha", "2,1", "--torus", "3",
+                             "--k", "0", "--replicas", "500")
+    assert code == 2
+    assert out == ""
+    assert "k must be at least 1" in err
+
+
 def test_missing_graph_source(capsys):
     code, out, err = run_cli(capsys, "annealed-prob", "--path", "0,1")
     assert code == 2 and "need --graph-file" in err

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rwre import (
+    CylinderSpec,
     DirectedGraph,
     Environment,
     GraphFormatError,
@@ -13,6 +14,7 @@ from rwre import (
     StoppingRule,
     Trajectory,
     WeightAssignment,
+    build_cylinder_graph,
     build_torus,
     empirical_environment,
     log_path_probability,
@@ -92,6 +94,42 @@ def test_small_shape_sampling_valid():
     assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
     env = Environment(g, probs[0])
     env.validate()
+
+
+def _normalize_rows_reference(g, gammas):
+    """The five-pass normalisation (gather, reduceat, repeat, divide,
+    scatter) that `sample_environment_batch` must match bit for bit."""
+    grouped = gammas[..., g.out_edge_ids]
+    sums = np.add.reduceat(grouped, g.out_offsets[:-1], axis=-1)
+    out = np.empty_like(gammas)
+    out[..., g.out_edge_ids] = grouped / np.repeat(sums, g.out_degrees, axis=-1)
+    return out
+
+
+def _batch_graphs():
+    cyl = build_cylinder_graph(CylinderSpec(N=3, L=4, lattice=LatticeSpec((2.0, 1.0, 1.0, 1.0))))
+    torus = build_torus(LatticeSpec((1.5, 0.7, 0.9, 1.1)), [3, 1])
+    mixed = DirectedGraph(4, [(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (2, 3),
+                              (3, 0), (3, 1), (3, 2), (3, 3), (1, 2)])
+    cycle = DirectedGraph(50, [(i, (i + s) % 50) for i in range(50) for s in (1, -1)])
+    cases = [
+        ("cylinder", cyl.graph, cyl.weights),
+        ("torus", *torus),
+        ("mixed degrees", mixed, WeightAssignment(np.linspace(0.2, 3.0, 11), mixed)),
+        ("weight 0.003 cycle", cycle, WeightAssignment(np.full(100, 0.003), cycle)),
+    ]
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("name, g, w", _batch_graphs())
+def test_batch_normalisation_bitwise_matches_reference(name, g, w):
+    gen, ref_gen = RngStream(12).generator(), RngStream(12).generator()
+    with np.errstate(invalid="ignore"):
+        probs = sample_environment_batch(g, w, gen, 400)
+        ref = _normalize_rows_reference(g, ref_gen.standard_gamma(w.values, size=(400, g.n_edges)))
+    assert probs.tobytes() == ref.tobytes()
+    if name == "weight 0.003 cycle":
+        assert np.isnan(probs).any()
 
 
 def test_path_probability_examples():

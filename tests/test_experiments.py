@@ -15,6 +15,7 @@ from rwre import (
     annealed_path_probability_exact,
     bernoulli_se,
     build_cylinder_band,
+    build_cylinder_graph,
     build_torus,
     cylinder_delta_exit,
     cylinder_exit_from_origin,
@@ -23,11 +24,13 @@ from rwre import (
     quenched_ruin_probability,
     quenched_walk,
     ruin_exit_probability,
+    sample_environment_batch,
     sample_environment,
     trap_condition,
     velocity_probe,
 )
-from rwre.experiments import _chunk_uniforms, _UrnWalk
+from rwre.environment import cumulative_rows
+from rwre.experiments import _SCALAR_TAIL, _chunk_uniforms, _UrnWalk, _walk_until_absorbed
 
 
 def lat_2d(*weights):
@@ -97,6 +100,66 @@ def test_delta_exit_truncation_bookkeeping():
     assert math.isnan(res.estimate)
     assert res.truncated == 50 and res.undecided == 50
     assert res.standard_error == 0.0
+
+
+def _lockstep_reference(g, probs, start, absorbing, gen, step_cap):
+    """Every step in numpy lockstep, however few walkers remain: the kernel
+    that the two-phase `_walk_until_absorbed` must reproduce bit for bit.
+    Also returns (active walkers, walkers absorbed) per step."""
+    cum, pad_head, deg = cumulative_rows(g, probs)
+    size = probs.shape[0]
+    pos = np.full(size, start, dtype=np.int64)
+    left = np.full(size, -1, dtype=np.int64)
+    active = np.arange(size)
+    trace = []
+    for _ in range(step_cap):
+        if active.size == 0:
+            break
+        u = gen.random(active.size)
+        here = pos[active]
+        k = np.sum(u[:, None] > cum[active, here], axis=1)
+        nxt = pad_head[here, np.minimum(k, deg[here] - 1)]
+        pos[active] = nxt
+        done = absorbing[nxt]
+        trace.append((active.size, int(done.sum())))
+        if done.any():
+            left[active[done]] = here[done]
+            active = active[~done]
+    return pos, left, active, trace
+
+
+@pytest.mark.parametrize("weights, N, L, replicas, cap, seed, case", [
+    # stragglers cross into the scalar phase and the cap stops a few there
+    ((2.0, 1.0, 1.0, 1.0), 4, 5, 3000, 300, 1, "cap in tail"),
+    # every walker is absorbed, the last ones in the scalar phase
+    ((2.0, 1.0, 1.0, 1.0), 4, 5, 3000, 100_000, 1, "all absorbed"),
+    # fewer walkers than the switch size: scalar from the first step, NaN rows
+    ((0.002, 0.001, 0.001, 0.001), 2, 4, 40, 200, 2, "nan rows"),
+])
+def test_walk_kernel_matches_pure_lockstep(weights, N, L, replicas, cap, seed, case):
+    cg = build_cylinder_graph(CylinderSpec(N=N, L=L, lattice=lat_2d(*weights)))
+    absorbing = np.zeros(cg.graph.n_vertices, dtype=bool)
+    absorbing[cg.outside] = True
+    with np.errstate(invalid="ignore"):
+        probs = sample_environment_batch(cg.graph, cg.weights, RngStream(seed).generator(),
+                                         replicas)
+    gen, ref_gen = RngStream(seed + 100).generator(), RngStream(seed + 100).generator()
+    pos, left, capped = _walk_until_absorbed(cg.graph, probs, cg.outside, absorbing, gen, cap)
+    ref_pos, ref_left, ref_capped, trace = _lockstep_reference(
+        cg.graph, probs, cg.outside, absorbing, ref_gen, cap)
+    np.testing.assert_array_equal(pos, ref_pos)
+    np.testing.assert_array_equal(left, ref_left)
+    np.testing.assert_array_equal(capped, ref_capped)
+    assert gen.random(4).tolist() == ref_gen.random(4).tolist()
+    # the case really exercises what it names
+    tail = [absorbed for active, absorbed in trace if active <= _SCALAR_TAIL]
+    assert max(tail) >= 2
+    if case == "cap in tail":
+        assert 0 < capped.size <= _SCALAR_TAIL and len(trace) == cap
+    elif case == "all absorbed":
+        assert capped.size == 0
+    else:
+        assert np.isnan(probs).any()
 
 
 def test_origin_exit_lower_bound():

@@ -237,6 +237,14 @@ def test_reversal_distribution_guards():
         verify_reversal_distribution(gd, wd, 2, 500, RngStream(50))
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_reversal_distribution_needs_a_path(k):
+    # with no path to test the check would pass vacuously
+    g, w = build_torus(LatticeSpec((2.0, 1.0)), [3])
+    with pytest.raises(PreconditionError, match="k must be at least 1"):
+        verify_reversal_distribution(g, w, k, 500, RngStream(52))
+
+
 def test_reversal_distribution_worker_determinism():
     g, w = build_torus(LatticeSpec((2.0, 1.0)), [3])
     rep1 = verify_reversal_distribution(g, w, 3, 20_000, RngStream(51), workers=1)
