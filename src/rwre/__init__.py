@@ -37,7 +37,6 @@ from .errors import GraphFormatError, PreconditionError
 from .experiments import (
     ExperimentResult,
     TrapCheck,
-    bernoulli_se,
     cylinder_delta_exit,
     cylinder_exit_from_origin,
     expected_exit_probability,

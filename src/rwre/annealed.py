@@ -23,7 +23,7 @@ from scipy.special import gammaln
 from .environment import Trajectory, sample_environment_batch, walk_until_stopped
 from .errors import PreconditionError
 from .graph import DirectedGraph, WeightAssignment
-from .parallel import MeanAccumulator, bernoulli_se, run_chunked
+from .parallel import Moments, run_chunked
 from .rng import RngStream
 from .stopping import StoppingRule
 
@@ -190,16 +190,12 @@ def reinforced_trace_frequency(w: WeightAssignment, traj: Trajectory, replicas: 
         highs[s] = cum[j]
         urn.advance(eid)
 
-    def run_chunk(chunk_index: int, size: int):
-        gen = rng.with_stream(chunk_index).generator()
-        us = gen.random((size, max(len(traj), 1)))
-        if len(traj) == 0:
-            return size
-        hit = np.all((us >= lows) & (us < highs), axis=1)
-        return int(hit.sum())
+    def run_chunk(gen: np.random.Generator, size: int):
+        us = gen.random((size, len(traj)))
+        return Moments.of(np.all((us >= lows) & (us < highs), axis=1))
 
-    hits = sum(run_chunked(run_chunk, replicas, workers))
-    return hits / replicas, bernoulli_se(hits, replicas)
+    hits = sum(run_chunked(run_chunk, replicas, rng, workers), Moments())
+    return float(hits.mean), float(hits.standard_error)
 
 
 def annealed_path_probability_mc(g: DirectedGraph, w: WeightAssignment, traj: Trajectory,
@@ -212,19 +208,12 @@ def annealed_path_probability_mc(g: DirectedGraph, w: WeightAssignment, traj: Tr
         raise PreconditionError("at least 100 replicas required")
     edge_ids = np.asarray(traj.edges, dtype=np.int64)
 
-    def run_chunk(chunk_index: int, size: int):
-        gen = rng.with_stream(chunk_index).generator()
+    def run_chunk(gen: np.random.Generator, size: int):
         probs = sample_environment_batch(g, w, gen, size)
-        if len(edge_ids) == 0:
-            vals = np.ones(size)
-        else:
-            vals = probs[:, edge_ids].prod(axis=1)
-        return vals.sum(), np.square(vals).sum(), size
+        return Moments.of(probs[:, edge_ids].prod(axis=1))
 
-    acc = MeanAccumulator()
-    for s, sq, n in run_chunked(run_chunk, replicas, workers):
-        acc.add(s, sq, n)
-    return acc.mean(), acc.standard_error()
+    vals = sum(run_chunked(run_chunk, replicas, rng, workers), Moments())
+    return float(vals.mean), float(vals.standard_error)
 
 
 # -- path literals --------------------------------------------------------

@@ -383,45 +383,57 @@ def run_grid(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
-def _add_common(p, replicas=None, steps=True):
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"RNG seed (default: RWRE_SEED env var, else {DEFAULT_SEED})")
-    p.add_argument("--workers", type=_int_at_least(1), default=1,
-                   help="worker threads; affects speed only, never results (default 1)")
-    p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json",
-                   help="output format where applicable (default json)")
-    p.add_argument("--timing", action="store_true",
-                   help="record wall time in the output (off by default so reruns are byte-identical)")
-    if replicas is not None:
-        p.add_argument("--replicas", type=_int_at_least(0), default=replicas,
-                       help=f"Monte Carlo replicas (default {replicas})")
-    if steps:
-        p.add_argument("--steps", type=_int_at_least(1), default=100_000,
-                       help="step cap per walk (default 100000)")
+WEIGHTS_HELP = "weights alpha_1,beta_1,...,alpha_d,beta_d (positive reals)"
+RECORD_FORMATS = ("json", "csv")
 
 
-def _add_lattice(p, with_nl=True):
-    p.add_argument("--alpha", default=None,
-                   help="weights alpha_1,beta_1,...,alpha_d,beta_d (positive reals)")
+def _add_weights(p, help=WEIGHTS_HELP):
+    p.add_argument("--alpha", default=None, help=help)
     p.add_argument("--d", type=int, default=None,
                    help="dimension check against --alpha (optional)")
-    if with_nl:
-        p.add_argument("--N", type=int, default=1,
-                       help="transverse torus period (default 1)")
-        p.add_argument("--L", type=int, default=4,
-                       help="cylinder length (default 4)")
+
+
+def _add_lattice(p):
+    """Cylinder size: transverse period --N and length --L."""
+    p.add_argument("--N", type=int, default=1, help="transverse torus period (default 1)")
+    p.add_argument("--L", type=int, default=4, help="cylinder length (default 4)")
 
 
 def _add_graph_source(p):
     p.add_argument("--graph-file", default=None,
                    help="graph in the text format (vertices/edge lines)")
-    p.add_argument("--alpha", default=None,
-                   help="weights alpha_1,beta_1,... for a lattice-derived graph")
-    p.add_argument("--d", type=int, default=None,
-                   help="dimension check against --alpha (optional)")
+    _add_weights(p, help="weights alpha_1,beta_1,... for a lattice-derived graph")
     p.add_argument("--torus", default=None,
                    help="torus periods p_1,...,p_d to build from --alpha")
+
+
+def _add_seed(p):
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"RNG seed (default: RWRE_SEED env var, else {DEFAULT_SEED})")
+
+
+def _add_run(p, replicas: int, steps=True, timing=True):
+    """Flags of a seeded Monte Carlo run."""
+    _add_seed(p)
+    p.add_argument("--workers", type=_int_at_least(1), default=1,
+                   help="worker threads; affects speed only, never results (default 1)")
+    if timing:
+        p.add_argument("--timing", action="store_true",
+                       help="record wall time in the output (off by default so reruns are byte-identical)")
+    p.add_argument("--replicas", type=_int_at_least(0), default=replicas,
+                   help=f"Monte Carlo replicas (default {replicas})")
+    if steps:
+        p.add_argument("--steps", type=_int_at_least(1), default=100_000,
+                       help="step cap per walk (default 100000)")
+
+
+def _add_output(p, formats=()):
+    """--out, and --format limited to the formats the subcommand writes
+    (the first is the default)."""
+    p.add_argument("--out", default=None, help="output file (default stdout)")
+    if formats:
+        p.add_argument("--format", choices=formats, default=formats[0],
+                       help=f"output format (default {formats[0]})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,9 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample-env", help="sample one environment and dump it")
     _add_graph_source(p)
-    p.add_argument("--N", type=int, default=1, help="transverse torus period (default 1)")
-    p.add_argument("--L", type=int, default=4, help="cylinder length (default 4)")
-    _add_common(p, steps=False)
+    _add_lattice(p)
+    _add_seed(p)
+    _add_output(p, ("text",))
     p.set_defaults(func=_cmd_sample_env)
 
     p = sub.add_parser("annealed-prob",
@@ -445,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="path literal: vertex ids `0,1,0`, steps `+1,-1`, or edges `e0,e3`")
     p.add_argument("--origin", type=int, default=0,
                    help="start vertex for step literals (default 0)")
-    _add_common(p, replicas=0, steps=False)
+    _add_run(p, replicas=0, steps=False)
+    _add_output(p, ("json",))
     p.set_defaults(func=_cmd_annealed_prob)
 
     p = sub.add_parser("cycle-check", help="exact cycle-reversal identity on one cycle")
@@ -453,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", required=True, help="cycle literal (must return to its start)")
     p.add_argument("--origin", type=int, default=0,
                    help="start vertex for step literals (default 0)")
-    _add_common(p, steps=False)
+    _add_output(p, ("json",))
     p.set_defaults(func=_cmd_cycle_check)
 
     p = sub.add_parser("reverse-check",
@@ -461,66 +474,61 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p)
     p.add_argument("--k", type=int, default=3, help="maximum path length (default 3)")
     p.add_argument("--root", type=int, default=0, help="path enumeration root (default 0)")
-    _add_common(p, replicas=100_000, steps=False)
-    p.set_defaults(func=_cmd_reverse_check, format="text")
+    _add_run(p, replicas=100_000, steps=False)
+    _add_output(p, ("text", "json"))
+    p.set_defaults(func=_cmd_reverse_check)
 
     p = sub.add_parser("cylinder-delta",
                        help="right-face return probability of the augmented cylinder")
+    _add_weights(p)
     _add_lattice(p)
-    _add_common(p, replicas=100_000)
+    _add_run(p, replicas=100_000)
+    _add_output(p, RECORD_FORMATS)
     p.set_defaults(func=_cmd_cylinder_delta)
 
     p = sub.add_parser("cylinder-exit",
                        help="probability of exiting the plain cylinder to the right")
+    _add_weights(p)
     _add_lattice(p)
-    _add_common(p, replicas=100_000)
+    _add_run(p, replicas=100_000)
+    _add_output(p, RECORD_FORMATS)
     p.set_defaults(func=_cmd_cylinder_exit)
 
     p = sub.add_parser("transience", help="lattice estimate of P(T_L < D) per level L")
-    p.add_argument("--alpha", default=None,
-                   help="weights alpha_1,beta_1,...,alpha_d,beta_d (positive reals)")
-    p.add_argument("--d", type=int, default=None,
-                   help="dimension check against --alpha (optional)")
+    _add_weights(p)
     p.add_argument("--L", default="10,30", help="comma list of levels (default 10,30)")
-    _add_common(p, replicas=10_000)
+    _add_run(p, replicas=10_000)
+    _add_output(p, RECORD_FORMATS)
     p.set_defaults(func=_cmd_transience)
 
     p = sub.add_parser("trap-check", help="zero-speed trap inequality for one axis")
-    p.add_argument("--alpha", default=None,
-                   help="weights alpha_1,beta_1,...,alpha_d,beta_d (positive reals)")
-    p.add_argument("--d", type=int, default=None,
-                   help="dimension check against --alpha (optional)")
+    _add_weights(p)
     p.add_argument("--axis", type=int, default=1, help="axis i of the inequality (default 1)")
-    p.add_argument("--out", default=None, help="output file (default stdout)")
+    _add_output(p)
     p.set_defaults(func=_cmd_trap_check)
 
     p = sub.add_parser("velocity", help="mean abscissa over n at increasing horizons")
-    p.add_argument("--alpha", default=None,
-                   help="weights alpha_1,beta_1,...,alpha_d,beta_d (positive reals)")
-    p.add_argument("--d", type=int, default=None,
-                   help="dimension check against --alpha (optional)")
+    _add_weights(p)
     p.add_argument("--horizons", default="1000",
                    help="comma list of horizons n (default 1000)")
-    _add_common(p, replicas=1_000, steps=False)
+    _add_run(p, replicas=1_000, steps=False)
+    _add_output(p, RECORD_FORMATS)
     p.set_defaults(func=_cmd_velocity)
 
     p = sub.add_parser("ruin", help="d=1 averaged gambler's-ruin oracle for cylinder-exit")
-    p.add_argument("--alpha", default=None, help="weights alpha_1,beta_1 (d=1)")
-    p.add_argument("--d", type=int, default=None,
-                   help="dimension check against --alpha (optional)")
+    _add_weights(p, help="weights alpha_1,beta_1 (d=1)")
     p.add_argument("--L", type=int, default=4, help="target abscissa (default 4)")
-    _add_common(p, replicas=100_000, steps=False)
+    _add_run(p, replicas=100_000, steps=False)
+    _add_output(p, RECORD_FORMATS)
     p.set_defaults(func=_cmd_ruin)
 
     p = sub.add_parser("grid", help="sweep N and L lists over one experiment into CSV")
     p.add_argument("experiment", help=f"one of {', '.join(GRID_EXPERIMENTS)}")
-    p.add_argument("--alpha", default=None,
-                   help="weights alpha_1,beta_1,...,alpha_d,beta_d (positive reals)")
-    p.add_argument("--d", type=int, default=None,
-                   help="dimension check against --alpha (optional)")
+    _add_weights(p)
     p.add_argument("--N", default="1", help="comma list of transverse periods (default 1)")
     p.add_argument("--L", default="4", help="comma list of lengths/levels (default 4)")
-    _add_common(p, replicas=10_000)
+    _add_run(p, replicas=10_000, timing=False)
+    _add_output(p, ("csv",))
     p.set_defaults(func=run_grid)
 
     return parser

@@ -43,7 +43,7 @@ from .graph import (
     build_cylinder_band,
     build_cylinder_graph,
 )
-from .parallel import bernoulli_se, run_chunked
+from .parallel import Moments, run_chunked
 from .rng import RngStream
 from .stopping import CAP, LEFT, RIGHT, TARGET, StoppingReport, StoppingRule
 
@@ -60,7 +60,6 @@ __all__ = [
     "ruin_exit_probability",
     "quenched_ruin_probability",
     "expected_exit_probability",
-    "bernoulli_se",
     "CAP",
     "LEFT",
     "RIGHT",
@@ -212,25 +211,19 @@ def cylinder_delta_exit(spec: CylinderSpec, replicas: int, rng: RngStream,
     absorbing = np.zeros(g.n_vertices, dtype=bool)
     absorbing[delta] = True
 
-    def run_chunk(chunk_index: int, size: int):
-        gen = rng.with_stream(chunk_index).generator()
+    def run_chunk(gen: np.random.Generator, size: int):
         probs = sample_environment_batch(g, cg.weights, gen, size)
-        _, left, capped = _walk_until_absorbed(g, probs, delta, absorbing, gen, step_cap)
-        hits = int(right_mask[left[left >= 0]].sum())
-        return hits, size - capped.size, capped.size
+        _, left, _ = _walk_until_absorbed(g, probs, delta, absorbing, gen, step_cap)
+        return Moments.of(right_mask[left[left >= 0]])
 
-    hits = returned = truncated = 0
-    for h, r, t in run_chunked(run_chunk, replicas, workers):
-        hits += h
-        returned += r
-        truncated += t
-    estimate = hits / returned if returned else float("nan")
+    returned = sum(run_chunked(run_chunk, replicas, rng, workers), Moments())
+    truncated = replicas - returned.n
     return ExperimentResult(
         experiment="cylinder-delta",
         params={"alpha": list(spec.lattice.weights), "N": spec.N, "L": spec.L,
                 "steps": step_cap},
-        estimate=estimate,
-        standard_error=bernoulli_se(hits, returned),
+        estimate=float(returned.mean),
+        standard_error=float(returned.standard_error),
         replicas=replicas,
         truncated=truncated,
         undecided=truncated,
@@ -262,22 +255,20 @@ def cylinder_exit_from_origin(spec: CylinderSpec, replicas: int, rng: RngStream,
     absorbing = right_mask.copy()
     absorbing[band.left_absorbing] = True
 
-    def run_chunk(chunk_index: int, size: int):
-        gen = rng.with_stream(chunk_index).generator()
+    def run_chunk(gen: np.random.Generator, size: int):
         probs = sample_environment_batch(g, band.weights, gen, size)
         pos, _, capped = _walk_until_absorbed(g, probs, band.origin, absorbing, gen, step_cap)
-        return int(right_mask[pos].sum()), capped.size
+        return Moments.of(right_mask[pos]), capped.size
 
-    right = truncated = 0
-    for r, t in run_chunked(run_chunk, replicas, workers):
-        right += r
-        truncated += t
+    chunks = run_chunked(run_chunk, replicas, rng, workers)
+    right = sum((m for m, _ in chunks), Moments())
+    truncated = sum(t for _, t in chunks)
     return ExperimentResult(
         experiment="cylinder-exit",
         params={"alpha": list(lat.weights), "N": spec.N, "L": spec.L,
                 "steps": step_cap},
-        estimate=right / replicas,
-        standard_error=bernoulli_se(right, replicas),
+        estimate=float(right.mean),
+        standard_error=float(right.standard_error),
         replicas=replicas,
         truncated=truncated,
         undecided=truncated,
@@ -376,8 +367,8 @@ def lattice_transience(lattice: LatticeSpec, levels, replicas: int, step_cap: in
         raise PreconditionError("levels must be positive integers")
     lmax = max(levels)
 
-    def run_chunk(chunk_index: int, size: int):
-        uniforms = _chunk_uniforms(rng.with_stream(chunk_index).generator())
+    def run_chunk(gen: np.random.Generator, size: int):
+        uniforms = _chunk_uniforms(gen)
         maxima = np.empty(size, dtype=np.int64)
         capped = np.empty(size, dtype=bool)
         for i in range(size):
@@ -385,29 +376,23 @@ def lattice_transience(lattice: LatticeSpec, levels, replicas: int, step_cap: in
             walk.run(step_cap, -1, lmax)
             maxima[i] = walk.top
             capped[i] = walk.x1 >= 0 and walk.top < lmax
-        return maxima, capped
+        reached = maxima[:, None] >= np.array(levels)
+        return Moments.of(reached), int(capped.sum()), (capped[:, None] & ~reached).sum(axis=0)
 
-    chunks = run_chunked(run_chunk, replicas, workers)
-    maxima = np.concatenate([c[0] for c in chunks])
-    capped = np.concatenate([c[1] for c in chunks])
-    truncated = int(capped.sum())
-
-    results = []
-    for L in levels:
-        reached = maxima >= L
-        successes = int(reached.sum())
-        undecided = int((capped & ~reached).sum())
-        results.append(ExperimentResult(
-            experiment="transience",
-            params={"alpha": list(lattice.weights), "L": L, "steps": step_cap},
-            estimate=successes / replicas,
-            standard_error=bernoulli_se(successes, replicas),
-            replicas=replicas,
-            truncated=truncated,
-            undecided=undecided,
-            seed=rng.seed,
-        ))
-    return results
+    chunks = run_chunked(run_chunk, replicas, rng, workers)
+    successes = sum((m for m, _, _ in chunks), Moments())
+    truncated = sum(t for _, t, _ in chunks)
+    undecided = sum(u for _, _, u in chunks)
+    return [ExperimentResult(
+        experiment="transience",
+        params={"alpha": list(lattice.weights), "L": L, "steps": step_cap},
+        estimate=float(successes.mean[j]),
+        standard_error=float(successes.standard_error[j]),
+        replicas=replicas,
+        truncated=truncated,
+        undecided=int(undecided[j]),
+        seed=rng.seed,
+    ) for j, L in enumerate(levels)]
 
 
 @dataclass(frozen=True)
@@ -448,41 +433,25 @@ def velocity_probe(lattice: LatticeSpec, horizons, replicas: int, rng: RngStream
     if not horizons or horizons[0] < 1:
         raise PreconditionError("horizons must be positive integers")
 
-    def run_chunk(chunk_index: int, size: int):
-        uniforms = _chunk_uniforms(rng.with_stream(chunk_index).generator())
-        sums = [0] * len(horizons)
-        sums_sq = [0] * len(horizons)
-        for _ in range(size):
+    def run_chunk(gen: np.random.Generator, size: int):
+        uniforms = _chunk_uniforms(gen)
+        x1 = np.empty((size, len(horizons)))
+        for i in range(size):
             walk = _UrnWalk(lattice, uniforms)
             for j, n in enumerate(horizons):
                 walk.run(n)
-                sums[j] += walk.x1
-                sums_sq[j] += walk.x1 * walk.x1
-        return np.array(sums, dtype=np.float64), np.array(sums_sq, dtype=np.float64)
+                x1[i, j] = walk.x1
+        return Moments.of(x1)
 
-    total = np.zeros(len(horizons))
-    total_sq = np.zeros(len(horizons))
-    for s, sq in run_chunked(run_chunk, replicas, workers):
-        total += s
-        total_sq += sq
-
-    results = []
-    for j, n in enumerate(horizons):
-        mean = total[j] / replicas
-        if replicas > 1:
-            var = max(total_sq[j] - replicas * mean * mean, 0.0) / (replicas - 1)
-            se = math.sqrt(var / replicas) / n
-        else:
-            se = 0.0
-        results.append(ExperimentResult(
-            experiment="velocity",
-            params={"alpha": list(lattice.weights), "horizon": n},
-            estimate=mean / n,
-            standard_error=se,
-            replicas=replicas,
-            seed=rng.seed,
-        ))
-    return results
+    x1 = sum(run_chunked(run_chunk, replicas, rng, workers), Moments())
+    return [ExperimentResult(
+        experiment="velocity",
+        params={"alpha": list(lattice.weights), "horizon": n},
+        estimate=float(x1.mean[j] / n),
+        standard_error=float(x1.standard_error[j] / n),
+        replicas=replicas,
+        seed=rng.seed,
+    ) for j, n in enumerate(horizons)]
 
 
 def quenched_ruin_probability(right_probs) -> float:
@@ -518,24 +487,17 @@ def ruin_exit_probability(lattice: LatticeSpec, L: int, replicas: int, rng: RngS
         raise PreconditionError("L must be >= 1")
     a1, b1 = lattice.alpha(1), lattice.beta(1)
 
-    def run_chunk(chunk_index: int, size: int):
-        gen = rng.with_stream(chunk_index).generator()
+    def run_chunk(gen: np.random.Generator, size: int):
         p = gen.beta(a1, b1, size=(size, L))
         rho = (1.0 - p) / p
-        h = 1.0 / (1.0 + np.cumprod(rho, axis=1).sum(axis=1))
-        return h.sum(), np.square(h).sum()
+        return Moments.of(1.0 / (1.0 + np.cumprod(rho, axis=1).sum(axis=1)))
 
-    total = total_sq = 0.0
-    for s, sq in run_chunked(run_chunk, replicas, workers):
-        total += s
-        total_sq += sq
-    mean = total / replicas
-    var = max(total_sq - replicas * mean * mean, 0.0) / (replicas - 1)
+    h = sum(run_chunked(run_chunk, replicas, rng, workers), Moments())
     return ExperimentResult(
         experiment="ruin-oracle",
         params={"alpha": list(lattice.weights), "L": L},
-        estimate=mean,
-        standard_error=math.sqrt(var / replicas),
+        estimate=float(h.mean),
+        standard_error=float(h.standard_error),
         replicas=replicas,
         seed=rng.seed,
     )

@@ -255,11 +255,26 @@ def build_torus(lattice: LatticeSpec, periods: Sequence[int]):
     return g, WeightAssignment(weights, g)
 
 
-def _transverse_coords(d: int, N: int):
+def _transverse_torus(lattice: LatticeSpec, N: int):
+    """Coordinates of the transverse torus (Z_N)^(d-1) and, per coordinate
+    index, its out-edges along axes 2..d as (neighbour index, weight,
+    (axis, sign)), in the edge order of both cylinder builders."""
+    d = lattice.dimension
     if d == 1:
-        return [()]
+        return [()], [[]]
     shape = (N,) * (d - 1)
-    return [tuple(np.unravel_index(i, shape)) if d > 2 else (i,) for i in range(N ** (d - 1))]
+    trans = [tuple(np.unravel_index(i, shape)) if d > 2 else (i,) for i in range(N ** (d - 1))]
+    index = {t: i for i, t in enumerate(trans)}
+    wiring = []
+    for t in trans:
+        out = []
+        for axis in range(2, d + 1):
+            for sign, w in ((+1, lattice.alpha(axis)), (-1, lattice.beta(axis))):
+                nb = list(t)
+                nb[axis - 2] = (nb[axis - 2] + sign) % N
+                out.append((index[tuple(nb)], w, (axis, sign)))
+        wiring.append(out)
+    return trans, wiring
 
 
 def build_cylinder_graph(spec: CylinderSpec) -> CylinderGraph:
@@ -283,7 +298,7 @@ def build_cylinder_graph(spec: CylinderSpec) -> CylinderGraph:
     N = spec.N if d > 1 else 1
     L = spec.L
 
-    trans = _transverse_coords(d, N)
+    trans, wiring = _transverse_torus(lat, N)
     n_trans = len(trans)
     n_cyl = (L + 1) * n_trans
     outside = n_cyl
@@ -291,7 +306,6 @@ def build_cylinder_graph(spec: CylinderSpec) -> CylinderGraph:
     def vid(x1, t_idx):
         return x1 * n_trans + t_idx
 
-    trans_index = {t: i for i, t in enumerate(trans)}
     coords = [None] * (n_cyl + 1)
     edges, weights, directions = [], [], []
 
@@ -314,13 +328,10 @@ def build_cylinder_graph(spec: CylinderSpec) -> CylinderGraph:
             weights.append(b1)
             directions.append((1, -1))
             # transverse axes wrap mod N
-            for axis in range(2, d + 1):
-                for sign, w in ((+1, lat.alpha(axis)), (-1, lat.beta(axis))):
-                    nb = list(t)
-                    nb[axis - 2] = (nb[axis - 2] + sign) % N
-                    edges.append((v, vid(x1, trans_index[tuple(nb)])))
-                    weights.append(w)
-                    directions.append((axis, sign))
+            for nb, w, direction in wiring[ti]:
+                edges.append((v, vid(x1, nb)))
+                weights.append(w)
+                directions.append(direction)
 
     # entering edges: outside -> every leftmost vertex, weight alpha_1
     for ti in range(n_trans):
@@ -358,9 +369,8 @@ def build_cylinder_band(lattice: LatticeSpec, N: int, L: int) -> BandGraph:
     if d == 1 and N != 1:
         warnings.warn("d=1 band has a trivial transverse torus; N ignored", stacklevel=2)
     N = N if d > 1 else 1
-    trans = _transverse_coords(d, N)
+    trans, wiring = _transverse_torus(lattice, N)
     n_trans = len(trans)
-    trans_index = {t: i for i, t in enumerate(trans)}
     n = (L + 2) * n_trans
 
     def vid(x1, t_idx):
@@ -383,13 +393,10 @@ def build_cylinder_band(lattice: LatticeSpec, N: int, L: int) -> BandGraph:
             edges.append((v, vid(x1 - 1, ti)))
             weights.append(lattice.beta(1))
             directions.append((1, -1))
-            for axis in range(2, d + 1):
-                for sign, w in ((+1, lattice.alpha(axis)), (-1, lattice.beta(axis))):
-                    nb = list(t)
-                    nb[axis - 2] = (nb[axis - 2] + sign) % N
-                    edges.append((v, vid(x1, trans_index[tuple(nb)])))
-                    weights.append(w)
-                    directions.append((axis, sign))
+            for nb, w, direction in wiring[ti]:
+                edges.append((v, vid(x1, nb)))
+                weights.append(w)
+                directions.append(direction)
 
     g = DirectedGraph(n, edges, coords=coords, directions=directions)
     left = np.array([vid(-1, ti) for ti in range(n_trans)], dtype=np.int64)

@@ -3,12 +3,23 @@
 Replicas are split into fixed-size chunks; chunk c always draws from RNG
 stream c regardless of how many workers run, and results are reduced in
 chunk order.  Worker count therefore affects wall time only, never output.
+
+Every Monte Carlo mean and standard error comes from one reduction: each
+chunk keeps the count, sum and sum of squared deviations (n, sum, M2) of its
+own replicas, and chunks are pooled in chunk order with the merge of Chan,
+Golub & LeVeque (1979, "Algorithms for computing the sample variance").
+Sums are still added chunk by chunk, so estimates are bit-identical to a
+plain ordered fold of chunk sums; standard errors come from the pooled M2,
+which has no sum-of-squares cancellation, and may differ from a
+sum-of-squares formula in the last bits.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+
+import numpy as np
 
 # Fixed chunk granularity.  Do not derive this from the worker count or
 # results would depend on it.
@@ -25,8 +36,11 @@ def chunk_sizes(total: int, chunk: int = CHUNK_REPLICAS):
     return sizes
 
 
-def run_chunked(fn, total: int, workers: int = 1, chunk: int = CHUNK_REPLICAS):
-    """Run fn(chunk_index, size) over all chunks, returning results in chunk order.
+def run_chunked(fn, total: int, rng, workers: int = 1, chunk: int = CHUNK_REPLICAS):
+    """Run fn(gen, size) over all chunks, returning results in chunk order.
+
+    `gen` is a fresh generator of stream c of `rng` (an `RngStream`) for
+    chunk c, so which draws a replica sees never depends on `workers`.
 
     Workers are threads, so chunks overlap only where they run in numpy
     code that releases the GIL (batch sampling, lockstep steps, stationary
@@ -35,42 +49,55 @@ def run_chunked(fn, total: int, workers: int = 1, chunk: int = CHUNK_REPLICAS):
     `parallel.speedup_w2` measure how much `workers=2` gains per workload.
     """
     sizes = chunk_sizes(total, chunk)
+    gens = [rng.with_stream(c).generator() for c in range(len(sizes))]
     if workers <= 1 or len(sizes) == 1:
-        return [fn(i, s) for i, s in enumerate(sizes)]
+        return [fn(gen, size) for gen, size in zip(gens, sizes)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, i, s) for i, s in enumerate(sizes)]
+        futures = [pool.submit(fn, gen, size) for gen, size in zip(gens, sizes)]
         return [f.result() for f in futures]
 
 
-def bernoulli_se(hits: int, n: int) -> float:
-    """Standard error of a hit frequency (sample sd over sqrt n)."""
-    if n <= 1:
-        return 0.0
-    p = hits / n
-    return math.sqrt(p * (1.0 - p) * n / (n - 1.0) / n)
+@dataclass(frozen=True, eq=False)
+class Moments:
+    """Replica count `n`, sum `total` and sum of squared deviations from the
+    mean `m2` of per-replica values, per column.
 
+    `Moments()` holds no replicas; `a + b` pools two disjoint sets.
+    """
 
-class MeanAccumulator:
-    """Ordered fold of per-chunk (sum, sum of squares, count) triples."""
+    n: int = 0
+    total: np.ndarray = 0.0
+    m2: np.ndarray = 0.0
 
-    def __init__(self):
-        self.total = 0.0
-        self.total_sq = 0.0
-        self.n = 0
+    @classmethod
+    def of(cls, values) -> "Moments":
+        """Moments of one chunk's values, one replica per row (a 1-D array
+        gives scalar columns)."""
+        values = np.asarray(values, dtype=np.float64)
+        n = values.shape[0]
+        total = values.sum(axis=0)
+        m2 = np.square(values - total / n).sum(axis=0) if n else total
+        return cls(n, total, m2)
 
-    def add(self, s: float, sq: float, n: int):
-        self.total += float(s)
-        self.total_sq += float(sq)
-        self.n += int(n)
+    def __add__(self, other: "Moments") -> "Moments":
+        if other.n == 0:
+            return self
+        if self.n == 0:
+            return other
+        n = self.n + other.n
+        delta = other.total / other.n - self.total / self.n
+        return Moments(n, self.total + other.total,
+                       self.m2 + other.m2 + delta * delta * (self.n * other.n / n))
 
-    def mean(self) -> float:
-        return self.total / self.n
+    @property
+    def mean(self):
+        """Sample mean per column; NaN without replicas."""
+        return self.total / self.n if self.n else self.total * np.nan
 
-    def standard_error(self) -> float:
-        if self.n <= 1:
-            return 0.0
-        m = self.mean()
-        var = (self.total_sq - self.n * m * m) / (self.n - 1)
-        if var < 0.0:
-            var = 0.0
-        return math.sqrt(var / self.n)
+    @property
+    def standard_error(self):
+        """Sample standard deviation over sqrt(n) per column; 0 below two
+        replicas."""
+        if self.n < 2:
+            return np.zeros_like(self.total)
+        return np.sqrt(self.m2 / (self.n - 1) / self.n)

@@ -26,7 +26,7 @@ from .annealed import (
 from .environment import Environment, Trajectory, path_probability, sample_environment_batch
 from .errors import PreconditionError
 from .graph import DirectedGraph, WeightAssignment, divergence, reverse_graph, reverse_weights
-from .parallel import run_chunked
+from .parallel import Moments, run_chunked
 from .rng import RngStream
 
 RESIDUAL_TOL = 1e-10
@@ -288,23 +288,15 @@ def verify_reversal_distribution(g: DirectedGraph, w: WeightAssignment, k: int,
 
     exact = np.exp(annealed_log_paths_batch(wr, idx))
 
-    def run_chunk(chunk_index: int, size: int):
-        gen = rng.with_stream(chunk_index).generator()
+    def run_chunk(gen: np.random.Generator, size: int):
         probs = sample_environment_batch(g, w, gen, size)
         pis = stationary_batch(probs, g)
         pcheck = probs * pis[:, g.tails] / pis[:, g.heads]
         gathered = np.where(mask[None, :, :], pcheck[:, safe_idx], 1.0)
-        vals = gathered.prod(axis=2)
-        return vals.sum(axis=0), np.square(vals).sum(axis=0)
+        return Moments.of(gathered.prod(axis=2))
 
-    total = np.zeros(n_paths)
-    total_sq = np.zeros(n_paths)
-    for s, sq in run_chunked(run_chunk, replicas, workers):
-        total += s
-        total_sq += sq
-    mc = total / replicas
-    var = np.maximum(total_sq - replicas * mc * mc, 0.0) / (replicas - 1)
-    se = np.sqrt(var / replicas)
+    vals = sum(run_chunked(run_chunk, replicas, rng, workers), Moments())
+    mc, se = vals.mean, vals.standard_error
     diff = mc - exact
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, diff / np.where(se > 0, se, 1.0),

@@ -296,6 +296,33 @@ def test_nonpositive_steps_or_workers_exit_two(capsys, argv):
     assert f"{argv[-2]}: must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["cylinder-delta", "--alpha", "2,1", "--format", "text"],
+    ["cylinder-exit", "--alpha", "2,1", "--format", "text"],
+    ["transience", "--alpha", "2,1", "--format", "text"],
+    ["velocity", "--alpha", "2,1", "--format", "text"],
+    ["ruin", "--alpha", "2,1", "--format", "text"],
+    ["reverse-check", "--alpha", "2,1", "--torus", "3", "--format", "csv"],
+    ["grid", "cylinder-delta", "--alpha", "2,1", "--format", "json"],
+    ["annealed-prob", "--alpha", "2,1", "--torus", "3", "--path", "0,1", "--format", "csv"],
+    ["cycle-check", "--alpha", "2,1", "--torus", "3", "--path", "0,1,0", "--format", "csv"],
+    ["sample-env", "--alpha", "2,1", "--torus", "3", "--format", "json"],
+    ["sample-env", "--alpha", "2,1", "--torus", "3", "--format", "csv"],
+    ["cycle-check", "--alpha", "2,1", "--torus", "3", "--path", "0,1,0", "--seed", "1"],
+    ["cycle-check", "--alpha", "2,1", "--torus", "3", "--path", "0,1,0", "--workers", "2"],
+    ["cycle-check", "--alpha", "2,1", "--torus", "3", "--path", "0,1,0", "--timing"],
+    ["sample-env", "--alpha", "2,1", "--torus", "3", "--workers", "2"],
+    ["sample-env", "--alpha", "2,1", "--torus", "3", "--timing"],
+    ["grid", "cylinder-delta", "--alpha", "2,1", "--timing"],
+])
+def test_format_or_flag_a_subcommand_ignores_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err or "unrecognized arguments" in err
+
+
 def test_negative_replicas_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["annealed-prob", "--alpha", "2,1", "--torus", "3", "--path", "0,1",

@@ -13,7 +13,6 @@ from rwre import (
     StoppingRule,
     Trajectory,
     annealed_path_probability_exact,
-    bernoulli_se,
     build_cylinder_band,
     build_cylinder_graph,
     build_torus,
@@ -31,6 +30,7 @@ from rwre import (
 )
 from rwre.environment import cumulative_rows
 from rwre.experiments import _SCALAR_TAIL, _chunk_uniforms, _UrnWalk, _walk_until_absorbed
+from rwre.parallel import chunk_sizes
 
 
 def lat_2d(*weights):
@@ -40,12 +40,6 @@ def lat_2d(*weights):
 def test_expected_exit_probability_values():
     assert expected_exit_probability(LatticeSpec((2.0, 1.0))) == pytest.approx(0.5)
     assert expected_exit_probability(lat_2d(3.0, 1.0, 0.7, 0.7)) == pytest.approx(2 / 3)
-
-
-def test_bernoulli_se_values():
-    assert bernoulli_se(0, 0) == 0.0
-    assert bernoulli_se(1, 1) == 0.0
-    assert bernoulli_se(5, 10) == pytest.approx(1 / 6, rel=1e-12)
 
 
 def test_experiment_result_record_order():
@@ -184,6 +178,25 @@ def test_origin_exit_matches_ruin_oracle():
     oracle = ruin_exit_probability(lat, 4, 20_000, RngStream(68))
     combined = math.hypot(walk.standard_error, oracle.standard_error)
     assert abs(walk.estimate - oracle.estimate) <= 3 * combined
+
+
+def test_ruin_standard_error_is_two_pass_of_the_same_draws():
+    # At alpha = (1e9, 1) every quenched exit probability lies within 1e-8
+    # of 1, so a sum-of-squares variance cancels to noise (it read 13x too
+    # large).  The pooled chunk moments must match the two-pass SE of the
+    # very draws the oracle made, and the estimate the plain ordered fold.
+    lat = LatticeSpec((1e9, 1.0))
+    res = ruin_exit_probability(lat, 4, 20_000, RngStream(3))
+    chunks = []
+    for c, size in enumerate(chunk_sizes(20_000)):
+        p = RngStream(3, c).generator().beta(1e9, 1.0, size=(size, 4))
+        rho = (1.0 - p) / p
+        chunks.append(1.0 / (1.0 + np.cumprod(rho, axis=1).sum(axis=1)))
+    h = np.concatenate(chunks)
+    assert res.estimate == sum(c.sum() for c in chunks) / h.size
+    two_pass = h.std(ddof=1) / math.sqrt(h.size)
+    assert res.standard_error == pytest.approx(two_pass, rel=1e-6)
+    assert res.standard_error == pytest.approx(7.1522868706e-12, rel=1e-6)
 
 
 def test_origin_exit_requires_drift():

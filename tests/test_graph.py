@@ -1,3 +1,4 @@
+import hashlib
 import io
 import warnings
 
@@ -213,6 +214,53 @@ def test_band_graph_shape():
     for v in band.left_absorbing.tolist() + band.right_absorbing.tolist():
         out = g.out_edges(v)
         assert out.size == 1 and int(g.heads[out[0]]) == v
+
+
+# sha256 of (vertex count, tails, heads, weights, directions, coords, and the
+# outside vertex/origin with both faces) for builds whose edge order is pinned:
+# edge ids fix the order of the Gamma draws, so any reordering changes every
+# sampled environment.
+_BUILD_DIGESTS = {
+    ("cyl", 1, 1, 1): "69c5b8a06c8cfb68dbeb24903a35b163ac36fd02f03e3e8ad0f1ad0e92e181c1",
+    ("band", 1, 1, 1): "b94b65af2e44ab12739903e616a3f0ec759764119e4d137a2784eb1ff17aa327",
+    ("cyl", 1, 1, 5): "f0e4c6779aedb279fb5d0038c41c3abd94b416e4539e6e6bd2539409d684e856",
+    ("band", 1, 1, 5): "c7a45c6fd71fe62b40b2e6cc2b9e4882e656055ce78328dee3df5a1119a480cf",
+    ("cyl", 2, 1, 2): "d4bc68447211250b94b9c4eed16d95f01bce96ed9d01ed7214f44e0326ec583e",
+    ("band", 2, 1, 2): "bc30ad9883d5118c0b656953d9446fb85079c3ea737b676c81e2b8004046e845",
+    ("cyl", 2, 3, 2): "438b77fb51a96b44078dd806389adff851e0c843b5dc7b58ab9805e904ac17aa",
+    ("band", 2, 3, 2): "28c5522742e3ddeb62bb413d9c35c9b1953ca2924e9ec1feee849d16e5f31c6a",
+    ("cyl", 2, 4, 5): "9eb58fe2ba9bd3309bab53f4e15af7710c3f2d40f35e53c1f7ee69ab753db91b",
+    ("band", 2, 4, 5): "8b9f3ec703fcd69c69b14b600b8f224ededd5fe37bb060c6490ac13fbf6b7756",
+    ("cyl", 3, 2, 1): "4bc9e64251498a4903b654a4d181e5427bc3e5ab11cb3fea93939ef8c9c00720",
+    ("band", 3, 2, 1): "ffca3aac84840d839fe68ecbd2aec4ca768cc379cca053a45abaffc4cbb92bda",
+    ("cyl", 3, 3, 2): "6faed535fcef2cef380986af0f7c5e6f802159b33d844bd52f2c490cc6dc12f8",
+    ("band", 3, 3, 2): "dce8096a25462eb57b379547b9354ceb24ecd0533c65624a0ee1b677cfed500b",
+}
+
+
+def _build_digest(kind, d, N, L):
+    lat = LatticeSpec({1: (2.0, 1.0), 2: (2.0, 1.0, 0.7, 0.3),
+                       3: (3.0, 1.5, 0.7, 0.3, 1.1, 0.9)}[d])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if kind == "cyl":
+            cg = build_cylinder_graph(CylinderSpec(N, L, lat))
+            g, w = cg.graph, cg.weights
+            ends = (cg.outside, cg.left_face.tolist(), cg.right_face.tolist())
+        else:
+            band = build_cylinder_band(lat, N, L)
+            g, w = band.graph, band.weights
+            ends = (band.origin, band.left_absorbing.tolist(), band.right_absorbing.tolist())
+    coords = [None if c is None else tuple(int(x) for x in c) for c in g.coords]
+    blob = repr((g.n_vertices, g.tails.tolist(), g.heads.tolist(), w.values.tolist(),
+                 list(g.directions), coords, ends))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(_BUILD_DIGESTS),
+                         ids=lambda case: "-".join(map(str, case)))
+def test_cylinder_builds_keep_their_edge_order(case):
+    assert _build_digest(*case) == _BUILD_DIGESTS[case]
 
 
 def test_graph_text_round_trip():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwre import RngStream
-from rwre.parallel import CHUNK_REPLICAS, MeanAccumulator, chunk_sizes, run_chunked
+from rwre.parallel import CHUNK_REPLICAS, Moments, chunk_sizes, run_chunked
 
 
 def test_stream_reproducible_and_restartable():
@@ -55,28 +57,69 @@ def test_chunk_sizes_partition():
 
 
 def test_run_chunked_order_and_worker_invariance():
-    def job(index, size):
-        return (index, size, float(RngStream(55, index).generator().random()))
+    def job(gen, size):
+        return (size, float(gen.random()))
 
-    seq = run_chunked(job, 10, workers=1, chunk=3)
-    par = run_chunked(job, 10, workers=4, chunk=3)
+    rng = RngStream(55)
+    seq = run_chunked(job, 10, rng, workers=1, chunk=3)
+    par = run_chunked(job, 10, rng, workers=4, chunk=3)
     assert seq == par
-    assert [s for _, s, _ in seq] == [3, 3, 3, 1]
-    assert [i for i, _, _ in seq] == [0, 1, 2, 3]
+    assert [s for s, _ in seq] == [3, 3, 3, 1]
+    # chunk c draws from stream c of the seed
+    assert [u for _, u in seq] == [float(RngStream(55, c).generator().random())
+                                   for c in range(4)]
 
 
-def test_mean_accumulator_matches_numpy():
+def pool(parts):
+    return sum((Moments.of(p) for p in parts), Moments())
+
+
+def test_moments_pool_matches_numpy():
     rng = np.random.default_rng(56)
     data = rng.normal(3.0, 2.0, size=1000)
-    acc = MeanAccumulator()
-    for part in np.array_split(data, 7):
-        acc.add(part.sum(), np.square(part).sum(), part.size)
-    assert acc.mean() == pytest.approx(data.mean(), rel=1e-12)
+    m = pool(np.array_split(data, 7))
+    assert m.n == data.size
+    assert m.mean == pytest.approx(data.mean(), rel=1e-12)
     expected_se = data.std(ddof=1) / np.sqrt(data.size)
-    assert acc.standard_error() == pytest.approx(expected_se, rel=1e-9)
+    assert m.standard_error == pytest.approx(expected_se, rel=1e-9)
 
 
-def test_mean_accumulator_degenerate():
-    acc = MeanAccumulator()
-    acc.add(4.0, 16.0, 1)
-    assert acc.mean() == 4.0 and acc.standard_error() == 0.0
+def test_moments_columns_pool_independently():
+    rng = np.random.default_rng(57)
+    data = rng.normal([0.0, 5.0, -1e6], [1.0, 0.1, 3.0], size=(500, 3))
+    m = pool(np.array_split(data, 4))
+    assert m.mean == pytest.approx(data.mean(axis=0), rel=1e-12)
+    expected_se = data.std(axis=0, ddof=1) / np.sqrt(500)
+    assert m.standard_error == pytest.approx(expected_se, rel=1e-9)
+
+
+def test_moments_degenerate():
+    m = Moments.of([4.0])
+    assert m.mean == 4.0 and m.standard_error == 0.0
+    assert (Moments() + m) is m and (m + Moments.of([])) is m
+    assert np.isnan(Moments().mean) and Moments().standard_error == 0.0
+
+
+def test_moments_bernoulli_values():
+    # hits out of n: sample sd of the 0/1 indicators over sqrt n
+    assert pool([np.zeros(0)]).standard_error == 0.0
+    assert pool([np.ones(1)]).standard_error == 0.0
+    hits = np.array([1.0] * 5 + [0.0] * 5)
+    assert pool([hits]).standard_error == pytest.approx(1 / 6, rel=1e-12)
+    assert pool(np.split(hits, [3, 4, 9])).standard_error == pytest.approx(1 / 6, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e9, 1e9, allow_nan=False), min_size=1, max_size=300),
+       st.lists(st.integers(0, 300), max_size=12))
+def test_moments_any_chunking_matches_two_pass(values, cuts):
+    data = np.array(values)
+    m = pool(np.split(data, sorted(cuts)))
+    # rounding scale: the error of any summation order is bounded by
+    # n * eps * max|x|, so compare with that absolute slack as well
+    scale = np.abs(data).max() * 1e-12
+    assert m.n == data.size
+    assert m.mean == pytest.approx(data.mean(), rel=1e-12, abs=scale)
+    if data.size > 1:
+        expected_se = data.std(ddof=1) / np.sqrt(data.size)
+        assert m.standard_error == pytest.approx(expected_se, rel=1e-9, abs=scale)
