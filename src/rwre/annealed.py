@@ -10,6 +10,9 @@ this module implements as an independent simulation route.
 Per-vertex counts are departure counts (the first n-1 positions of an
 n-vertex path), the only reading under which they match the edge counts
 vertex by vertex.
+
+The formula has one batched implementation; the single-path functions run
+it on a batch of one, so batch values equal single-path values bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .environment import Trajectory, sample_environment_batch, walk_until_stopped
 from .errors import PreconditionError
@@ -27,8 +29,8 @@ from .parallel import Moments, run_chunked
 from .rng import RngStream
 from .stopping import StoppingRule
 
-# switch point between compensated log summation and log-Gamma differences;
-# summation is exact to an ulp per term, lgamma cheaper once counts get large
+# switch point between the exactly rounded sum of logs (math.fsum) and
+# log-Gamma differences, which are cheaper once counts get large
 _DIRECT_TERMS = 1024
 
 
@@ -58,27 +60,47 @@ def crossing_profile(g: DirectedGraph, traj: Trajectory) -> CrossingProfile:
 
 def log_rising_factorial(a: float, n: int) -> float:
     """log of a(a+1)...(a+n-1); exact summation for small n, lgamma beyond."""
-    if n == 0:
-        return 0.0
     if n < 0:
         raise ValueError("count must be nonnegative")
-    if n <= _DIRECT_TERMS:
-        return math.fsum(math.log(a + k) for k in range(n))
-    return math.lgamma(a + n) - math.lgamma(a)
+    return float(_log_rising(np.array([a], dtype=np.float64), np.array([n]))[0])
+
+
+def _log_rising(a: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """log a(a+1)...(a+n-1) entrywise: the exactly rounded sum of the n logs
+    up to _DIRECT_TERMS factors, a log-Gamma difference beyond.  Summing the
+    logs keeps full relative accuracy at any weight; a log-Gamma difference
+    cancels when a is large (at a = 1e9 its error is ~1e-5 in log)."""
+    return np.array([math.fsum(math.log(ai + k) for k in range(ni)) if ni <= _DIRECT_TERMS
+                     else math.lgamma(ai + ni) - math.lgamma(ai)
+                     for ai, ni in zip(a.tolist(), n.tolist())], dtype=np.float64)
+
+
+def _log_paths(w: WeightAssignment, path: np.ndarray, eids: np.ndarray,
+               n_paths: int) -> np.ndarray:
+    """The exact formula's kernel: log E[p] for each of `n_paths` paths whose
+    steps are the edges `eids`, step i belonging to path `path[i]`.
+
+    Per-path edge and departure counts are the multiplicities of the
+    (path, edge) and (path, tail vertex) pairs, so only nonzero counts enter
+    and nothing of size n_paths x n_edges is allocated.  Each path's terms
+    are added in ascending edge (vertex) id order, starting from 0.
+    """
+    g = w.graph
+
+    def log_rising(keys, width, base):
+        """Per path, sum of log rising factorials of base[key] by key counts."""
+        pairs, n = np.unique(path * width + keys, return_counts=True)
+        return np.bincount(pairs // width, _log_rising(base[pairs % width], n),
+                           minlength=n_paths)
+
+    return (log_rising(eids, g.n_edges, w.values)
+            - log_rising(g.tails[eids], g.n_vertices, w.vertex_sums()))
 
 
 def annealed_log_path_probability(w: WeightAssignment, traj: Trajectory) -> float:
     """log E[p(path)] under the Dirichlet law with parameters `w`."""
-    g = w.graph
-    prof = crossing_profile(g, traj)
-    num = 0.0
-    for eid in np.flatnonzero(prof.edge_counts):
-        num += log_rising_factorial(float(w.values[eid]), int(prof.edge_counts[eid]))
-    den = 0.0
-    sums = w.vertex_sums()
-    for v in np.flatnonzero(prof.departure_counts):
-        den += log_rising_factorial(float(sums[v]), int(prof.departure_counts[v]))
-    return num - den
+    eids = np.asarray(traj.edges, dtype=np.int64)
+    return float(_log_paths(w, np.zeros(eids.size, dtype=np.int64), eids, 1)[0])
 
 
 def annealed_path_probability_exact(w: WeightAssignment, traj: Trajectory) -> float:
@@ -88,27 +110,13 @@ def annealed_path_probability_exact(w: WeightAssignment, traj: Trajectory) -> fl
 
 
 def annealed_log_paths_batch(w: WeightAssignment, edge_index_matrix: np.ndarray) -> np.ndarray:
-    """Vectorized exact log-probabilities for many short paths.
+    """Exact log-probabilities of many paths, equal to the single-path values.
 
     `edge_index_matrix` is (n_paths, max_len) of edge ids with -1 padding.
-    Per-path edge and departure counts are the multiplicities of the
-    (path, edge) and (path, tail vertex) pairs, so only nonzero counts enter
-    the gammaln terms and nothing of size n_paths x n_edges is allocated.
     Intended for enumeration suites.
     """
-    g = w.graph
-    n_paths = edge_index_matrix.shape[0]
     path, col = np.nonzero(edge_index_matrix >= 0)
-    eids = edge_index_matrix[path, col]
-
-    def log_rising(keys, width, base):
-        """Per path, sum of log rising factorials of base[key] by key counts."""
-        pairs, n = np.unique(path * width + keys, return_counts=True)
-        a = base[pairs % width]
-        return np.bincount(pairs // width, gammaln(a + n) - gammaln(a), minlength=n_paths)
-
-    return (log_rising(eids, g.n_edges, w.values)
-            - log_rising(g.tails[eids], g.n_vertices, w.vertex_sums()))
+    return _log_paths(w, path, edge_index_matrix[path, col], edge_index_matrix.shape[0])
 
 
 class UrnState:

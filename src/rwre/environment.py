@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GraphFormatError
+from .errors import GraphFormatError, PreconditionError
 from .graph import DirectedGraph, WeightAssignment
 from .rng import RngStream
 from .stopping import CAP, StoppingReport, StoppingRule
@@ -37,21 +37,16 @@ class Environment:
             self.validate()
 
     def validate(self, tol: float = ROW_SUM_TOL):
+        """Every row must sum to 1 within `tol`; a NaN row fails too (a
+        sampled row is NaN when all of its Gamma draws underflow to 0)."""
         sums = np.zeros(self.graph.n_vertices)
         np.add.at(sums, self.graph.tails, self.probabilities)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > tol)
+        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= tol))
         if bad.size:
-            raise ValueError(f"rows do not sum to 1 at vertices {bad.tolist()}")
+            raise PreconditionError(f"rows do not sum to 1 at vertices {bad.tolist()}")
 
     def probability(self, edge_id: int) -> float:
         return float(self.probabilities[edge_id])
-
-    def transition_matrix(self) -> np.ndarray:
-        """Dense vertex-to-vertex matrix; parallel edges are summed."""
-        g = self.graph
-        P = np.zeros((g.n_vertices, g.n_vertices))
-        np.add.at(P, (g.tails, g.heads), self.probabilities)
-        return P
 
 
 def cumulative_rows(g: DirectedGraph, probs: np.ndarray):

@@ -10,11 +10,17 @@ draw is again Dirichlet, with the same weights on the reversed edges.  That
 is the statement verified here, by comparing Monte Carlo averages of
 reversed-path probabilities against the exact annealed formula on the
 reversed graph.
+
+The stationary solve and the reversed-chain probabilities each have one
+batched implementation, which single environments use as a batch of one.
+A numerically degenerate environment (weights well below 1 give rows with
+entries far below machine epsilon) fails their checks with
+PreconditionError; it is never approximated by another route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,81 +36,47 @@ from .parallel import Moments, run_chunked
 from .rng import RngStream
 
 RESIDUAL_TOL = 1e-10
-POWER_TOL = 1e-13
+REVERSED_ROW_TOL = 1e-9
 DIVERGENCE_TOL = 1e-9
 PATH_GUARD = 10_000
 
 
-def stationary_distribution(env: Environment, g: DirectedGraph = None) -> np.ndarray:
-    """Unique invariant probability of the environment's chain.
-
-    Solved directly from the linear system with a normalization row; if that
-    is ill-conditioned the lazy chain (half identity, half P, same invariant
-    vector) is power-iterated to tolerance 1e-13.
-    """
-    if g is None:
-        g = env.graph
-    if not g.is_strongly_connected():
+def stationary_distribution(env: Environment) -> np.ndarray:
+    """Unique invariant probability of the environment's chain: the
+    strong-connectivity check, then `stationary_batch` on a batch of one."""
+    if not env.graph.is_strongly_connected():
         raise PreconditionError("stationary distribution needs a strongly connected graph")
-    P = env.transition_matrix()
-    n = g.n_vertices
-    pi = None
-    A = P.T - np.eye(n)
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        cand = np.linalg.solve(A, b)
-        if np.all(np.isfinite(cand)) and cand.min() > 0.0:
-            pi = cand
-    except np.linalg.LinAlgError:
-        pi = None
-    if pi is None or _residual(pi, P) > RESIDUAL_TOL:
-        pi = _power_iteration(P)
-    pi = pi / pi.sum()
-    res = _residual(pi, P)
-    if res > RESIDUAL_TOL:
-        raise ValueError(f"stationary solve did not converge (residual {res:.3e})")
-    return pi
+    return stationary_batch(env.probabilities[None, :], env.graph)[0]
 
 
-def _residual(pi: np.ndarray, P: np.ndarray) -> float:
-    return float(np.max(np.abs(pi @ P - pi)))
+def _reversed_probabilities(g: DirectedGraph, probs: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Edge probabilities of the reversed chain, (pi_tail / pi_head) p_e with
+    tail and head read on `g`; leading batch axes of `probs` and `pi` (one per
+    environment) are kept.
 
-
-def _power_iteration(P: np.ndarray, max_iters: int = 1_000_000) -> np.ndarray:
-    n = P.shape[0]
-    pi = np.full(n, 1.0 / n)
-    for _ in range(max_iters):
-        nxt = 0.5 * pi + 0.5 * (pi @ P)
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - pi)) <= POWER_TOL:
-            return nxt
-        pi = nxt
-    raise ValueError("power iteration did not converge")
-
-
-def reverse_environment(env: Environment, pi: np.ndarray,
-                        g: DirectedGraph = None) -> Environment:
-    """Environment of the reversed chain on the reversed graph.
-
-    Each edge keeps its id; its probability becomes (pi_tail / pi_head) p_e
-    with tail and head read on the original graph.  Row sums of the result
-    equal 1 exactly when pi is stationary, so a row-sum failure beyond 1e-9
+    The reversed row of a vertex is its in-edges on `g`.  Rows sum to 1
+    exactly when pi is stationary, so a row off by more than 1e-9 (or NaN)
     reports pi as non-stationary.
     """
-    if g is None:
-        g = env.graph
-    gr = reverse_graph(g)
-    vals = env.probabilities * pi[g.tails] / pi[g.heads]
-    sums = np.zeros(g.n_vertices)
-    np.add.at(sums, gr.tails, vals)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
-    if bad.size:
+    vals = probs * pi[..., g.tails] / pi[..., g.heads]
+    sums = np.zeros(pi.shape)
+    np.add.at(sums, (..., g.heads), vals)
+    off = ~(np.abs(sums - 1.0) <= REVERSED_ROW_TOL)
+    if off.any():
+        bad = np.flatnonzero(off.reshape(-1, off.shape[-1]).any(axis=0))
         raise PreconditionError(
             f"pi is not stationary: reversed rows off at vertices {bad.tolist()}"
         )
-    return Environment(gr, vals, validate=False)
+    return vals
+
+
+def reverse_environment(env: Environment, pi: np.ndarray) -> Environment:
+    """Environment of the reversed chain on the reversed graph.  Each edge
+    keeps its id; PreconditionError when pi is not stationary (see
+    `_reversed_probabilities`)."""
+    g = env.graph
+    return Environment(reverse_graph(g), _reversed_probabilities(g, env.probabilities, pi),
+                       validate=False)
 
 
 def reversed_path_ratio(env: Environment, pi: np.ndarray, traj: Trajectory) -> float:
@@ -199,11 +171,11 @@ class ReversalReport:
     se: np.ndarray
     z: np.ndarray
     replicas: int
-    allowed_outliers: int = field(default=0)
 
-    def __post_init__(self):
-        if self.allowed_outliers == 0:
-            self.allowed_outliers = max(1, len(self.literals) // 100)
+    @property
+    def allowed_outliers(self) -> int:
+        """|z| > 3 count the policy tolerates: one per 100 paths, at least 1."""
+        return max(1, len(self.literals) // 100)
 
     @property
     def max_abs_z(self) -> float:
@@ -238,9 +210,13 @@ class ReversalReport:
 def stationary_batch(probs: np.ndarray, g: DirectedGraph) -> np.ndarray:
     """Stationary distributions of many environments at once.
 
-    `probs` is (count, n_edges); returns (count, n_vertices).  Direct batched
-    solve; intended for sampled Dirichlet environments, which are aperiodic
-    and well-conditioned with overwhelming probability.
+    `probs` is (count, n_edges); returns (count, n_vertices).  One direct
+    solve per environment, of pi P = pi with the last equation replaced by
+    the normalisation.  Every solution must be finite and positive, with
+    residual max |pi P - pi| <= RESIDUAL_TOL after normalisation; otherwise
+    PreconditionError names the failing environments.  Sampled Dirichlet
+    environments fail only when numerically degenerate: at weights well
+    below 1, rows carry entries so small that the solve loses them.
     """
     count = probs.shape[0]
     n = g.n_vertices
@@ -250,10 +226,25 @@ def stationary_batch(probs: np.ndarray, g: DirectedGraph) -> np.ndarray:
     A[:, -1, :] = 1.0
     b = np.zeros((count, n, 1))
     b[:, -1, 0] = 1.0
-    pis = np.linalg.solve(A, b)[:, :, 0]
-    if not np.all(np.isfinite(pis)) or pis.min() <= 0.0:
-        raise ValueError("batched stationary solve produced invalid distributions")
-    return pis / pis.sum(axis=1, keepdims=True)
+    try:
+        pis = np.linalg.solve(A, b)[:, :, 0]
+    except np.linalg.LinAlgError as exc:
+        raise PreconditionError(f"stationary solve failed: {exc}") from None
+    _require(np.all(np.isfinite(pis), axis=1) & (pis.min(axis=1) > 0.0),
+             "a non-finite or non-positive solution")
+    pis = pis / pis.sum(axis=1, keepdims=True)
+    residual = np.max(np.abs(np.einsum("ci,cij->cj", pis, P) - pis), axis=1)
+    _require(residual <= RESIDUAL_TOL, f"a residual above {RESIDUAL_TOL:g}")
+    return pis
+
+
+def _require(ok: np.ndarray, what: str):
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise PreconditionError(
+            f"stationary solve gave {what} for {bad.size} of {ok.size} environment(s), "
+            f"first {bad[:5].tolist()}; the chain is numerically degenerate"
+        )
 
 
 def verify_reversal_distribution(g: DirectedGraph, w: WeightAssignment, k: int,
@@ -290,9 +281,8 @@ def verify_reversal_distribution(g: DirectedGraph, w: WeightAssignment, k: int,
 
     def run_chunk(gen: np.random.Generator, size: int):
         probs = sample_environment_batch(g, w, gen, size)
-        pis = stationary_batch(probs, g)
-        pcheck = probs * pis[:, g.tails] / pis[:, g.heads]
-        gathered = np.where(mask[None, :, :], pcheck[:, safe_idx], 1.0)
+        rev = _reversed_probabilities(g, probs, stationary_batch(probs, g))
+        gathered = np.where(mask[None, :, :], rev[:, safe_idx], 1.0)
         return Moments.of(gathered.prod(axis=2))
 
     vals = sum(run_chunked(run_chunk, replicas, rng, workers), Moments())

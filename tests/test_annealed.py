@@ -146,7 +146,7 @@ def test_exact_matches_urn_product_all_short_paths():
             assert exact == pytest.approx(urn, rel=1e-12)
 
 
-def test_batch_log_probabilities_match_scalar():
+def test_batch_log_probabilities_match_urn_product():
     g, w = build_torus(LatticeSpec((2.0, 1.0, 1.0, 1.0)), [3, 3])
     paths = enumerate_paths(g, 0, 3)
     max_len = max(len(p) for p in paths)
@@ -155,13 +155,13 @@ def test_batch_log_probabilities_match_scalar():
         mat[i, :len(p)] = p
     logs = annealed_log_paths_batch(w, mat)
     for i, p in enumerate(paths):
-        expected = math.log(annealed_path_probability_exact(w, traj_from_edges(g, p)))
+        expected = math.log(urn_path_probability(w, traj_from_edges(g, p)))
         assert logs[i] == pytest.approx(expected, abs=1e-12)
 
 
 def test_batch_log_probabilities_every_short_torus_path():
     # all 340 paths of length 1..4 from a vertex of the 2x2 torus, plus an
-    # empty (all-padding) row, against the scalar formula path by path
+    # empty (all-padding) row, against the urn product path by path
     g, w = build_torus(LatticeSpec((2.0, 0.5, 1.3, 0.7)), [2, 2])
     paths = enumerate_paths(g, 0, 4)
     assert len(paths) == 340
@@ -170,9 +170,31 @@ def test_batch_log_probabilities_every_short_torus_path():
         mat[i, :len(p)] = p
     logs = annealed_log_paths_batch(w, mat)
     for i, p in enumerate(paths):
-        expected = annealed_log_path_probability(w, traj_from_edges(g, p))
+        expected = math.log(urn_path_probability(w, traj_from_edges(g, p)))
         assert logs[i] == pytest.approx(expected, rel=1e-12)
     assert logs[-1] == 0.0
+
+
+@pytest.mark.parametrize("weights", [(1e9, 1.0), (1e12, 3.0), (1e9, 1e9)])
+def test_exact_formula_at_large_weights(weights):
+    # a log-Gamma difference at weight 1e9 cancels to ~1e-5 in log; the
+    # formula must keep full relative accuracy, on its own and in a batch
+    g, w = build_torus(LatticeSpec(weights), [3])
+    traj = Trajectory.from_vertices(g, [0, 1, 2, 0, 1, 0, 2, 1])
+    sums = w.vertex_sums()
+    crossed = np.zeros(g.n_edges)
+    departed = np.zeros(g.n_vertices)
+    terms = []
+    for v, eid in zip(traj.vertices, traj.edges):
+        terms.append(math.log((w.values[eid] + crossed[eid]) / (sums[v] + departed[v])))
+        crossed[eid] += 1
+        departed[v] += 1
+    expected = math.fsum(terms)
+    assert annealed_log_path_probability(w, traj) == pytest.approx(expected, rel=1e-12)
+    mat = np.array([traj.edges, traj.edges[:3] + [-1] * 4])
+    logs = annealed_log_paths_batch(w, mat)
+    assert logs[0] == pytest.approx(expected, rel=1e-12)
+    assert logs[1] == pytest.approx(math.fsum(terms[:3]), rel=1e-12)
 
 
 def test_urn_state_bookkeeping():

@@ -127,6 +127,35 @@ def test_reverse_check_json_report(capsys):
     assert rec["allowed_outliers"] == 1
 
 
+def test_reverse_check_passes_at_large_weights(capsys):
+    # weights 1e9 need the exact formula at full relative accuracy: a
+    # log-Gamma difference there is off by ~1e-5 and fails the policy
+    code, out, err = run_cli(capsys, "reverse-check", "--alpha", "1e9,1e9",
+                             "--torus", "4", "--k", "3", "--replicas", "1000",
+                             "--seed", "12345")
+    assert code == 0
+    assert out.strip().split("\n")[-1].endswith("policy pass")
+
+
+def test_reverse_check_degenerate_environments_exit_two(capsys):
+    code, out, err = run_cli(capsys, "reverse-check", "--alpha", "0.01,0.01,0.01,0.01",
+                             "--torus", "3,3", "--k", "2", "--replicas", "1000",
+                             "--seed", "12345")
+    assert code == 2
+    assert "error:" in err and "numerically degenerate" in err
+
+
+def test_sample_env_nan_rows_exit_two(capsys):
+    # at weight 0.003 every Gamma draw of a row can underflow to 0, and the
+    # row normalises to NaN (0/0, which numpy warns about)
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        code, out, err = run_cli(capsys, "sample-env", "--alpha", "0.003,0.003",
+                                 "--torus", "50", "--seed", "1")
+    assert code == 2
+    assert "rows do not sum to 1 at vertices [49]" in err
+    assert "nan" not in out
+
+
 def test_cylinder_delta_json_record(capsys):
     code, out, err = run_cli(capsys, "cylinder-delta", "--alpha", "2,1,1,1",
                              "--N", "2", "--L", "2", "--replicas", "500",

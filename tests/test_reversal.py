@@ -25,7 +25,7 @@ from rwre import (
     stationary_distribution,
     verify_reversal_distribution,
 )
-from rwre.reversal import _power_iteration
+from rwre.reversal import _reversed_probabilities
 from common import divergent_two_vertex, random_cycle, two_state_chain
 
 
@@ -56,11 +56,18 @@ def test_stationary_requires_strong_connectivity():
         stationary_distribution(env)
 
 
-def test_power_iteration_periodic_chain():
-    # the lazy iteration converges even on a periodic chain
-    P = np.array([[0.0, 1.0], [1.0, 0.0]])
-    pi = _power_iteration(P)
-    assert pi == pytest.approx([0.5, 0.5], abs=1e-10)
+def test_stationary_rejects_a_degenerate_environment():
+    # at weight 0.03 sampled rows carry entries far below machine epsilon
+    # (down to 1e-81 here), so some stationary masses fall below the solve's
+    # absolute accuracy and come out non-positive; that must be reported,
+    # not replaced by an answer whose small entries are wrong
+    g, w = build_torus(LatticeSpec((0.03, 0.03, 0.03, 0.03)), [3, 3])
+    probs = sample_environment_batch(g, w, RngStream(5).generator(), 8192)
+    env = Environment(g, probs[57])
+    with pytest.raises(PreconditionError, match="numerically degenerate"):
+        stationary_distribution(env)
+    with pytest.raises(PreconditionError, match=r"\b57\b"):
+        stationary_batch(probs, g)
 
 
 def test_reverse_environment_detailed_balance():
@@ -83,8 +90,7 @@ def test_reverse_environment_sampled_rows_stochastic():
     gr = reverse_graph(g)
     gen = RngStream(40).generator()
     probs = sample_environment_batch(g, w, gen, 1000)
-    pis = stationary_batch(probs, g)
-    vals = probs * pis[:, g.tails] / pis[:, g.heads]
+    vals = _reversed_probabilities(g, probs, stationary_batch(probs, g))
     sums = np.zeros((1000, g.n_vertices))
     np.add.at(sums, (slice(None), gr.tails), vals)
     assert np.max(np.abs(sums - 1.0)) < 1e-10
@@ -106,6 +112,8 @@ def test_reverse_environment_rejects_wrong_pi():
     env = Environment(g, probs)
     with pytest.raises(PreconditionError):
         reverse_environment(env, np.array([0.5, 0.5]))
+    with pytest.raises(PreconditionError, match="not stationary"):
+        reverse_environment(env, np.array([np.nan, 0.5]))
 
 
 def test_quenched_cycle_invariance():
