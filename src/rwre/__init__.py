@@ -31,6 +31,7 @@ from .environment import (
     read_environment,
     sample_environment,
     sample_environment_batch,
+    sample_rows,
     write_environment,
 )
 from .errors import GraphFormatError, PreconditionError

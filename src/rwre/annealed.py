@@ -22,16 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import Trajectory, sample_environment_batch, walk_until_stopped
+from .environment import Trajectory, sample_rows, walk_until_stopped
 from .errors import PreconditionError
 from .graph import DirectedGraph, WeightAssignment
 from .parallel import Moments, run_chunked
 from .rng import RngStream
 from .stopping import StoppingRule
-
-# switch point between the exactly rounded sum of logs (math.fsum) and
-# log-Gamma differences, which are cheaper once counts get large
-_DIRECT_TERMS = 1024
 
 
 @dataclass
@@ -59,19 +55,19 @@ def crossing_profile(g: DirectedGraph, traj: Trajectory) -> CrossingProfile:
 
 
 def log_rising_factorial(a: float, n: int) -> float:
-    """log of a(a+1)...(a+n-1); exact summation for small n, lgamma beyond."""
+    """log of a(a+1)...(a+n-1), the exactly rounded sum of the n logs."""
     if n < 0:
         raise ValueError("count must be nonnegative")
     return float(_log_rising(np.array([a], dtype=np.float64), np.array([n]))[0])
 
 
 def _log_rising(a: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """log a(a+1)...(a+n-1) entrywise: the exactly rounded sum of the n logs
-    up to _DIRECT_TERMS factors, a log-Gamma difference beyond.  Summing the
-    logs keeps full relative accuracy at any weight; a log-Gamma difference
-    cancels when a is large (at a = 1e9 its error is ~1e-5 in log)."""
-    return np.array([math.fsum(math.log(ai + k) for k in range(ni)) if ni <= _DIRECT_TERMS
-                     else math.lgamma(ai + ni) - math.lgamma(ai)
+    """log a(a+1)...(a+n-1) entrywise: the exactly rounded sum (math.fsum) of
+    the n logs, for every count.  It keeps full relative accuracy at any
+    weight, where a log-Gamma difference cancels when a is large (at
+    a = 1e9 and n = 2000 its error is 3.3e-6 in log).  The counts of a path
+    sum to at most twice its length, so the cost stays linear in the path."""
+    return np.array([math.fsum(math.log(ai + k) for k in range(ni))
                      for ai, ni in zip(a.tolist(), n.tolist())], dtype=np.float64)
 
 
@@ -211,14 +207,21 @@ def annealed_path_probability_mc(g: DirectedGraph, w: WeightAssignment, traj: Tr
     """Monte Carlo mean of the quenched path probability over fresh environments.
 
     Independent oracle for the exact formula.  Returns (estimate, standard error).
+    The quenched product reads only the rows of the vertices the path
+    departs, and Dirichlet rows are independent, so only those rows are
+    sampled (`sample_rows`).  The law and variance are those of full
+    environments; a path that departs every vertex draws the same bitstream
+    as full environments, one that skips a vertex draws fewer Gammas and so
+    a different bitstream.
     """
     if replicas < 100:
         raise PreconditionError("at least 100 replicas required")
     edge_ids = np.asarray(traj.edges, dtype=np.int64)
+    departed = g.tails[edge_ids]
 
     def run_chunk(gen: np.random.Generator, size: int):
-        probs = sample_environment_batch(g, w, gen, size)
-        return Moments.of(probs[:, edge_ids].prod(axis=1))
+        eids, probs = sample_rows(g, w, gen, size, departed)
+        return Moments.of(probs[:, np.searchsorted(eids, edge_ids)].prod(axis=1))
 
     vals = sum(run_chunked(run_chunk, replicas, rng, workers), Moments())
     return float(vals.mean), float(vals.standard_error)
@@ -232,13 +235,28 @@ def parse_path_literal(g: DirectedGraph, text: str, origin: int = 0) -> Trajecto
 
     Three token forms, not mixed: vertex ids `0,1,0,1`; signed axis steps
     `+1,-1,+2` walked from `origin` (graphs with direction labels only);
-    edge ids `e0,e5` for multigraphs where vertex ids are ambiguous.
+    edge ids `e0,e5` for multigraphs where vertex ids are ambiguous.  A
+    malformed literal, or one that leaves the graph, raises PreconditionError.
     """
-    tokens = [t.strip() for t in text.split(",") if t.strip()]
+    try:
+        traj = _parse_path_tokens(g, [t.strip() for t in text.split(",") if t.strip()], origin)
+    except ValueError as exc:
+        raise PreconditionError(f"path literal {text!r}: {exc}") from None
+    bad = [v for v in traj.vertices if not 0 <= v < g.n_vertices]
+    if bad:
+        raise PreconditionError(
+            f"path literal {text!r}: vertices {bad} out of range 0..{g.n_vertices - 1}")
+    return traj
+
+
+def _parse_path_tokens(g: DirectedGraph, tokens: list, origin: int) -> Trajectory:
     if not tokens:
         return Trajectory([origin], [])
     if all(t.startswith("e") for t in tokens):
         eids = [int(t[1:]) for t in tokens]
+        bad = [eid for eid in eids if not 0 <= eid < g.n_edges]
+        if bad:
+            raise ValueError(f"edge ids {bad} out of range 0..{g.n_edges - 1}")
         vs = [int(g.tails[eids[0]])]
         for eid in eids:
             if g.tails[eid] != vs[-1]:

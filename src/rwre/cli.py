@@ -13,7 +13,8 @@ alpha_i weighs the +e_i step and beta_i the -e_i step.  Transposing a pair
 silently flips the transience direction, so keep the order straight.
 
 Exit status: 0 on success, 2 on precondition or usage errors (including
-malformed inputs), 1 on internal errors.
+malformed inputs and files that cannot be read or written), 1 on internal
+errors.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -65,9 +67,9 @@ def _parse_weights(text: str) -> LatticeSpec:
         values = [float(t) for t in text.split(",") if t.strip()]
     except ValueError:
         raise PreconditionError(f"malformed weight vector {text!r}")
-    if not values or len(values) % 2 != 0 or any(v <= 0 for v in values):
+    if not values or len(values) % 2 != 0 or not all(0 < v < math.inf for v in values):
         raise PreconditionError(
-            "weight vector must be 2d positive comma-separated reals "
+            "weight vector must be 2d positive finite comma-separated reals "
             "(alpha_1,beta_1,...,alpha_d,beta_d)"
         )
     return LatticeSpec(tuple(values))
@@ -122,8 +124,11 @@ def _lattice(args) -> LatticeSpec:
 def _load_graph(args, allow_cylinder: bool = False):
     """Graph plus weights from --graph-file, --torus, or cylinder flags."""
     if getattr(args, "graph_file", None):
-        with open(args.graph_file) as fh:
-            return read_graph(fh)
+        try:
+            with open(args.graph_file) as fh:
+                return read_graph(fh)
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"{args.graph_file} is not UTF-8 text: {exc.reason}") from None
     if getattr(args, "torus", None):
         lat = _lattice(args)
         return build_torus(lat, _parse_int_list(args.torus))
@@ -539,7 +544,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PreconditionError, GraphFormatError, FileNotFoundError) as exc:
+    except (PreconditionError, GraphFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -102,23 +102,38 @@ class Trajectory:
 
 def sample_environment(g: DirectedGraph, w: WeightAssignment, rng: RngStream) -> Environment:
     """One Dirichlet environment: vertex rows are independent Dirichlet(out-weights)."""
-    gen = rng.generator()
-    gammas = gen.standard_gamma(w.values)
-    return Environment(g, _normalize_rows(g, gammas))
+    return Environment(g, sample_environment_batch(g, w, rng.generator(), 1)[0])
 
 
 def sample_environment_batch(g: DirectedGraph, w: WeightAssignment,
                              gen: np.random.Generator, count: int) -> np.ndarray:
-    """(count, n_edges) matrix of independent environments, rows normalized per vertex."""
-    gammas = gen.standard_gamma(w.values, size=(count, g.n_edges))
-    return _normalize_rows(g, gammas)
+    """(count, n_edges) matrix of independent environments: `sample_rows` at
+    every vertex, so its columns are all edges in id order."""
+    return sample_rows(g, w, gen, count, np.arange(g.n_vertices))[1]
 
 
-def _normalize_rows(g: DirectedGraph, gammas: np.ndarray) -> np.ndarray:
-    """Divide each edge's Gamma draw by the sum over its tail's out-edges,
-    which are summed in `out_edge_ids` order (0/0 gives a NaN row)."""
-    sums = np.add.reduceat(gammas[..., g.out_edge_ids], g.out_offsets[:-1], axis=-1)
-    return gammas / sums[..., g.tails]
+def sample_rows(g: DirectedGraph, w: WeightAssignment, gen: np.random.Generator,
+                count: int, vertices) -> tuple:
+    """Dirichlet rows of `vertices` only, in `count` independent environments.
+
+    Returns (eids, probs): the out-edges of those vertices in ascending id
+    order, and the (count, len(eids)) matrix of their probabilities.  Vertex
+    rows are independent, so no other row is drawn.  One Gamma(w_e, 1) is
+    drawn per environment and listed edge, in that order, and divided by the
+    sum over its tail's out-edges, summed in `out_edge_ids` order (0/0 gives
+    a NaN row).
+    """
+    listed = np.zeros(g.n_vertices, dtype=bool)
+    listed[vertices] = True
+    row = np.cumsum(listed) - 1           # a listed vertex's row in the sums
+    eids = np.flatnonzero(listed[g.tails])
+    # the columns of eids in `out_edge_ids` order, each tail's edges adjacent
+    grouped = np.searchsorted(eids, g.out_edge_ids[listed[g.tails[g.out_edge_ids]]])
+    deg = g.out_degrees[listed]
+    starts = np.cumsum(deg) - deg
+    gammas = gen.standard_gamma(w.values[eids], size=(count, eids.size))
+    sums = np.add.reduceat(gammas[..., grouped], starts, axis=-1)
+    return eids, gammas / sums[..., row[g.tails[eids]]]
 
 
 def log_path_probability(env: Environment, traj: Trajectory) -> float:

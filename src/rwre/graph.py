@@ -142,10 +142,13 @@ class WeightAssignment:
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (graph.n_edges,):
             raise ValueError("one weight per edge required")
-        if not np.all(values > 0):
-            raise PreconditionError("edge weights must be positive")
+        if not np.all((values > 0) & (values < np.inf)):
+            raise PreconditionError("edge weights must be positive and finite")
         self.values = values
         self.graph = graph
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(self.vertex_sums())):
+                raise PreconditionError("vertex weight sums overflow")
 
     def vertex_sums(self) -> np.ndarray:
         """Out-weight sum per vertex (accumulated in edge-id order)."""
@@ -480,6 +483,10 @@ def read_graph(fh):
                 f"line {lineno}: edge id {eid} out of range; ids must be dense 0..{len(rows) - 1}")
         if not (0 <= tail < n_vertices and 0 <= head < n_vertices):
             raise GraphFormatError(f"line {lineno}: endpoint out of range 0..{n_vertices - 1}")
+    if n_vertices > len(rows):
+        # checked before any per-vertex array is allocated
+        raise GraphFormatError(
+            f"{n_vertices} vertices but {len(rows)} edges: some vertex has out-degree 0")
     edges = [(rows[i][0], rows[i][1]) for i in range(len(rows))]
     weights = [rows[i][2] for i in range(len(rows))]
     g = DirectedGraph(n_vertices, edges)

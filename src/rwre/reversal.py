@@ -274,16 +274,28 @@ def verify_reversal_distribution(g: DirectedGraph, w: WeightAssignment, k: int,
     idx = np.full((n_paths, k), -1, dtype=np.int64)
     for i, p in enumerate(paths):
         idx[i, : len(p)] = p
-    mask = idx >= 0
-    safe_idx = np.where(mask, idx, 0)
+    # Each path is its parent (itself less the last step) times one reversed
+    # edge probability.  Generation order lists paths depth by depth, each
+    # after its parent, so depth d is the column range ends[d-2]:ends[d-1].
+    position = {p: i for i, p in enumerate(paths)}
+    parent = np.array([position.get(p[:-1], -1) for p in paths], dtype=np.int64)
+    depth = np.array([len(p) for p in paths])
+    last = idx[np.arange(n_paths), depth - 1]
+    ends = np.searchsorted(depth, np.arange(1, k + 1), side="right")
 
     exact = np.exp(annealed_log_paths_batch(wr, idx))
 
     def run_chunk(gen: np.random.Generator, size: int):
         probs = sample_environment_batch(g, w, gen, size)
         rev = _reversed_probabilities(g, probs, stationary_batch(probs, g))
-        gathered = np.where(mask[None, :, :], rev[:, safe_idx], 1.0)
-        return Moments.of(gathered.prod(axis=2))
+        # Column-major: Moments sums each path's replicas pairwise down one
+        # contiguous column (a row-major array is summed row by row, which
+        # rounds differently).
+        vals = np.empty((size, n_paths), order="F")
+        vals[:, : ends[0]] = rev[:, last[: ends[0]]]
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            vals[:, lo:hi] = vals[:, parent[lo:hi]] * rev[:, last[lo:hi]]
+        return Moments.of(vals)
 
     vals = sum(run_chunked(run_chunk, replicas, rng, workers), Moments())
     mc, se = vals.mean, vals.standard_error

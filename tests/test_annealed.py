@@ -92,14 +92,21 @@ def test_log_rising_factorial_values():
 
 
 def test_log_rising_factorial_routes_agree():
-    # direct summation and lgamma differences hand off consistently around
-    # the switch point
+    # one route at every count: consecutive counts differ by one log term
     for a in (0.05, 0.7, 2.3):
         for n in (1023, 1024, 1025, 5000):
             direct = math.fsum(math.log(a + k) for k in range(n))
             assert log_rising_factorial(a, n) == pytest.approx(direct, rel=1e-12)
         assert (log_rising_factorial(a, 1024) + math.log(a + 1024.0)
                 == pytest.approx(log_rising_factorial(a, 1025), rel=1e-12))
+
+
+@pytest.mark.parametrize("a", [1e9, 1e12])
+def test_log_rising_factorial_long_counts_at_large_weights(a):
+    # a log-Gamma difference cancels here (3.3e-6 off in log at 1e9, 3.2e-3
+    # at 1e12); the exactly rounded sum of the logs does not
+    reference = math.fsum(math.log(a + k) for k in range(2000))
+    assert log_rising_factorial(a, 2000) == pytest.approx(reference, rel=1e-15)
 
 
 def test_exact_single_step_is_mean_weight_fraction():
@@ -289,6 +296,19 @@ def test_mc_separates_wrong_value():
     wrong = (2 / 3) * (1 / 3) * (2 / 3)
     assert abs(est - 1 / 6) <= 3 * se
     assert abs(est - wrong) > 10 * se
+
+
+def test_mc_reads_only_departed_rows():
+    # the path 0,1,0,1 never departs vertex 2, so the weights there draw
+    # nothing and cannot move the estimate
+    g, w = d1_torus3()
+    traj = Trajectory.from_vertices(g, [0, 1, 0, 1])
+    moved = w.values.copy()
+    moved[g.out_edges(2)] = [0.3, 7.0]
+    est = annealed_path_probability_mc(g, w, traj, 20_000, RngStream(32))
+    est_moved = annealed_path_probability_mc(g, WeightAssignment(moved, g), traj, 20_000,
+                                             RngStream(32))
+    assert est == est_moved
 
 
 def test_mc_requires_enough_replicas():

@@ -23,6 +23,7 @@ from rwre import (
     read_environment,
     sample_environment,
     sample_environment_batch,
+    sample_rows,
     write_environment,
 )
 from common import random_path
@@ -96,14 +97,13 @@ def test_small_shape_sampling_valid():
     env.validate()
 
 
-def _normalize_rows_reference(g, gammas):
-    """The five-pass normalisation (gather, reduceat, repeat, divide,
-    scatter) that `sample_environment_batch` must match bit for bit."""
-    grouped = gammas[..., g.out_edge_ids]
-    sums = np.add.reduceat(grouped, g.out_offsets[:-1], axis=-1)
-    out = np.empty_like(gammas)
-    out[..., g.out_edge_ids] = grouped / np.repeat(sums, g.out_degrees, axis=-1)
-    return out
+def _full_table_reference(g, w, gen, count):
+    """The full-table sampler that `sample_environment_batch` must match bit
+    for bit: one (count, n_edges) Gamma draw, each divided by its tail's sum
+    over out-edges, summed in `out_edge_ids` order."""
+    gammas = gen.standard_gamma(w.values, size=(count, g.n_edges))
+    sums = np.add.reduceat(gammas[..., g.out_edge_ids], g.out_offsets[:-1], axis=-1)
+    return gammas / sums[..., g.tails]
 
 
 def _batch_graphs():
@@ -126,10 +126,26 @@ def test_batch_normalisation_bitwise_matches_reference(name, g, w):
     gen, ref_gen = RngStream(12).generator(), RngStream(12).generator()
     with np.errstate(invalid="ignore"):
         probs = sample_environment_batch(g, w, gen, 400)
-        ref = _normalize_rows_reference(g, ref_gen.standard_gamma(w.values, size=(400, g.n_edges)))
+        ref = _full_table_reference(g, w, ref_gen, 400)
     assert probs.tobytes() == ref.tobytes()
     if name == "weight 0.003 cycle":
         assert np.isnan(probs).any()
+
+
+@pytest.mark.parametrize("name, g, w", _batch_graphs())
+def test_sample_rows_draws_only_the_listed_rows(name, g, w):
+    # rows of every other vertex are left out: the draws are those of the
+    # listed vertices' rows alone, as a graph of self-loops in edge-id order
+    vertices = np.arange(0, g.n_vertices, 3)
+    eids = np.flatnonzero(np.isin(g.tails, vertices))
+    label = {int(v): i for i, v in enumerate(vertices)}
+    sub = DirectedGraph(len(vertices), [(label[t], label[t]) for t in g.tails[eids].tolist()])
+    with np.errstate(invalid="ignore"):
+        got_eids, probs = sample_rows(g, w, RngStream(13).generator(), 300, vertices)
+        ref = _full_table_reference(sub, WeightAssignment(w.values[eids], sub),
+                                    RngStream(13).generator(), 300)
+    assert got_eids.tolist() == eids.tolist()
+    assert probs.tobytes() == ref.tobytes()
 
 
 def test_path_probability_examples():

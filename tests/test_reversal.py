@@ -25,6 +25,7 @@ from rwre import (
     stationary_distribution,
     verify_reversal_distribution,
 )
+from rwre.parallel import Moments, run_chunked
 from rwre.reversal import _reversed_probabilities
 from common import divergent_two_vertex, random_cycle, two_state_chain
 
@@ -259,3 +260,45 @@ def test_reversal_distribution_worker_determinism():
     rep2 = verify_reversal_distribution(g, w, 3, 20_000, RngStream(51), workers=4)
     assert np.array_equal(rep1.mc, rep2.mc)
     assert np.array_equal(rep1.se, rep2.se)
+
+
+def test_enumerate_paths_lists_every_path_after_its_parent():
+    # the reversal check builds each path's product from its parent's
+    g, _ = build_torus(LatticeSpec((2.0, 1.0, 1.0, 1.0)), [3, 3])
+    paths = enumerate_paths(g, 0, 3)
+    position = {p: i for i, p in enumerate(paths)}
+    assert len(position) == len(paths)
+    for i, p in enumerate(paths):
+        if len(p) > 1:
+            assert position[p[:-1]] < i
+    depths = [len(p) for p in paths]
+    assert depths == sorted(depths)
+
+
+def _gathered_reversal_moments(g, w, k, replicas, rng):
+    """Mean and SE per path in the earlier full-gather form: one
+    (chunk, n_paths, k) gather of reversed probabilities, padded with 1.0
+    and multiplied along its last axis."""
+    paths = enumerate_paths(reverse_graph(g), 0, k)
+    idx = np.full((len(paths), k), -1, dtype=np.int64)
+    for i, p in enumerate(paths):
+        idx[i, : len(p)] = p
+    mask = idx >= 0
+    safe_idx = np.where(mask, idx, 0)
+
+    def run_chunk(gen, size):
+        probs = sample_environment_batch(g, w, gen, size)
+        rev = _reversed_probabilities(g, probs, stationary_batch(probs, g))
+        return Moments.of(np.where(mask[None, :, :], rev[:, safe_idx], 1.0).prod(axis=2))
+
+    vals = sum(run_chunked(run_chunk, replicas, rng), Moments())
+    return vals.mean, vals.standard_error
+
+
+@pytest.mark.parametrize("shape, k", [([2, 2], 4), ([3, 3], 3)])
+def test_reversal_prefix_products_match_the_full_gather(shape, k):
+    g, w = build_torus(LatticeSpec((2.0, 1.0, 1.0, 1.0)), shape)
+    rep = verify_reversal_distribution(g, w, k, 9000, RngStream(53), workers=2)
+    mc, se = _gathered_reversal_moments(g, w, k, 9000, RngStream(53))
+    assert rep.mc.tobytes() == mc.tobytes()
+    assert rep.se.tobytes() == se.tobytes()
