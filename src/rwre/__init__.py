@@ -6,12 +6,10 @@ directional-transience estimation, all with reproducible seeded parallelism.
 """
 
 from .annealed import (
-    CrossingProfile,
     annealed_log_path_probability,
     annealed_log_paths_batch,
     annealed_path_probability_exact,
     annealed_path_probability_mc,
-    crossing_profile,
     format_path_literal,
     log_rising_factorial,
     parse_path_literal,
@@ -21,10 +19,8 @@ from .annealed import (
     urn_path_probability,
 )
 from .environment import (
-    EmpiricalEnvironment,
     Environment,
     Trajectory,
-    empirical_environment,
     log_path_probability,
     path_probability,
     quenched_walk,

@@ -18,7 +18,6 @@ it on a batch of one, so batch values equal single-path values bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,30 +27,6 @@ from .graph import DirectedGraph, WeightAssignment
 from .parallel import Moments, run_chunked
 from .rng import RngStream
 from .stopping import StoppingRule
-
-
-@dataclass
-class CrossingProfile:
-    """Edge-crossing and vertex-departure counts of a path."""
-
-    edge_counts: np.ndarray
-    departure_counts: np.ndarray
-
-    def check_conservation(self, g: DirectedGraph):
-        """Out-edge counts must sum to the departure count at every vertex."""
-        sums = np.zeros(g.n_vertices, dtype=np.int64)
-        np.add.at(sums, g.tails, self.edge_counts)
-        if not np.array_equal(sums, self.departure_counts):
-            raise ValueError("edge crossings inconsistent with vertex departures")
-
-
-def crossing_profile(g: DirectedGraph, traj: Trajectory) -> CrossingProfile:
-    edge_counts = np.zeros(g.n_edges, dtype=np.int64)
-    np.add.at(edge_counts, traj.edges, 1)
-    departures = np.zeros(g.n_vertices, dtype=np.int64)
-    if len(traj) > 0:
-        np.add.at(departures, traj.vertices[:-1], 1)
-    return CrossingProfile(edge_counts, departures)
 
 
 def log_rising_factorial(a: float, n: int) -> float:

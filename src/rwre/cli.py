@@ -235,6 +235,11 @@ def _cmd_annealed_prob(args) -> int:
         mc, se = annealed_path_probability_mc(
             g, w, traj, args.replicas, RngStream(seed), workers=args.workers)
         dt = time.perf_counter() - t0
+        if not math.isfinite(mc):
+            raise PreconditionError(
+                f"Monte Carlo estimate is NaN: a row sampled at the departed vertices "
+                f"{sorted(set(traj.vertices[:-1]))} was NaN (all of its Gamma draws "
+                f"underflowed to 0)")
         record["estimate"] = mc
         record["se"] = se
         record["z"] = (mc - exact) / se if se > 0 else 0.0

@@ -1,5 +1,4 @@
-"""Dirichlet environments on weighted graphs, quenched walks, and the
-empirical environment of a trajectory.
+"""Dirichlet environments on weighted graphs and quenched walks.
 
 An environment assigns each vertex a probability vector over its out-edges.
 Dirichlet sampling draws an independent Gamma(alpha_e, 1) per edge and
@@ -11,8 +10,6 @@ only the floating-point format bounds them away from 0 and 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -204,49 +201,6 @@ def quenched_walk(env: Environment, start: int, stop: StoppingRule, rng: RngStre
     return walk_until_stopped(g, start, stop, rng, choose_edge)
 
 
-@dataclass
-class EmpiricalEnvironment:
-    """Edge-crossing frequencies of a trajectory; defined only at departed vertices."""
-
-    graph: DirectedGraph
-    edge_counts: np.ndarray
-    departure_counts: np.ndarray
-
-    def visited(self, v: int) -> bool:
-        return self.departure_counts[v] > 0
-
-    def probability(self, edge_id: int) -> Fraction:
-        """Exact crossing frequency n_e / n_x; raises at undeparted vertices."""
-        x = int(self.graph.tails[edge_id])
-        if self.departure_counts[x] == 0:
-            raise ValueError(f"vertex {x} was never departed from")
-        return Fraction(int(self.edge_counts[edge_id]), int(self.departure_counts[x]))
-
-    def row(self, v: int) -> dict:
-        if not self.visited(v):
-            raise ValueError(f"vertex {v} was never departed from")
-        return {int(e): self.probability(int(e)) for e in self.graph.out_edges(v)}
-
-    def as_probabilities(self) -> np.ndarray:
-        """Float frequencies per edge; NaN where the tail vertex was never departed."""
-        tails = self.graph.tails
-        with np.errstate(invalid="ignore", divide="ignore"):
-            p = self.edge_counts / self.departure_counts[tails]
-        p[self.departure_counts[tails] == 0] = np.nan
-        return p
-
-
-def empirical_environment(g: DirectedGraph, traj: Trajectory) -> EmpiricalEnvironment:
-    """Sample environment of a trajectory: crossing counts over departure counts."""
-    if len(traj.vertices) == 0:
-        raise ValueError("trajectory must be nonempty")
-    edge_counts = np.zeros(g.n_edges, dtype=np.int64)
-    np.add.at(edge_counts, traj.edges, 1)
-    departures = np.zeros(g.n_vertices, dtype=np.int64)
-    np.add.at(departures, traj.vertices[:-1], 1)
-    return EmpiricalEnvironment(g, edge_counts, departures)
-
-
 # -- environment dump format ---------------------------------------------
 
 
@@ -260,7 +214,8 @@ def write_environment(env: Environment, fh):
 
 def read_environment(g: DirectedGraph, fh) -> Environment:
     """Parse the lines written by write_environment into an environment on `g`."""
-    p = np.full(g.n_edges, np.nan)
+    p = np.zeros(g.n_edges)
+    covered = np.zeros(g.n_edges, dtype=bool)
     for lineno, raw in enumerate(fh, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -276,7 +231,10 @@ def read_environment(g: DirectedGraph, fh) -> Environment:
             raise GraphFormatError(f"line {lineno}: edge id {eid} out of range 0..{g.n_edges - 1}")
         if v != g.tails[eid]:
             raise GraphFormatError(f"line {lineno}: edge {eid} leaves vertex {g.tails[eid]}, not {v}")
+        if not np.isfinite(prob):
+            raise GraphFormatError(f"line {lineno}: probability {prob!r} is not finite")
         p[eid] = prob
-    if np.isnan(p).any():
+        covered[eid] = True
+    if not covered.all():
         raise GraphFormatError("environment file does not cover every edge")
     return Environment(g, p)

@@ -45,12 +45,9 @@ from .graph import (
 )
 from .parallel import Moments, run_chunked
 from .rng import RngStream
-from .stopping import CAP, LEFT, RIGHT, TARGET, StoppingReport, StoppingRule
 
 __all__ = [
     "ExperimentResult",
-    "StoppingRule",
-    "StoppingReport",
     "cylinder_delta_exit",
     "cylinder_exit_from_origin",
     "lattice_transience",
@@ -60,10 +57,6 @@ __all__ = [
     "ruin_exit_probability",
     "quenched_ruin_probability",
     "expected_exit_probability",
-    "CAP",
-    "LEFT",
-    "RIGHT",
-    "TARGET",
 ]
 
 DEFAULT_STEP_CAP = 100_000

@@ -13,9 +13,11 @@ reversed graph.
 
 The stationary solve and the reversed-chain probabilities each have one
 batched implementation, which single environments use as a batch of one.
-A numerically degenerate environment (weights well below 1 give rows with
-entries far below machine epsilon) fails their checks with
-PreconditionError; it is never approximated by another route.
+The solve never subtracts, so stationary masses keep full relative accuracy
+at any positive weight, down to the masses far below machine epsilon that
+weights well below 1 give.  An environment with a NaN row, or one that is
+numerically reducible, fails with PreconditionError; it is never
+approximated by another route.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .graph import DirectedGraph, WeightAssignment, divergence, reverse_graph, r
 from .parallel import Moments, run_chunked
 from .rng import RngStream
 
-RESIDUAL_TOL = 1e-10
 REVERSED_ROW_TOL = 1e-9
 DIVERGENCE_TOL = 1e-9
 PATH_GUARD = 10_000
@@ -210,41 +211,44 @@ class ReversalReport:
 def stationary_batch(probs: np.ndarray, g: DirectedGraph) -> np.ndarray:
     """Stationary distributions of many environments at once.
 
-    `probs` is (count, n_edges); returns (count, n_vertices).  One direct
-    solve per environment, of pi P = pi with the last equation replaced by
-    the normalisation.  Every solution must be finite and positive, with
-    residual max |pi P - pi| <= RESIDUAL_TOL after normalisation; otherwise
-    PreconditionError names the failing environments.  Sampled Dirichlet
-    environments fail only when numerically degenerate: at weights well
-    below 1, rows carry entries so small that the solve loses them.
+    `probs` is (count, n_edges); returns (count, n_vertices).  Grassmann-
+    Taksar-Heyman elimination (Grassmann, Taksar & Heyman 1985), batched over
+    environments: vertices are censored from the last down, each pivot is
+    the sum of its row's off-diagonal entries among the vertices left, and
+    the masses follow by back-substitution from vertex 0.  Nothing is ever
+    subtracted, so every mass keeps full relative accuracy however small it
+    is (O'Cinneide 1993).  The diagonal (self-loops) is never read: the
+    solve is that of the chain whose holding probability is 1 minus its
+    off-diagonal row sum.
+
+    One guard: every unnormalised mass must come out finite and positive,
+    else PreconditionError names the failing environments.  A NaN row, or a
+    pivot that is not finite and positive (a chain made numerically
+    reducible, say by an edge of probability 0), spreads into the masses;
+    a vertex that no other vertex reaches gets mass 0.
     """
-    count = probs.shape[0]
-    n = g.n_vertices
-    P = np.zeros((count, n, n))
-    np.add.at(P, (np.arange(count)[:, None], g.tails[None, :], g.heads[None, :]), probs)
-    A = np.transpose(P, (0, 2, 1)) - np.eye(n)[None, :, :]
-    A[:, -1, :] = 1.0
-    b = np.zeros((count, n, 1))
-    b[:, -1, 0] = 1.0
-    try:
-        pis = np.linalg.solve(A, b)[:, :, 0]
-    except np.linalg.LinAlgError as exc:
-        raise PreconditionError(f"stationary solve failed: {exc}") from None
-    _require(np.all(np.isfinite(pis), axis=1) & (pis.min(axis=1) > 0.0),
-             "a non-finite or non-positive solution")
-    pis = pis / pis.sum(axis=1, keepdims=True)
-    residual = np.max(np.abs(np.einsum("ci,cij->cj", pis, P) - pis), axis=1)
-    _require(residual <= RESIDUAL_TOL, f"a residual above {RESIDUAL_TOL:g}")
-    return pis
-
-
-def _require(ok: np.ndarray, what: str):
-    bad = np.flatnonzero(~ok)
+    count, n = probs.shape[0], g.n_vertices
+    # P[i, j] is the (i, j) transition of every environment, the batch axis
+    # last so that each step below runs over contiguous memory
+    P = np.zeros((n * n, count))
+    for key, column in zip((g.tails * n + g.heads).tolist(), probs.T):
+        P[key] += column
+    P = P.reshape(n, n, count)
+    x = np.ones((n, count))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(n - 1, 0, -1):
+            P[:k, k] /= P[k, :k].sum(axis=0)
+            P[:k, :k] += P[:k, k, None] * P[None, k, :k]
+        for k in range(1, n):
+            x[k] = (x[:k] * P[:k, k]).sum(axis=0)
+    bad = np.flatnonzero(~np.all((x > 0.0) & (x < np.inf), axis=0))
     if bad.size:
         raise PreconditionError(
-            f"stationary solve gave {what} for {bad.size} of {ok.size} environment(s), "
-            f"first {bad[:5].tolist()}; the chain is numerically degenerate"
+            f"stationary solve gave a mass that is not finite and positive in {bad.size} "
+            f"of {count} environment(s), first {bad[:5].tolist()}; the chain has a NaN row "
+            f"or is numerically reducible"
         )
+    return (x / x.sum(axis=0)).T
 
 
 def verify_reversal_distribution(g: DirectedGraph, w: WeightAssignment, k: int,

@@ -17,17 +17,15 @@ from rwre import (
     annealed_path_probability_exact,
     annealed_path_probability_mc,
     build_torus,
-    crossing_profile,
     enumerate_paths,
     format_path_literal,
     log_rising_factorial,
     parse_path_literal,
     reinforced_trace_frequency,
     reinforced_walk,
-    reverse_graph,
     urn_path_probability,
 )
-from common import random_cycle, random_path
+from common import random_path
 
 
 def d1_torus3():
@@ -39,47 +37,6 @@ def traj_from_edges(g, eids):
     for eid in eids:
         vs.append(int(g.heads[eid]))
     return Trajectory(vs, list(eids))
-
-
-def test_crossing_profile_alternating_path():
-    g, w = d1_torus3()
-    traj = Trajectory.from_vertices(g, [0, 1, 0, 1])
-    prof = crossing_profile(g, traj)
-    assert prof.edge_counts[g.find_edge(0, 1)] == 2
-    assert prof.edge_counts[g.find_edge(1, 0)] == 1
-    assert prof.departure_counts.tolist() == [2, 1, 0]
-    prof.check_conservation(g)
-
-
-def test_crossing_profile_empty_path():
-    g, w = d1_torus3()
-    prof = crossing_profile(g, Trajectory([1], []))
-    assert prof.edge_counts.sum() == 0
-    assert prof.departure_counts.sum() == 0
-
-
-def test_cycle_reversal_preserves_counts():
-    # a cycle and its reversal cross the same edge ids the same number of
-    # times and depart each vertex equally often
-    g, w = build_torus(LatticeSpec((2.0, 1.0, 1.0, 1.0)), [3, 3])
-    gr = reverse_graph(g)
-    rng = np.random.default_rng(20)
-    for _ in range(25):
-        cyc = random_cycle(g, rng, 12)
-        rev = cyc.reversed()
-        prof = crossing_profile(g, cyc)
-        prof_r = crossing_profile(gr, rev)
-        assert np.array_equal(prof.edge_counts, prof_r.edge_counts)
-        assert np.array_equal(prof.departure_counts, prof_r.departure_counts)
-
-
-def test_crossing_conservation_random_paths():
-    g, w = build_torus(LatticeSpec((1.0, 2.0, 0.5, 0.7)), [4, 3])
-    rng = np.random.default_rng(21)
-    for _ in range(10_000 // 20):
-        for length in (1, 3, 7, 15):
-            traj = random_path(g, rng, length)
-            crossing_profile(g, traj).check_conservation(g)
 
 
 def test_log_rising_factorial_values():

@@ -137,12 +137,39 @@ def test_reverse_check_passes_at_large_weights(capsys):
     assert out.strip().split("\n")[-1].endswith("policy pass")
 
 
-def test_reverse_check_degenerate_environments_exit_two(capsys):
-    code, out, err = run_cli(capsys, "reverse-check", "--alpha", "0.01,0.01,0.01,0.01",
-                             "--torus", "3,3", "--k", "2", "--replicas", "1000",
-                             "--seed", "12345")
+def test_reverse_check_passes_in_the_trap_regime(capsys):
+    # the reversal identity holds at every positive weight; at these the
+    # stationary masses reach 1e-152
+    for weight in ("0.1", "0.03", "0.01"):
+        code, out, err = run_cli(capsys, "reverse-check", "--alpha", ",".join([weight] * 4),
+                                 "--torus", "3,3", "--k", "2", "--replicas", "16384",
+                                 "--seed", "11")
+        assert code == 0, err
+        assert out.strip().split("\n")[-1].endswith("policy pass"), weight
+
+
+def test_reverse_check_nan_rows_exit_two(capsys):
+    # at weight 0.003 some sampled rows are NaN (every Gamma draw underflowed)
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        code, out, err = run_cli(capsys, "reverse-check", "--alpha", "0.003,0.003,0.003,0.003",
+                                 "--torus", "3,3", "--k", "2", "--replicas", "2000",
+                                 "--seed", "13")
     assert code == 2
-    assert "error:" in err and "numerically degenerate" in err
+    assert err.startswith("error: stationary solve") and "NaN row" in err
+    assert out == ""
+
+
+def test_annealed_prob_nan_estimate_exits_two(capsys):
+    # a NaN Monte Carlo estimate must not be written as a record (its z would
+    # read 0.0, and bare NaN is not JSON)
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        code, out, err = run_cli(capsys, "annealed-prob", "--alpha", "0.003,0.003",
+                                 "--torus", "50", "--path", "0,1,2,3,4,5,6,7,8,9,10",
+                                 "--replicas", "20000", "--seed", "3")
+    assert code == 2
+    assert err.startswith("error: Monte Carlo estimate is NaN")
+    assert "departed vertices [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]" in err
+    assert out == ""
 
 
 def test_sample_env_nan_rows_exit_two(capsys):

@@ -1,5 +1,4 @@
 import io
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from rwre import (
     WeightAssignment,
     build_cylinder_graph,
     build_torus,
-    empirical_environment,
     log_path_probability,
     path_probability,
     quenched_walk,
@@ -209,45 +207,6 @@ def test_one_step_frequency_matches_environment():
     assert abs(right / n - p) <= 3 * se
 
 
-def test_empirical_environment_two_cycle():
-    g = DirectedGraph(2, [(0, 1), (1, 0)])
-    traj = Trajectory.from_vertices(g, [0, 1, 0, 1, 0])
-    emp = empirical_environment(g, traj)
-    assert emp.probability(0) == Fraction(1)
-    assert emp.probability(1) == Fraction(1)
-
-
-def test_empirical_environment_d1_counts():
-    g, w = build_torus(LatticeSpec((2.0, 1.0)), [3])
-    traj = Trajectory.from_vertices(g, [0, 1, 0, 1])
-    emp = empirical_environment(g, traj)
-    assert emp.probability(g.find_edge(0, 1)) == Fraction(1)
-    assert emp.probability(g.find_edge(1, 0)) == Fraction(1)
-    assert not emp.visited(2)
-    assert np.isnan(emp.as_probabilities()[g.find_edge(2, 0)])
-
-
-def test_empirical_rows_sum_to_one_exactly():
-    g, w = build_torus(LatticeSpec((2.0, 1.0, 1.0, 1.0)), [3, 3])
-    env = sample_environment(g, w, RngStream(12))
-    traj, _ = quenched_walk(env, 0, StoppingRule(max_steps=2_000), RngStream(13))
-    emp = empirical_environment(g, traj)
-    for v in range(g.n_vertices):
-        if emp.departure_counts[v] > 0:
-            assert sum(emp.row(v).values()) == Fraction(1)
-
-
-def test_empirical_environment_converges_ergodic():
-    # long recurrent walk on a fixed small environment: frequencies settle
-    # on the environment entries
-    g, w = build_torus(LatticeSpec((2.0, 1.0)), [4])
-    env = sample_environment(g, w, RngStream(77))
-    traj, _ = quenched_walk(env, 0, StoppingRule(max_steps=10**6), RngStream(78))
-    emp = empirical_environment(g, traj)
-    err = np.nanmax(np.abs(emp.as_probabilities() - env.probabilities))
-    assert err < 0.01
-
-
 def test_environment_dump_round_trip():
     g, w = build_torus(LatticeSpec((2.0, 1.0, 0.4, 0.6)), [2, 3])
     env = sample_environment(g, w, RngStream(14))
@@ -277,6 +236,20 @@ def test_environment_dump_bad_fields_name_the_line(text, line):
     g = DirectedGraph(2, [(0, 1), (1, 0)])
     with pytest.raises(GraphFormatError, match=f"line {line}:"):
         read_environment(g, io.StringIO(text))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_environment_dump_non_finite_probability_names_the_line(value):
+    # a dump that covers every edge: the bad value is reported on its own
+    # line, not mistaken for a missing edge
+    g, w = build_torus(LatticeSpec((2.0, 1.0)), [3])
+    buf = io.StringIO()
+    write_environment(sample_environment(g, w, RngStream(15)), buf)
+    lines = buf.getvalue().splitlines()
+    assert lines[0].startswith("env 0 0 ")
+    lines[0] = f"env 0 0 {value}"
+    with pytest.raises(GraphFormatError, match="line 1: probability .* is not finite"):
+        read_environment(g, io.StringIO("\n".join(lines) + "\n"))
 
 
 def test_environment_row_sum_validation():

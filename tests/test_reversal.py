@@ -1,7 +1,10 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwre import (
     DirectedGraph,
@@ -57,17 +60,110 @@ def test_stationary_requires_strong_connectivity():
         stationary_distribution(env)
 
 
-def test_stationary_rejects_a_degenerate_environment():
-    # at weight 0.03 sampled rows carry entries far below machine epsilon
-    # (down to 1e-81 here), so some stationary masses fall below the solve's
-    # absolute accuracy and come out non-positive; that must be reported,
-    # not replaced by an answer whose small entries are wrong
-    g, w = build_torus(LatticeSpec((0.03, 0.03, 0.03, 0.03)), [3, 3])
-    probs = sample_environment_batch(g, w, RngStream(5).generator(), 8192)
-    env = Environment(g, probs[57])
-    with pytest.raises(PreconditionError, match="numerically degenerate"):
-        stationary_distribution(env)
-    with pytest.raises(PreconditionError, match=r"\b57\b"):
+def exact_stationary(g, probs):
+    """Stationary distribution of the float chain `probs`, solved in exact
+    rational arithmetic on its generator: off-diagonal entries are the
+    summed probabilities of the edges between two vertices, and each
+    diagonal entry is minus its row's off-diagonal sum (self-loops drop
+    out), so the reference is well posed even though float rows do not sum
+    to 1 exactly.  Gauss-Jordan on pi Q = 0 with one equation replaced by
+    sum(pi) = 1."""
+    n = g.n_vertices
+    Q = [[Fraction(0)] * n for _ in range(n)]
+    for t, h, p in zip(g.tails.tolist(), g.heads.tolist(), probs.tolist()):
+        if t != h:
+            Q[t][h] += Fraction(p)
+    for i in range(n):
+        Q[i][i] = -sum(Q[i][j] for j in range(n) if j != i)
+    A = [[Q[j][i] for j in range(n)] for i in range(n - 1)] + [[Fraction(1)] * n]
+    b = [Fraction(0)] * (n - 1) + [Fraction(1)]
+    for c in range(n):
+        r = next(r for r in range(c, n) if A[r][c] != 0)
+        A[c], A[r], b[c], b[r] = A[r], A[c], b[r], b[c]
+        for r in range(n):
+            if r != c and A[r][c] != 0:
+                f = A[r][c] / A[c][c]
+                A[r] = [a - f * ac for a, ac in zip(A[r], A[c])]
+                b[r] -= f * b[c]
+    return [b[i] / A[i][i] for i in range(n)]
+
+
+def max_rel_error(pi, exact):
+    """Largest entrywise relative error of float masses against exact ones."""
+    return max(float(abs(Fraction(float(x)) - e) / e) for x, e in zip(pi, exact))
+
+
+def trap_batch(weight, count):
+    """`count` environments of the 3x3 torus at one weight on every edge."""
+    g, w = build_torus(LatticeSpec((weight,) * 4), [3, 3])
+    return g, sample_environment_batch(g, w, RngStream(5).generator(), count)
+
+
+@pytest.mark.parametrize("weight", [2.0, 0.1, 0.03, 0.01])
+def test_stationary_matches_the_exact_rational_solve(weight):
+    # masses reach 1e-152 at weight 0.01, and every one of them keeps full
+    # relative accuracy
+    g, probs = trap_batch(weight, 24)
+    pis = stationary_batch(probs, g)
+    for i in range(len(probs)):
+        assert max_rel_error(pis[i], exact_stationary(g, probs[i])) <= 1e-13, i
+
+
+def test_stationary_solves_a_trap_environment_to_the_reference():
+    # environment 57 at weight 0.03 has row entries down to 1e-81 and
+    # stationary masses down to 3e-21, below the absolute accuracy of a
+    # direct LU solve, which gave it a non-positive mass
+    g, probs = trap_batch(0.03, 64)
+    pi = stationary_distribution(Environment(g, probs[57]))
+    exact = exact_stationary(g, probs[57])
+    assert min(exact) < 1e-20
+    assert max_rel_error(pi, exact) <= 1e-13
+    assert np.array_equal(stationary_batch(probs, g)[57], pi)
+
+
+@st.composite
+def strongly_connected_chains(draw):
+    """(graph, probabilities) on at most 6 vertices: a cycle through every
+    vertex in random order keeps the graph strongly connected, and extra
+    edges add self-loops and parallel edges; each row normalises edge
+    weights drawn from 1e-2..1e3."""
+    n = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(n)))
+    edges = [(order[i], order[(i + 1) % n]) for i in range(n)]
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=12))
+    g = DirectedGraph(n, edges)
+    weights = np.array(draw(st.lists(st.floats(1e-2, 1e3), min_size=len(edges),
+                                     max_size=len(edges))))
+    sums = np.zeros(n)
+    np.add.at(sums, g.tails, weights)
+    return g, weights / sums[g.tails]
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain=strongly_connected_chains())
+def test_stationary_property_matches_the_exact_solve(chain):
+    g, probs = chain
+    pi = stationary_batch(probs[None, :], g)[0]
+    assert max_rel_error(pi, exact_stationary(g, probs)) <= 1e-13
+
+
+def test_stationary_rejects_a_numerically_reducible_environment():
+    # the graph 0 <-> 1 <-> 2 is strongly connected, but an edge of
+    # probability 0 cuts the chain: vertex 2 cannot leave (a zero pivot),
+    # or no vertex enters it (a zero mass)
+    g = DirectedGraph(3, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 2)])
+    for probs in ([1.0, 0.5, 0.5, 0.0, 1.0], [1.0, 1.0, 0.0, 1.0, 0.0]):
+        with pytest.raises(PreconditionError, match="numerically reducible"):
+            stationary_distribution(Environment(g, probs))
+
+
+@pytest.mark.parametrize("vertex", [0, 4, 8])
+def test_stationary_rejects_a_nan_row_and_names_its_environment(vertex):
+    # vertex 0 has no pivot of its own: its NaN row spreads into the masses
+    g, probs = trap_batch(2.0, 16)
+    probs[11, g.tails == vertex] = np.nan
+    with pytest.raises(PreconditionError, match=r"in 1 of 16 environment\(s\), first \[11\]"):
         stationary_batch(probs, g)
 
 
