@@ -15,7 +15,6 @@ from .annealed import (
     parse_path_literal,
     reinforced_trace_frequency,
     reinforced_walk,
-    UrnState,
     urn_path_probability,
 )
 from .environment import (
@@ -48,7 +47,6 @@ from .graph import (
     CylinderGraph,
     CylinderSpec,
     DirectedGraph,
-    Edge,
     LatticeSpec,
     WeightAssignment,
     build_cylinder_band,

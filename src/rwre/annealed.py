@@ -90,60 +90,63 @@ def annealed_log_paths_batch(w: WeightAssignment, edge_index_matrix: np.ndarray)
     return _log_paths(w, path, edge_index_matrix[path, col], edge_index_matrix.shape[0])
 
 
-class UrnState:
-    """Oriented-edge reinforcement state: weights grow by one per crossing."""
+def _urn_rows(w: WeightAssignment) -> list:
+    """Per vertex, the urn row of the lattice walk (`experiments._UrnWalk`):
+    the weights of its out-edges in `out_edge_lists` order, then
+    `w.vertex_sums()[v]`.  Crossing the row's j-th edge adds 1.0 to row[j]
+    and to row[-1], so row[j] / row[-1] is the urn's step probability."""
+    values = w.values.tolist()
+    return [[values[e] for e in eids] + [total]
+            for eids, total in zip(w.graph.out_edge_lists(), w.vertex_sums().tolist())]
 
-    def __init__(self, w: WeightAssignment, start: int):
-        self.w = w
-        self.graph = w.graph
-        self.vertex = int(start)
-        self.edge_counts = np.zeros(w.graph.n_edges, dtype=np.int64)
-        self.departure_counts = np.zeros(w.graph.n_vertices, dtype=np.int64)
-        self._vertex_sums = w.vertex_sums()
 
-    def step_weights(self) -> tuple:
-        """(out edge ids, probabilities) for the next step from the current vertex."""
-        eids = self.graph.out_edges(self.vertex)
-        num = self.w.values[eids] + self.edge_counts[eids]
-        den = self._vertex_sums[self.vertex] + self.departure_counts[self.vertex]
-        return eids, num / den
-
-    def step_probability(self, edge_id: int) -> float:
-        num = self.w.values[edge_id] + self.edge_counts[edge_id]
-        den = self._vertex_sums[self.vertex] + self.departure_counts[self.vertex]
-        return float(num / den)
-
-    def advance(self, edge_id: int):
-        if self.graph.tails[edge_id] != self.vertex:
-            raise ValueError("edge does not leave the current vertex")
-        self.edge_counts[edge_id] += 1
-        self.departure_counts[self.vertex] += 1
-        self.vertex = int(self.graph.heads[edge_id])
+def _urn_along(w: WeightAssignment, traj: Trajectory):
+    """Per step of `traj`, the urn row at its tail and its edge's slot in
+    that row, as the urn stands before the step; the step is crossed once
+    the caller asks for the next one.  Raises ValueError unless `traj`
+    follows its edges."""
+    traj.check_consistent(w.graph)
+    rows = _urn_rows(w)
+    out = w.graph.out_edge_lists()
+    for v, eid in zip(traj.vertices, traj.edges):
+        row = rows[v]
+        j = out[v].index(eid)
+        yield row, j
+        row[j] += 1.0
+        row[-1] += 1.0
 
 
 def urn_path_probability(w: WeightAssignment, traj: Trajectory) -> float:
     """Probability that the reinforced walk traces the path, as the product of
     urn step probabilities (the incremental route; compare with the exact formula)."""
-    urn = UrnState(w, traj.start)
     logp = 0.0
-    for eid in traj.edges:
-        logp += math.log(urn.step_probability(eid))
-        urn.advance(eid)
+    for row, j in _urn_along(w, traj):
+        logp += math.log(row[j] / row[-1])
     return math.exp(logp)
 
 
 def reinforced_walk(w: WeightAssignment, start: int, stop: StoppingRule, rng: RngStream):
     """Sample the oriented-edge linearly reinforced walk; its trajectory law is
-    the annealed law of the Dirichlet environment with the same weights."""
-    urn = UrnState(w, start)
+    the annealed law of the Dirichlet environment with the same weights.
 
-    def choose_edge(_v, u):
-        eids, probs = urn.step_weights()
-        k = min(int(np.searchsorted(np.cumsum(probs), u, side="right")), len(eids) - 1)
-        urn.advance(int(eids[k]))
-        return int(eids[k])
+    Each step picks as the lattice urn does: t = u * row[-1], then the first
+    slot k whose weight exceeds what is left of t after subtracting the
+    weights before it (the last slot if none does).
+    """
+    rows = _urn_rows(w)
 
-    return walk_until_stopped(w.graph, start, stop, rng, choose_edge)
+    def choose(v, u):
+        row = rows[v]
+        t = u * row[-1]
+        k, last = 0, len(row) - 2
+        while k < last and t >= row[k]:
+            t -= row[k]
+            k += 1
+        row[k] += 1.0
+        row[-1] += 1.0
+        return k
+
+    return walk_until_stopped(w.graph, start, stop, rng, choose)
 
 
 def reinforced_trace_frequency(w: WeightAssignment, traj: Trajectory, replicas: int,
@@ -152,22 +155,21 @@ def reinforced_trace_frequency(w: WeightAssignment, traj: Trajectory, replicas: 
 
     Along the forced path the urn's conditional step distributions are
     deterministic, so each step's target edge occupies a fixed sub-interval
-    of [0, 1) and a walk traces the path exactly when all of its step
-    uniforms land in their intervals.  Walks that deviate are abandoned at
-    the deviating step; their remaining steps cannot affect the indicator.
-    Replicas are split into fixed-size chunks, one RNG stream per chunk.
+    of [0, 1): its low end is the running sum of the step probabilities
+    before it in out-edge order.  A walk traces the path exactly when all of
+    its step uniforms land in their intervals.  Walks that deviate are
+    abandoned at the deviating step; their remaining steps cannot affect the
+    indicator.  Replicas are split into fixed-size chunks, one RNG stream per
+    chunk.
     """
-    traj.check_consistent(w.graph)
-    urn = UrnState(w, traj.start)
     lows = np.empty(len(traj))
     highs = np.empty(len(traj))
-    for s, eid in enumerate(traj.edges):
-        eids, probs = urn.step_weights()
-        cum = np.cumsum(probs)
-        j = int(np.flatnonzero(eids == eid)[0])
-        lows[s] = cum[j - 1] if j > 0 else 0.0
-        highs[s] = cum[j]
-        urn.advance(eid)
+    for s, (row, j) in enumerate(_urn_along(w, traj)):
+        low = 0.0
+        for x in row[:j]:
+            low += x / row[-1]
+        lows[s] = low
+        highs[s] = low + row[j] / row[-1]
 
     def run_chunk(gen: np.random.Generator, size: int):
         us = gen.random((size, len(traj)))

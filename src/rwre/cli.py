@@ -36,6 +36,7 @@ from .annealed import (
 from .environment import sample_environment, write_environment
 from .errors import GraphFormatError, PreconditionError
 from .experiments import (
+    DEFAULT_STEP_CAP,
     cylinder_delta_exit,
     cylinder_exit_from_origin,
     lattice_transience,
@@ -433,8 +434,8 @@ def _add_run(p, replicas: int, steps=True, timing=True):
     p.add_argument("--replicas", type=_int_at_least(0), default=replicas,
                    help=f"Monte Carlo replicas (default {replicas})")
     if steps:
-        p.add_argument("--steps", type=_int_at_least(1), default=100_000,
-                       help="step cap per walk (default 100000)")
+        p.add_argument("--steps", type=_int_at_least(1), default=DEFAULT_STEP_CAP,
+                       help=f"step cap per walk (default {DEFAULT_STEP_CAP})")
 
 
 def _add_output(p, formats=()):

@@ -9,14 +9,15 @@ only the floating-point format bounds them away from 0 and 1.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GraphFormatError, PreconditionError
 from .graph import DirectedGraph, WeightAssignment
-from .rng import RngStream
-from .stopping import CAP, StoppingReport, StoppingRule
+from .rng import RngStream, block_uniforms
+from .stopping import CAP, TARGET, StoppingReport, StoppingRule
 
 ROW_SUM_TOL = 1e-12
 
@@ -41,9 +42,6 @@ class Environment:
         bad = np.flatnonzero(~(np.abs(sums - 1.0) <= tol))
         if bad.size:
             raise PreconditionError(f"rows do not sum to 1 at vertices {bad.tolist()}")
-
-    def probability(self, edge_id: int) -> float:
-        return float(self.probabilities[edge_id])
 
 
 def cumulative_rows(g: DirectedGraph, probs: np.ndarray):
@@ -146,59 +144,53 @@ def path_probability(env: Environment, traj: Trajectory) -> float:
 
 
 def walk_until_stopped(g: DirectedGraph, start: int, stop: StoppingRule, rng: RngStream,
-                       choose_edge):
+                       choose):
     """Scalar walk loop shared by the quenched and the reinforced walk.
 
-    From `start`, draw one buffered uniform u per step from `rng` and follow
-    edge `choose_edge(v, u)` out of the current vertex v, until `stop` fires
-    or its step cap hits.  Returns (trajectory, report); hitting the cap is
-    reported as a truncation, not an error.
+    From `start`, take one uniform u per step from `block_uniforms` on
+    `rng`'s generator, as lattice walks do, and follow the out-edge of the
+    current vertex v in slot `choose(v, u)` of `g.out_edge_lists()[v]`,
+    until the walk hits `stop.target` or takes `stop.max_steps` steps.
+    Returns (trajectory, report); hitting the cap is reported as a
+    truncation, not an error.
     """
-    coords = g.coords
-    if stop.needs_coords() and coords is None:
-        raise ValueError("stopping rule needs coordinates but the graph has none")
-    heads = g.heads
-    gen = rng.generator()
     v = int(start)
+    if not 0 <= v < g.n_vertices:
+        raise PreconditionError(f"start vertex {v} out of range 0..{g.n_vertices - 1}")
+    out = g.out_edge_lists()
+    heads = g.heads.tolist()
     vertices = [v]
     edge_ids = []
-    reason = stop.check(v, coords[v] if coords is not None else None, 0)
-    step = 0
-    buf = gen.random(256)
-    buf_i = 0
-    while reason is None:
-        if step >= stop.max_steps:
-            reason = CAP
-            break
-        if buf_i == len(buf):
-            buf = gen.random(256)
-            buf_i = 0
-        eid = choose_edge(v, buf[buf_i])
-        buf_i += 1
-        v = int(heads[eid])
+    reason = CAP
+    for u in itertools.islice(block_uniforms(rng.generator()), stop.max_steps):
+        eid = out[v][choose(v, u)]
+        v = heads[eid]
         edge_ids.append(eid)
         vertices.append(v)
-        step += 1
-        reason = stop.check(v, coords[v] if coords is not None else None, step)
-    return Trajectory(vertices, edge_ids), StoppingReport(reason, step, v)
+        if v == stop.target:
+            reason = TARGET
+            break
+    return Trajectory(vertices, edge_ids), StoppingReport(reason, len(edge_ids), v)
 
 
 def quenched_walk(env: Environment, start: int, stop: StoppingRule, rng: RngStream):
     """Sample the Markov chain of `env` from `start` until `stop` fires.
 
-    Returns (trajectory, report); hitting the step cap is reported as a
-    truncation, not an error.  Coordinate rules require the graph to carry
-    vertex coordinates.
+    A step takes the first out-edge whose cumulative probability exceeds
+    its uniform, or the last out-edge if none does.  Returns (trajectory,
+    report); hitting the step cap is reported as a truncation, not an error.
     """
-    g = env.graph
-    cum, _, deg = cumulative_rows(g, env.probabilities)
-    pad_eid = g.padded_out_tables()[0]
+    cum, _, deg = cumulative_rows(env.graph, env.probabilities)
+    rows = [row[:d] for row, d in zip(cum.tolist(), deg.tolist())]
 
-    def choose_edge(v, u):
-        k = min(int(np.searchsorted(cum[v], u, side="right")), deg[v] - 1)
-        return int(pad_eid[v, k])
+    def choose(v, u):
+        row = rows[v]
+        k, last = 0, len(row) - 1
+        while k < last and u >= row[k]:
+            k += 1
+        return k
 
-    return walk_until_stopped(g, start, stop, rng, choose_edge)
+    return walk_until_stopped(env.graph, start, stop, rng, choose)
 
 
 # -- environment dump format ---------------------------------------------

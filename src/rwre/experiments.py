@@ -27,7 +27,6 @@ chunk; worker count never changes any output.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -44,7 +43,7 @@ from .graph import (
     build_cylinder_graph,
 )
 from .parallel import Moments, run_chunked
-from .rng import RngStream
+from .rng import RngStream, block_uniforms
 
 __all__ = [
     "ExperimentResult",
@@ -273,14 +272,6 @@ def cylinder_exit_from_origin(spec: CylinderSpec, replicas: int, rng: RngStream,
 # distinct while every coordinate is below S/2 in magnitude, which no walk
 # shorter than 2^61 steps can break.
 _SITE_STRIDE = 1 << 62
-_UNIFORM_BLOCK = 1024
-
-
-def _chunk_uniforms(gen: np.random.Generator):
-    """Endless iterator over a chunk stream's uniforms, drawn in blocks; the
-    walks of a chunk consume it one after another."""
-    return itertools.chain.from_iterable(
-        iter(lambda: gen.random(_UNIFORM_BLOCK).tolist(), None))
 
 
 class _UrnWalk:
@@ -361,7 +352,7 @@ def lattice_transience(lattice: LatticeSpec, levels, replicas: int, step_cap: in
     lmax = max(levels)
 
     def run_chunk(gen: np.random.Generator, size: int):
-        uniforms = _chunk_uniforms(gen)
+        uniforms = block_uniforms(gen)
         maxima = np.empty(size, dtype=np.int64)
         capped = np.empty(size, dtype=bool)
         for i in range(size):
@@ -427,7 +418,7 @@ def velocity_probe(lattice: LatticeSpec, horizons, replicas: int, rng: RngStream
         raise PreconditionError("horizons must be positive integers")
 
     def run_chunk(gen: np.random.Generator, size: int):
-        uniforms = _chunk_uniforms(gen)
+        uniforms = block_uniforms(gen)
         x1 = np.empty((size, len(horizons)))
         for i in range(size):
             walk = _UrnWalk(lattice, uniforms)

@@ -10,7 +10,7 @@ reversal is the identity on ids.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,13 +20,6 @@ from .errors import GraphFormatError, PreconditionError
 VertexId = int
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: int
-    tail: VertexId
-    head: VertexId
-
-
 class DirectedGraph:
     """Finite directed multigraph with per-vertex out-adjacency.
 
@@ -34,9 +27,8 @@ class DirectedGraph:
     ----------
     n_vertices : int
     edges : sequence of (tail, head) pairs, indexed by edge id in order
-    coords : optional integer coordinates per vertex (lattice-derived graphs),
-        used by coordinate-based stopping rules; entry may be None (e.g. the
-        outside vertex of a cylinder graph).
+    coords : optional integer coordinates per vertex (lattice-derived graphs);
+        an entry may be None (e.g. the outside vertex of a cylinder graph).
     directions : optional per-edge (axis, sign) labels for lattice-derived
         graphs, with axis in 1..d and sign +-1; enables step-letter path
         literals.
@@ -73,12 +65,11 @@ class DirectedGraph:
         """Edge ids leaving v, in increasing id order."""
         return self.out_edge_ids[self.out_offsets[v]:self.out_offsets[v + 1]]
 
-    def edge(self, eid: int) -> Edge:
-        return Edge(eid, int(self.tails[eid]), int(self.heads[eid]))
-
-    @property
-    def edges(self) -> list:
-        return [self.edge(i) for i in range(self.n_edges)]
+    def out_edge_lists(self) -> list:
+        """Per vertex, the list of `out_edges(v)` as Python ints."""
+        ids = self.out_edge_ids.tolist()
+        offsets = self.out_offsets.tolist()
+        return [ids[offsets[v]:offsets[v + 1]] for v in range(self.n_vertices)]
 
     def min_out_degree(self) -> int:
         return int(self.out_degrees.min())
@@ -217,7 +208,6 @@ class CylinderGraph:
     outside: VertexId
     left_face: np.ndarray
     right_face: np.ndarray
-    spec: CylinderSpec = field(repr=False, default=None)
 
 
 def _torus_vertex_id(coord, periods):
@@ -345,7 +335,7 @@ def build_cylinder_graph(spec: CylinderSpec) -> CylinderGraph:
     g = DirectedGraph(n_cyl + 1, edges, coords=coords, directions=directions)
     left = np.array([vid(0, ti) for ti in range(n_trans)], dtype=np.int64)
     right = np.array([vid(L, ti) for ti in range(n_trans)], dtype=np.int64)
-    return CylinderGraph(g, WeightAssignment(weights, g), outside, left, right, spec)
+    return CylinderGraph(g, WeightAssignment(weights, g), outside, left, right)
 
 
 @dataclass

@@ -266,6 +266,8 @@ def verify_reversal_distribution(g: DirectedGraph, w: WeightAssignment, k: int,
     """
     if k < 1:
         raise PreconditionError(f"path length k must be at least 1, got {k}")
+    if not 0 <= root < g.n_vertices:
+        raise PreconditionError(f"root {root} out of range 0..{g.n_vertices - 1}")
     if replicas < 100:
         raise PreconditionError("at least 100 replicas required")
     require_null_divergence(w)

@@ -4,14 +4,18 @@ A stream is addressed by ``(seed, stream)``; accessing stream k never requires
 fast-forwarding through streams 0..k-1.  Every experiment draws from one
 stream per chunk of replicas, so the worker count never enters the
 addressing.  Sub-keyed generators hang off a stream without consuming state
-from it; no experiment uses them.
+from it; no experiment uses them.  Walks take their uniforms one at a time
+from `block_uniforms`, which draws them in blocks.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
+
+_UNIFORM_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -42,3 +46,11 @@ class RngStream:
         seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream, *key))
         return np.random.Generator(np.random.Philox(seq))
 
+
+def block_uniforms(gen: np.random.Generator):
+    """Endless iterator over `gen`'s uniforms, drawn in blocks of
+    `_UNIFORM_BLOCK`; successive walks may share one iterator.  The block
+    size does not change the sequence: on Philox, uniforms drawn over several
+    calls equal those of one call of the summed size."""
+    return itertools.chain.from_iterable(
+        iter(lambda: gen.random(_UNIFORM_BLOCK).tolist(), None))

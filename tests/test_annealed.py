@@ -10,7 +10,6 @@ from rwre import (
     RngStream,
     StoppingRule,
     Trajectory,
-    UrnState,
     WeightAssignment,
     annealed_log_path_probability,
     annealed_log_paths_batch,
@@ -21,8 +20,10 @@ from rwre import (
     format_path_literal,
     log_rising_factorial,
     parse_path_literal,
+    quenched_walk,
     reinforced_trace_frequency,
     reinforced_walk,
+    sample_environment,
     urn_path_probability,
 )
 from common import random_path
@@ -161,19 +162,19 @@ def test_exact_formula_at_large_weights(weights):
     assert logs[1] == pytest.approx(math.fsum(terms[:3]), rel=1e-12)
 
 
-def test_urn_state_bookkeeping():
+def test_urn_path_probability_bookkeeping():
+    # each step's urn probability is the ratio of the path's prefix products
     g, w = d1_torus3()
-    urn = UrnState(w, 0)
-    e01 = g.find_edge(0, 1)
-    assert urn.step_probability(e01) == pytest.approx(2 / 3, rel=1e-15)
-    urn.advance(e01)
-    e10 = g.find_edge(1, 0)
-    assert urn.step_probability(e10) == pytest.approx(1 / 3, rel=1e-15)
-    urn.advance(e10)
+    p = [urn_path_probability(w, Trajectory.from_vertices(g, [0, 1, 0, 1][:n]))
+         for n in range(1, 5)]
+    assert p[0] == 1.0
+    assert p[1] / p[0] == pytest.approx(2 / 3, rel=1e-15)
+    assert p[2] / p[1] == pytest.approx(1 / 3, rel=1e-15)
     # the 0 -> 1 edge was reinforced: (2 + 1) / (3 + 1)
-    assert urn.step_probability(e01) == pytest.approx(3 / 4, rel=1e-15)
+    assert p[3] / p[2] == pytest.approx(3 / 4, rel=1e-15)
+    # an edge that does not leave the current vertex
     with pytest.raises(ValueError):
-        urn.advance(g.find_edge(2, 0))
+        urn_path_probability(w, Trajectory([0, 1, 0], [g.find_edge(0, 1), g.find_edge(2, 0)]))
 
 
 def test_urn_path_probability_alternating():
@@ -187,6 +188,17 @@ def test_reinforced_walk_runs_to_cap():
     traj, report = reinforced_walk(w, 0, StoppingRule(max_steps=50), RngStream(22))
     assert len(traj) == 50 and report.truncated
     traj.check_consistent(g)
+
+
+@pytest.mark.parametrize("start", [-1, 3])
+def test_single_walks_reject_a_start_outside_the_graph(start):
+    g, w = d1_torus3()
+    env = sample_environment(g, w, RngStream(26))
+    rule = StoppingRule(max_steps=5)
+    with pytest.raises(PreconditionError, match="start vertex"):
+        reinforced_walk(w, start, rule, RngStream(27))
+    with pytest.raises(PreconditionError, match="start vertex"):
+        quenched_walk(env, start, rule, RngStream(27))
 
 
 def test_reinforced_walk_matches_trace_frequency():

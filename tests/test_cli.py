@@ -395,6 +395,15 @@ def test_reverse_check_needs_a_path_length(capsys):
     assert "k must be at least 1" in err
 
 
+@pytest.mark.parametrize("root", ["-1", "4", "7"])
+def test_reverse_check_root_out_of_range_exits_two(capsys, root):
+    code, out, err = run_cli(capsys, "reverse-check", "--alpha", "2,1,1,1", "--torus", "2,2",
+                             f"--root={root}", "--replicas", "200", "--k", "1")
+    assert code == 2
+    assert out == ""
+    assert f"error: root {root} out of range 0..3" in err
+
+
 def test_missing_graph_source(capsys):
     code, out, err = run_cli(capsys, "annealed-prob", "--path", "0,1")
     assert code == 2 and "need --graph-file" in err

@@ -173,6 +173,13 @@ def test_path_literals_exit_zero_or_two(text, origin):
     exit_status(["cycle-check", *TORUS, f"--path={text}", "--origin", str(origin)])
 
 
+@FUZZ
+@given(root=numbers)
+def test_reverse_check_roots_exit_zero_or_two(root):
+    exit_status(["reverse-check", "--alpha", "2,1,1,1", "--torus", "2,2", "--k", "1",
+                 "--replicas", "100", f"--root={root}"])
+
+
 @pytest.mark.parametrize("text", ["x", "e", "e-1", "e999", "9", "0,5", "+3", "-0"])
 def test_bad_path_literals_exit_two(text):
     assert exit_status(["annealed-prob", *TORUS, "--path", text]) == 2
