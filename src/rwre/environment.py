@@ -44,18 +44,6 @@ class Environment:
             raise PreconditionError(f"rows do not sum to 1 at vertices {bad.tolist()}")
 
 
-def cumulative_rows(g: DirectedGraph, probs: np.ndarray):
-    """(cumulative table, padded heads, degrees) for fast stepping.
-
-    `probs` holds one probability per edge on its last axis, with any leading
-    batch axes (one per environment); the table has shape
-    (*batch, n_vertices, max out-degree), zero-filled past each degree.
-    """
-    pad_eid, pad_head, deg = g.padded_out_tables()
-    live = np.arange(pad_eid.shape[1])[None, :] < deg[:, None]
-    return np.cumsum(np.where(live, probs[..., pad_eid], 0.0), axis=-1), pad_head, deg
-
-
 @dataclass
 class Trajectory:
     """Vertex sequence plus the edge ids of the steps taken."""
@@ -177,20 +165,24 @@ def quenched_walk(env: Environment, start: int, stop: StoppingRule, rng: RngStre
     """Sample the Markov chain of `env` from `start` until `stop` fires.
 
     A step takes the first out-edge whose cumulative probability exceeds
-    its uniform, or the last out-edge if none does.  Returns (trajectory,
+    its uniform, or the last out-edge if none does.  A vertex's cumulative
+    row is summed in out-edge order on its first visit, so a walk never
+    touches the rows of vertices it does not visit.  Returns (trajectory,
     report); hitting the step cap is reported as a truncation, not an error.
     """
-    cum, _, deg = cumulative_rows(env.graph, env.probabilities)
-    rows = [row[:d] for row, d in zip(cum.tolist(), deg.tolist())]
+    g, probs = env.graph, env.probabilities
+    rows = {}
 
     def choose(v, u):
-        row = rows[v]
+        row = rows.get(v)
+        if row is None:
+            row = rows[v] = list(itertools.accumulate(probs[g.out_edges(v)].tolist()))
         k, last = 0, len(row) - 1
         while k < last and u >= row[k]:
             k += 1
         return k
 
-    return walk_until_stopped(env.graph, start, stop, rng, choose)
+    return walk_until_stopped(g, start, stop, rng, choose)
 
 
 # -- environment dump format ---------------------------------------------

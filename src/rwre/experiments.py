@@ -8,12 +8,16 @@ probability of reaching abscissa L before ever backtracking below the start,
 whose large-L limit bounds the directional-transience probability from below.
 
 Finite-graph walks run vectorized across replicas in lockstep with an
-active-set that shrinks as walks get absorbed.  A lockstep step costs a
-fixed numpy call overhead however few walkers remain, and most lockstep
-steps of a cylinder chunk move only a few stragglers, so once the active set
-is small the remaining walkers finish in a plain Python loop.  That loop draws
-the same uniforms in the same walker order and picks the same edge from the
-same cumulative row, so records are byte-identical to an all-lockstep run.
+active-set that shrinks as walks get absorbed.  A chunk's environments are
+read as threshold columns, one flat array per out-slot but the last, holding
+each row's cumulative probability up to that slot (+inf past the vertex's
+last out-edge), so a lockstep step is a few one-dimensional gathers and
+compares over the active walkers.  A lockstep step still costs a fixed numpy
+call overhead however few walkers remain, and most lockstep steps of a
+cylinder chunk move only a few stragglers, so once the active set is small
+the remaining walkers finish in a plain Python loop.  That loop draws the
+same uniforms in the same walker order and picks the same edge from the same
+thresholds, so records are byte-identical to an all-lockstep run.
 
 Every lattice output is an annealed quantity, so lattice walks never sample
 an environment: they run as the oriented-edge linearly reinforced walk, whose
@@ -33,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .environment import cumulative_rows, sample_environment_batch
+from .environment import sample_environment_batch
 from .errors import PreconditionError
 from .graph import (
     CylinderSpec,
@@ -112,49 +116,96 @@ def expected_exit_probability(lattice: LatticeSpec) -> float:
     return 1.0 - lattice.beta(1) / lattice.alpha(1)
 
 
+def _threshold_columns(g: DirectedGraph, probs: np.ndarray) -> list:
+    """The D - 1 threshold columns of the environment rows `probs` (one row
+    per environment, one probability per edge), D the largest out-degree.
+
+    Column j is flat over (environment r, vertex v) at r * n_vertices + v and
+    holds the cumulative probability of v's out-slots 0..j, summed one slot
+    at a time in slot order (the adds `np.cumsum` makes), or +inf from slot
+    deg(v) - 1 on, so a uniform is never above it there.  Only vertices with
+    a slot left are summed, so a column that is +inf at most vertices (past
+    the degree of all but a few) costs little more than its fill.
+    """
+    pad_eid, _, deg = g.padded_out_tables()
+    size, n_vertices = probs.shape[0], g.n_vertices
+    verts = np.flatnonzero(deg > 1)  # the vertices whose slot j is not their last
+    cum = probs[:, pad_eid[verts, 0]]
+    columns = []
+    for j in range(pad_eid.shape[1] - 1):
+        if j:
+            keep = deg[verts] > j + 1
+            if not keep.all():
+                verts, cum = verts[keep], cum[:, keep]
+            cum = cum + probs[:, pad_eid[verts, j]]
+        if verts.size == n_vertices:
+            columns.append(cum.ravel())
+        else:
+            column = np.full((size, n_vertices), np.inf)
+            column[:, verts] = cum
+            columns.append(column.ravel())
+    return columns
+
+
 def _walk_until_absorbed(g: DirectedGraph, probs: np.ndarray, start: int,
                          absorbing: np.ndarray, gen: np.random.Generator, step_cap: int):
     """Walk one replica per environment row of `probs` from `start` until it
     steps onto a vertex where `absorbing` is True, or `step_cap` steps pass.
 
     Every step draws `gen.random(n)` for the n still-active walkers, in
-    walker order, and walker i follows the first edge whose cumulative
-    probability is at least its uniform (the last edge if none is; NaN rows
-    take edge 0).  While more than `_SCALAR_TAIL` walkers are active a step
-    is a handful of numpy calls over all of them; the stragglers left after
-    that finish in a plain Python loop, which draws the same uniforms and
-    picks the same edges, so the phase split never changes a result or the
-    generator's final state.  The step cap counts across both phases.
+    walker order, and a walker at vertex v takes out-slot k, the number of
+    v's threshold columns (`_threshold_columns`) that its uniform exceeds:
+    the first out-edge whose cumulative probability is at least the uniform,
+    the last out-edge if none is, edge 0 on a NaN row.  While more than
+    `_SCALAR_TAIL` walkers are active a step is a few one-dimensional numpy
+    passes over the active walkers' vertices and row offsets; the stragglers
+    left after that finish in a plain Python loop over the same thresholds,
+    which draws the same uniforms and picks the same edges, so the phase
+    split never changes a result or the generator's final state.  The step
+    cap counts across both phases.
 
     Returns each walker's final vertex, the vertex it left on its absorbing
     step (-1 where it never got absorbed), and the indices of the walkers
     the step cap stopped.
     """
-    cum, pad_head, deg = cumulative_rows(g, probs)
-    size = probs.shape[0]
+    _, pad_head, _ = g.padded_out_tables()
+    columns = _threshold_columns(g, probs)
+    size, n_vertices = probs.shape[0], g.n_vertices
+    slots = pad_head.shape[1]
+    heads = pad_head.ravel()
     pos = np.full(size, start, dtype=np.int64)
     left = np.full(size, -1, dtype=np.int64)
     active = np.arange(size)
+    offset = active * n_vertices
+    here = pos.copy()
     steps = 0
     while steps < step_cap and active.size > _SCALAR_TAIL:
         u = gen.random(active.size)
-        here = pos[active]
-        k = np.sum(u[:, None] > cum[active, here], axis=1)
-        nxt = pad_head[here, np.minimum(k, deg[here] - 1)]
-        pos[active] = nxt
-        done = absorbing[nxt]
+        cell = offset + here
+        k = here * slots  # plus the slot taken: an index into the padded heads
+        for column in columns:
+            k += u > column.take(cell)
+        nxt = heads.take(k)
+        done = absorbing.take(nxt)
         if done.any():
-            left[active[done]] = here[done]
-            active = active[~done]
+            gone = active[done]
+            pos[gone] = nxt[done]
+            left[gone] = here[done]
+            kept = ~done
+            active, offset, nxt = active[kept], offset[kept], nxt[kept]
+        here = nxt
         steps += 1
+    pos[active] = here
     if steps == step_cap or active.size == 0:
         return pos, left, active
 
+    # each straggler's rows: its thresholds at every vertex, closed by +inf
+    rows = [column.reshape(size, n_vertices)[active] for column in columns]
+    rows.append(np.full((active.size, n_vertices), np.inf))
+    rows = np.stack(rows, axis=-1).tolist()
     walkers = active.tolist()
-    rows = cum[active].tolist()
-    here = pos[active].tolist()
+    here = here.tolist()
     heads = pad_head.tolist()
-    last = (deg - 1).tolist()
     stops = absorbing.tolist()
     for _ in range(step_cap - steps):
         if not walkers:
@@ -163,8 +214,8 @@ def _walk_until_absorbed(g: DirectedGraph, probs: np.ndarray, start: int,
         for j, u in enumerate(gen.random(len(walkers)).tolist()):
             v = here[j]
             row = rows[j][v]
-            k, kmax = 0, last[v]
-            while k < kmax and u > row[k]:
+            k = 0
+            while u > row[k]:
                 k += 1
             nxt = heads[v][k]
             if stops[nxt]:

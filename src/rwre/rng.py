@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_FIRST_BLOCK = 64
 _UNIFORM_BLOCK = 1024
 
 
@@ -48,9 +49,16 @@ class RngStream:
 
 
 def block_uniforms(gen: np.random.Generator):
-    """Endless iterator over `gen`'s uniforms, drawn in blocks of
-    `_UNIFORM_BLOCK`; successive walks may share one iterator.  The block
-    size does not change the sequence: on Philox, uniforms drawn over several
-    calls equal those of one call of the summed size."""
-    return itertools.chain.from_iterable(
-        iter(lambda: gen.random(_UNIFORM_BLOCK).tolist(), None))
+    """Endless iterator over `gen`'s uniforms, drawn in blocks that start at
+    `_FIRST_BLOCK` and double up to `_UNIFORM_BLOCK`, so a walk of a few steps
+    draws few; successive walks may share one iterator.  The block sizes do
+    not change the sequence: on Philox, uniforms drawn over several calls
+    equal those of one call of the summed size."""
+
+    def blocks():
+        size = _FIRST_BLOCK
+        while True:
+            yield gen.random(size).tolist()
+            size = min(2 * size, _UNIFORM_BLOCK)
+
+    return itertools.chain.from_iterable(blocks())

@@ -28,7 +28,6 @@ from rwre import (
     trap_condition,
     velocity_probe,
 )
-from rwre.environment import cumulative_rows
 from rwre.experiments import _SCALAR_TAIL, _UrnWalk, _walk_until_absorbed
 from rwre.parallel import chunk_sizes
 from rwre.rng import block_uniforms
@@ -101,7 +100,11 @@ def _lockstep_reference(g, probs, start, absorbing, gen, step_cap):
     """Every step in numpy lockstep, however few walkers remain: the kernel
     that the two-phase `_walk_until_absorbed` must reproduce bit for bit.
     Also returns (active walkers, walkers absorbed) per step."""
-    cum, pad_head, deg = cumulative_rows(g, probs)
+    # cumulative rows padded to the largest degree, zero-filled past each
+    # degree, with picks clamped to the last real out-edge
+    pad_eid, pad_head, deg = g.padded_out_tables()
+    live = np.arange(pad_eid.shape[1]) < deg[:, None]
+    cum = np.cumsum(np.where(live, probs[:, pad_eid], 0.0), axis=-1)
     size = probs.shape[0]
     pos = np.full(size, start, dtype=np.int64)
     left = np.full(size, -1, dtype=np.int64)
@@ -130,9 +133,12 @@ def _lockstep_reference(g, probs, start, absorbing, gen, step_cap):
     ((2.0, 1.0, 1.0, 1.0), 4, 5, 3000, 100_000, 1, "all absorbed"),
     # fewer walkers than the switch size: scalar from the first step, NaN rows
     ((0.002, 0.001, 0.001, 0.001), 2, 4, 40, 200, 2, "nan rows"),
+    # d = 3: the outside vertex has degree 16 and every other vertex 6, so
+    # threshold slots 5 to 14 are +inf everywhere but at the outside vertex
+    ((2.0, 1.0, 1.0, 1.0, 1.0, 1.0), 4, 2, 3000, 100_000, 3, "mixed degrees"),
 ])
 def test_walk_kernel_matches_pure_lockstep(weights, N, L, replicas, cap, seed, case):
-    cg = build_cylinder_graph(CylinderSpec(N=N, L=L, lattice=lat_2d(*weights)))
+    cg = build_cylinder_graph(CylinderSpec(N=N, L=L, lattice=LatticeSpec(weights)))
     absorbing = np.zeros(cg.graph.n_vertices, dtype=bool)
     absorbing[cg.outside] = True
     with np.errstate(invalid="ignore"):
@@ -153,8 +159,11 @@ def test_walk_kernel_matches_pure_lockstep(weights, N, L, replicas, cap, seed, c
         assert 0 < capped.size <= _SCALAR_TAIL and len(trace) == cap
     elif case == "all absorbed":
         assert capped.size == 0
-    else:
+    elif case == "nan rows":
         assert np.isnan(probs).any()
+    else:
+        assert capped.size == 0
+        assert sorted(set(cg.graph.out_degrees.tolist())) == [6, 16]
 
 
 def test_origin_exit_lower_bound():

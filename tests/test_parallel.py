@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from rwre import RngStream
 from rwre.parallel import CHUNK_REPLICAS, Moments, chunk_sizes, run_chunked
+from rwre.rng import block_uniforms
 
 
 def test_stream_reproducible_and_restartable():
@@ -28,6 +31,13 @@ def test_stream_validation():
         RngStream(-1)
     with pytest.raises(ValueError):
         RngStream(1, -2)
+
+
+def test_block_uniforms_equal_one_draw():
+    # blocks of 64, 128, ..., 1024, 1024, ... give the uniforms of one call
+    uniforms = block_uniforms(RngStream(9).generator())
+    drawn = list(itertools.islice(uniforms, 5000))
+    assert drawn == RngStream(9).generator().random(5000).tolist()
 
 
 def test_keyed_generator_independent_of_access_order():
