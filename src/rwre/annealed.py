@@ -90,14 +90,21 @@ def annealed_log_paths_batch(w: WeightAssignment, edge_index_matrix: np.ndarray)
     return _log_paths(w, path, edge_index_matrix[path, col], edge_index_matrix.shape[0])
 
 
-def _urn_rows(w: WeightAssignment) -> list:
-    """Per vertex, the urn row of the lattice walk (`experiments._UrnWalk`):
-    the weights of its out-edges in `out_edge_lists` order, then
-    `w.vertex_sums()[v]`.  Crossing the row's j-th edge adds 1.0 to row[j]
-    and to row[-1], so row[j] / row[-1] is the urn's step probability."""
-    values = w.values.tolist()
-    return [[values[e] for e in eids] + [total]
-            for eids, total in zip(w.graph.out_edge_lists(), w.vertex_sums().tolist())]
+class _UrnRows(dict):
+    """Per vertex v, the urn row of the lattice walk (`experiments._UrnWalk`),
+    built on the first lookup of v: the weights of v's out-edges in
+    `out_edge_lists` order, then `w.vertex_sums()[v]`.  Crossing the row's
+    j-th edge adds 1.0 to row[j] and to row[-1], so row[j] / row[-1] is the
+    urn's step probability."""
+
+    def __init__(self, w: WeightAssignment):
+        super().__init__()
+        self.w = w
+
+    def __missing__(self, v):
+        w = self.w
+        row = self[v] = w.values[w.graph.out_edges(v)].tolist() + [float(w.vertex_sums()[v])]
+        return row
 
 
 def _urn_along(w: WeightAssignment, traj: Trajectory):
@@ -106,7 +113,7 @@ def _urn_along(w: WeightAssignment, traj: Trajectory):
     the caller asks for the next one.  Raises ValueError unless `traj`
     follows its edges."""
     traj.check_consistent(w.graph)
-    rows = _urn_rows(w)
+    rows = _UrnRows(w)
     out = w.graph.out_edge_lists()
     for v, eid in zip(traj.vertices, traj.edges):
         row = rows[v]
@@ -133,7 +140,7 @@ def reinforced_walk(w: WeightAssignment, start: int, stop: StoppingRule, rng: Rn
     slot k whose weight exceeds what is left of t after subtracting the
     weights before it (the last slot if none does).
     """
-    rows = _urn_rows(w)
+    rows = _UrnRows(w)
 
     def choose(v, u):
         row = rows[v]

@@ -11,6 +11,15 @@ byte-identical.
 The weight vector --alpha is ordered (alpha_1, beta_1, alpha_2, beta_2, ...):
 alpha_i weighs the +e_i step and beta_i the -e_i step.  Transposing a pair
 silently flips the transience direction, so keep the order straight.
+`LatticeSpec` rejects weights that are not positive and finite.
+
+The record subcommands (cylinder-delta, cylinder-exit, transience, velocity,
+ruin) share one handler, which calls the subcommand's entry of
+RECORD_EXPERIMENTS.  `grid` runs each sweep point through the same entry, so
+grid row i is the record that the experiment's own subcommand writes for
+that point's N and L at seed (seed XOR i).  Comma lists of integers (--L of
+transience and grid, grid --N, --horizons, --torus) are parsed once, by
+argparse.
 
 Exit status: 0 on success, 2 on precondition or usage errors (including
 malformed inputs and files that cannot be read or written), 1 on internal
@@ -68,21 +77,16 @@ def _parse_weights(text: str) -> LatticeSpec:
         values = [float(t) for t in text.split(",") if t.strip()]
     except ValueError:
         raise PreconditionError(f"malformed weight vector {text!r}")
-    if not values or len(values) % 2 != 0 or not all(0 < v < math.inf for v in values):
-        raise PreconditionError(
-            "weight vector must be 2d positive finite comma-separated reals "
-            "(alpha_1,beta_1,...,alpha_d,beta_d)"
-        )
     return LatticeSpec(tuple(values))
 
 
-def _parse_int_list(text: str) -> list:
-    if text is None:
-        return []
+def _int_list(text: str) -> list:
+    """argparse type for a comma list of integers (empty items skipped); a
+    malformed list is a usage error (exit 2)."""
     try:
         return [int(t) for t in text.split(",") if t.strip()]
     except ValueError:
-        raise PreconditionError(f"malformed integer list {text!r}")
+        raise argparse.ArgumentTypeError(f"malformed integer list {text!r}")
 
 
 def _int_at_least(minimum: int):
@@ -123,32 +127,22 @@ def _lattice(args) -> LatticeSpec:
 
 
 def _load_graph(args, allow_cylinder: bool = False):
-    """Graph plus weights from --graph-file, --torus, or cylinder flags."""
+    """Graph, weights and their record params from --graph-file, --torus, or
+    cylinder flags."""
     if getattr(args, "graph_file", None):
         try:
             with open(args.graph_file) as fh:
-                return read_graph(fh)
+                return (*read_graph(fh), {"graph_file": args.graph_file})
         except UnicodeDecodeError as exc:
             raise GraphFormatError(f"{args.graph_file} is not UTF-8 text: {exc.reason}") from None
     if getattr(args, "torus", None):
         lat = _lattice(args)
-        return build_torus(lat, _parse_int_list(args.torus))
+        return (*build_torus(lat, args.torus), {"alpha": list(lat.weights), "torus": args.torus})
     if allow_cylinder and getattr(args, "alpha", None):
         lat = _lattice(args)
         cg = build_cylinder_graph(CylinderSpec(args.N, args.L, lat))
-        return cg.graph, cg.weights
+        return cg.graph, cg.weights, {"alpha": list(lat.weights)}
     raise PreconditionError("need --graph-file, or --alpha with --torus")
-
-
-def _graph_params(args) -> dict:
-    if getattr(args, "graph_file", None):
-        return {"graph_file": args.graph_file}
-    out = {}
-    if getattr(args, "alpha", None):
-        out["alpha"] = [float(t) for t in args.alpha.split(",") if t.strip()]
-    if getattr(args, "torus", None):
-        out["torus"] = _parse_int_list(args.torus)
-    return out
 
 
 def _emit(text: str, args):
@@ -189,23 +183,11 @@ def _emit_results(results, args):
         _emit_json(records[0] if len(records) == 1 else records, args)
 
 
-def _timed(args, fn):
-    """Run fn; attach wall time to its result(s) only when --timing is set."""
-    t0 = time.perf_counter()
-    out = fn()
-    dt = time.perf_counter() - t0
-    if getattr(args, "timing", False):
-        results = out if isinstance(out, list) else [out]
-        for r in results:
-            r.wall_time_s = dt
-    return out
-
-
 # -- subcommand handlers ---------------------------------------------------
 
 
 def _cmd_sample_env(args) -> int:
-    g, w = _load_graph(args, allow_cylinder=True)
+    g, w, _ = _load_graph(args, allow_cylinder=True)
     seed = _resolve_seed(args)
     env = sample_environment(g, w, RngStream(seed))
     buf = io.StringIO()
@@ -216,13 +198,13 @@ def _cmd_sample_env(args) -> int:
 
 
 def _cmd_annealed_prob(args) -> int:
-    g, w = _load_graph(args)
+    g, w, params = _load_graph(args)
     traj = parse_path_literal(g, args.path, origin=args.origin)
     seed = _resolve_seed(args)
     exact = annealed_path_probability_exact(w, traj)
     record = {
         "experiment": "annealed-prob",
-        "params": {**_graph_params(args), "path": args.path},
+        "params": {**params, "path": args.path},
         "exact": exact,
         "estimate": None,
         "se": None,
@@ -251,12 +233,12 @@ def _cmd_annealed_prob(args) -> int:
 
 
 def _cmd_cycle_check(args) -> int:
-    g, w = _load_graph(args)
+    g, w, params = _load_graph(args)
     cycle = parse_path_literal(g, args.path, origin=args.origin)
     report = check_cycle_reversal(w, cycle)
     _emit_json({
         "experiment": "cycle-check",
-        "params": {**_graph_params(args), "path": args.path},
+        "params": {**params, "path": args.path},
         "forward": report.forward,
         "backward": report.backward,
         "rel_diff": report.rel_diff,
@@ -266,7 +248,7 @@ def _cmd_cycle_check(args) -> int:
 
 
 def _cmd_reverse_check(args) -> int:
-    g, w = _load_graph(args)
+    g, w, params = _load_graph(args)
     seed = _resolve_seed(args)
     t0 = time.perf_counter()
     report = verify_reversal_distribution(
@@ -276,7 +258,7 @@ def _cmd_reverse_check(args) -> int:
     if args.format == "json":
         _emit_json({
             "experiment": "reverse-check",
-            "params": {**_graph_params(args), "k": args.k, "root": args.root},
+            "params": {**params, "k": args.k, "root": args.root},
             "replicas": args.replicas,
             "seed": seed,
             "paths": [
@@ -296,37 +278,6 @@ def _cmd_reverse_check(args) -> int:
     return 0
 
 
-def _cmd_cylinder_delta(args) -> int:
-    lat = _lattice(args)
-    seed = _resolve_seed(args)
-    res = _timed(args, lambda: cylinder_delta_exit(
-        CylinderSpec(args.N, args.L, lat), args.replicas, RngStream(seed),
-        step_cap=args.steps, workers=args.workers))
-    _emit_results([res], args)
-    return 0
-
-
-def _cmd_cylinder_exit(args) -> int:
-    lat = _lattice(args)
-    seed = _resolve_seed(args)
-    res = _timed(args, lambda: cylinder_exit_from_origin(
-        CylinderSpec(args.N, args.L, lat), args.replicas, RngStream(seed),
-        step_cap=args.steps, workers=args.workers))
-    _emit_results([res], args)
-    return 0
-
-
-def _cmd_transience(args) -> int:
-    lat = _lattice(args)
-    levels = _parse_int_list(args.L)
-    seed = _resolve_seed(args)
-    results = _timed(args, lambda: lattice_transience(
-        lat, levels, args.replicas, args.steps, RngStream(seed),
-        workers=args.workers))
-    _emit_results(results, args)
-    return 0
-
-
 def _cmd_trap_check(args) -> int:
     lat = _lattice(args)
     check = trap_condition(lat, args.axis)
@@ -334,22 +285,34 @@ def _cmd_trap_check(args) -> int:
     return 0
 
 
-def _cmd_velocity(args) -> int:
+# subcommand -> the call of its experiment on (parsed flags, lattice, rng),
+# returning its results in output order
+RECORD_EXPERIMENTS = {
+    "cylinder-delta": lambda a, lat, rng: [cylinder_delta_exit(
+        CylinderSpec(a.N, a.L, lat), a.replicas, rng, step_cap=a.steps, workers=a.workers)],
+    "cylinder-exit": lambda a, lat, rng: [cylinder_exit_from_origin(
+        CylinderSpec(a.N, a.L, lat), a.replicas, rng, step_cap=a.steps, workers=a.workers)],
+    "transience": lambda a, lat, rng: lattice_transience(
+        lat, a.L, a.replicas, a.steps, rng, workers=a.workers),
+    "velocity": lambda a, lat, rng: velocity_probe(
+        lat, a.horizons, a.replicas, rng, workers=a.workers),
+    "ruin": lambda a, lat, rng: [ruin_exit_probability(
+        lat, a.L, a.replicas, rng, workers=a.workers)],
+}
+
+
+def _cmd_records(args) -> int:
+    """Run the subcommand's experiment; attach its wall time to the results
+    only when --timing is set."""
     lat = _lattice(args)
-    horizons = _parse_int_list(args.horizons)
-    seed = _resolve_seed(args)
-    results = _timed(args, lambda: velocity_probe(
-        lat, horizons, args.replicas, RngStream(seed), workers=args.workers))
+    rng = RngStream(_resolve_seed(args))
+    t0 = time.perf_counter()
+    results = RECORD_EXPERIMENTS[args.command](args, lat, rng)
+    if args.timing:
+        dt = time.perf_counter() - t0
+        for r in results:
+            r.wall_time_s = dt
     _emit_results(results, args)
-    return 0
-
-
-def _cmd_ruin(args) -> int:
-    lat = _lattice(args)
-    seed = _resolve_seed(args)
-    res = _timed(args, lambda: ruin_exit_probability(
-        lat, args.L, args.replicas, RngStream(seed), workers=args.workers))
-    _emit_results([res], args)
     return 0
 
 
@@ -359,34 +322,27 @@ GRID_EXPERIMENTS = ("cylinder-delta", "cylinder-exit", "transience")
 def run_grid(args) -> int:
     """Sweep N and L lists over one experiment, one CSV row per grid point.
 
-    Rows are ordered N-major then L; the point with index i runs with seed
-    (base seed XOR i), so points are independent but reproducible.  An empty
-    sweep list yields a header-only table.
+    Rows are ordered N-major then L; the point with index i is the record of
+    the experiment's own subcommand run with that N and L and seed (base seed
+    XOR i), so points are independent but reproducible.  Transience takes
+    no N and reads L as its one level.  An empty sweep list yields a
+    header-only table.
     """
     if args.experiment not in GRID_EXPERIMENTS:
         raise PreconditionError(
             f"grid supports {', '.join(GRID_EXPERIMENTS)}; got {args.experiment!r}"
         )
     lat = _lattice(args)
-    ns = _parse_int_list(args.N) if args.experiment != "transience" else [0]
-    ls = _parse_int_list(args.L)
-    points = [(n, l) for n in ns for l in ls]
+    transience = args.experiment == "transience"
+    points = [(n, l) for n in ([0] if transience else args.N) for l in args.L]
     if len(points) > GRID_GUARD:
         raise PreconditionError(f"grid has {len(points)} points, guard is {GRID_GUARD}")
     seed = _resolve_seed(args)
+    run = RECORD_EXPERIMENTS[args.experiment]
     records = []
     for i, (n, l) in enumerate(points):
-        rng = RngStream(seed ^ i)
-        if args.experiment == "cylinder-delta":
-            res = cylinder_delta_exit(CylinderSpec(n, l, lat), args.replicas, rng,
-                                      step_cap=args.steps, workers=args.workers)
-        elif args.experiment == "cylinder-exit":
-            res = cylinder_exit_from_origin(CylinderSpec(n, l, lat), args.replicas, rng,
-                                            step_cap=args.steps, workers=args.workers)
-        else:
-            res = lattice_transience(lat, [l], args.replicas, args.steps, rng,
-                                     workers=args.workers)[0]
-        records.append(res.to_record())
+        point = argparse.Namespace(**{**vars(args), "N": n, "L": [l] if transience else l})
+        records += [r.to_record() for r in run(point, lat, RngStream(seed ^ i))]
     _emit(_records_csv(records), args)
     return 0
 
@@ -414,7 +370,7 @@ def _add_graph_source(p):
     p.add_argument("--graph-file", default=None,
                    help="graph in the text format (vertices/edge lines)")
     _add_weights(p, help="weights alpha_1,beta_1,... for a lattice-derived graph")
-    p.add_argument("--torus", default=None,
+    p.add_argument("--torus", type=_int_list, default=None,
                    help="torus periods p_1,...,p_d to build from --alpha")
 
 
@@ -495,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_lattice(p)
     _add_run(p, replicas=100_000)
     _add_output(p, RECORD_FORMATS)
-    p.set_defaults(func=_cmd_cylinder_delta)
+    p.set_defaults(func=_cmd_records)
 
     p = sub.add_parser("cylinder-exit",
                        help="probability of exiting the plain cylinder to the right")
@@ -503,14 +459,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_lattice(p)
     _add_run(p, replicas=100_000)
     _add_output(p, RECORD_FORMATS)
-    p.set_defaults(func=_cmd_cylinder_exit)
+    p.set_defaults(func=_cmd_records)
 
     p = sub.add_parser("transience", help="lattice estimate of P(T_L < D) per level L")
     _add_weights(p)
-    p.add_argument("--L", default="10,30", help="comma list of levels (default 10,30)")
+    p.add_argument("--L", type=_int_list, default="10,30",
+                   help="comma list of levels (default 10,30)")
     _add_run(p, replicas=10_000)
     _add_output(p, RECORD_FORMATS)
-    p.set_defaults(func=_cmd_transience)
+    p.set_defaults(func=_cmd_records)
 
     p = sub.add_parser("trap-check", help="zero-speed trap inequality for one axis")
     _add_weights(p)
@@ -520,24 +477,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("velocity", help="mean abscissa over n at increasing horizons")
     _add_weights(p)
-    p.add_argument("--horizons", default="1000",
+    p.add_argument("--horizons", type=_int_list, default="1000",
                    help="comma list of horizons n (default 1000)")
     _add_run(p, replicas=1_000, steps=False)
     _add_output(p, RECORD_FORMATS)
-    p.set_defaults(func=_cmd_velocity)
+    p.set_defaults(func=_cmd_records)
 
     p = sub.add_parser("ruin", help="d=1 averaged gambler's-ruin oracle for cylinder-exit")
     _add_weights(p, help="weights alpha_1,beta_1 (d=1)")
     p.add_argument("--L", type=int, default=4, help="target abscissa (default 4)")
     _add_run(p, replicas=100_000, steps=False)
     _add_output(p, RECORD_FORMATS)
-    p.set_defaults(func=_cmd_ruin)
+    p.set_defaults(func=_cmd_records)
 
     p = sub.add_parser("grid", help="sweep N and L lists over one experiment into CSV")
     p.add_argument("experiment", help=f"one of {', '.join(GRID_EXPERIMENTS)}")
     _add_weights(p)
-    p.add_argument("--N", default="1", help="comma list of transverse periods (default 1)")
-    p.add_argument("--L", default="4", help="comma list of lengths/levels (default 4)")
+    p.add_argument("--N", type=_int_list, default="1",
+                   help="comma list of transverse periods (default 1)")
+    p.add_argument("--L", type=_int_list, default="4",
+                   help="comma list of lengths/levels (default 4)")
     _add_run(p, replicas=10_000, timing=False)
     _add_output(p, ("csv",))
     p.set_defaults(func=run_grid)

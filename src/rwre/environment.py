@@ -146,7 +146,7 @@ def walk_until_stopped(g: DirectedGraph, start: int, stop: StoppingRule, rng: Rn
     if not 0 <= v < g.n_vertices:
         raise PreconditionError(f"start vertex {v} out of range 0..{g.n_vertices - 1}")
     out = g.out_edge_lists()
-    heads = g.heads.tolist()
+    heads = g.head_list()
     vertices = [v]
     edge_ids = []
     reason = CAP

@@ -9,6 +9,7 @@ reversal is the identity on ids.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -58,6 +59,8 @@ class DirectedGraph:
         self.out_edge_ids = order.astype(np.int64)
         self._edge_lookup = None
         self._padded = None
+        self._out_lists = None
+        self._head_list = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -66,10 +69,20 @@ class DirectedGraph:
         return self.out_edge_ids[self.out_offsets[v]:self.out_offsets[v + 1]]
 
     def out_edge_lists(self) -> list:
-        """Per vertex, the list of `out_edges(v)` as Python ints."""
-        ids = self.out_edge_ids.tolist()
-        offsets = self.out_offsets.tolist()
-        return [ids[offsets[v]:offsets[v + 1]] for v in range(self.n_vertices)]
+        """Per vertex, the list of `out_edges(v)` as Python ints.  Built on
+        the first call and shared by later ones, so callers must not modify
+        it."""
+        if self._out_lists is None:
+            ids = self.out_edge_ids.tolist()
+            offsets = self.out_offsets.tolist()
+            self._out_lists = [ids[offsets[v]:offsets[v + 1]] for v in range(self.n_vertices)]
+        return self._out_lists
+
+    def head_list(self) -> list:
+        """`heads` as a list of Python ints, shared like `out_edge_lists`."""
+        if self._head_list is None:
+            self._head_list = self.heads.tolist()
+        return self._head_list
 
     def min_out_degree(self) -> int:
         return int(self.out_degrees.min())
@@ -137,15 +150,18 @@ class WeightAssignment:
             raise PreconditionError("edge weights must be positive and finite")
         self.values = values
         self.graph = graph
+        sums = np.zeros(graph.n_vertices)
         with np.errstate(over="ignore"):
-            if not np.all(np.isfinite(self.vertex_sums())):
-                raise PreconditionError("vertex weight sums overflow")
+            np.add.at(sums, graph.tails, values)
+        if not np.all(np.isfinite(sums)):
+            raise PreconditionError("vertex weight sums overflow")
+        sums.flags.writeable = False
+        self._vertex_sums = sums
 
     def vertex_sums(self) -> np.ndarray:
-        """Out-weight sum per vertex (accumulated in edge-id order)."""
-        sums = np.zeros(self.graph.n_vertices)
-        np.add.at(sums, self.graph.tails, self.values)
-        return sums
+        """Out-weight sum per vertex (accumulated in edge-id order), computed
+        once; the array is read-only."""
+        return self._vertex_sums
 
     def in_sums(self) -> np.ndarray:
         sums = np.zeros(self.graph.n_vertices)
@@ -164,10 +180,11 @@ class LatticeSpec:
 
     def __post_init__(self):
         w = tuple(float(x) for x in self.weights)
-        if len(w) == 0 or len(w) % 2 != 0:
-            raise PreconditionError("weight vector must have 2d positive entries")
-        if any(x <= 0 for x in w):
-            raise PreconditionError("weight vector entries must be positive")
+        if not w or len(w) % 2 != 0 or not all(0 < x < math.inf for x in w):
+            raise PreconditionError(
+                "weight vector must be 2d positive finite reals "
+                f"(alpha_1,beta_1,...,alpha_d,beta_d), got {w}"
+            )
         object.__setattr__(self, "weights", w)
 
     @property
@@ -210,13 +227,6 @@ class CylinderGraph:
     right_face: np.ndarray
 
 
-def _torus_vertex_id(coord, periods):
-    vid = 0
-    for c, p in zip(coord, periods):
-        vid = vid * p + (c % p)
-    return vid
-
-
 def build_torus(lattice: LatticeSpec, periods: Sequence[int]):
     """Translation-invariant torus with 2d out-edges per vertex.
 
@@ -229,42 +239,31 @@ def build_torus(lattice: LatticeSpec, periods: Sequence[int]):
         raise PreconditionError(f"need {d} periods for a {d}-dimensional torus")
     if any(p < 1 for p in periods):
         raise PreconditionError("periods must be >= 1")
-
-    n = int(np.prod(periods))
-    coords = [tuple(np.unravel_index(v, periods)) if d > 1 else (v,) for v in range(n)]
-    edges = []
-    weights = []
-    directions = []
-    for v in range(n):
-        c = coords[v]
-        for axis in range(1, d + 1):
-            for sign, w in ((+1, lattice.alpha(axis)), (-1, lattice.beta(axis))):
-                nb = list(c)
-                nb[axis - 1] = (nb[axis - 1] + sign) % periods[axis - 1]
-                edges.append((v, _torus_vertex_id(nb, periods)))
-                weights.append(w)
-                directions.append((axis, sign))
-    g = DirectedGraph(n, edges, coords=coords, directions=directions)
-    return g, WeightAssignment(weights, g)
+    coords, wiring = _transverse_torus(lattice, periods, 1)
+    edges = [(v, nb) for v, out in enumerate(wiring) for nb, _, _ in out]
+    g = DirectedGraph(len(coords), edges, coords=coords,
+                      directions=[direction for out in wiring for _, _, direction in out])
+    return g, WeightAssignment([w for out in wiring for _, w, _ in out], g)
 
 
-def _transverse_torus(lattice: LatticeSpec, N: int):
-    """Coordinates of the transverse torus (Z_N)^(d-1) and, per coordinate
-    index, its out-edges along axes 2..d as (neighbour index, weight,
-    (axis, sign)), in the edge order of both cylinder builders."""
-    d = lattice.dimension
-    if d == 1:
-        return [()], [[]]
-    shape = (N,) * (d - 1)
-    trans = [tuple(np.unravel_index(i, shape)) if d > 2 else (i,) for i in range(N ** (d - 1))]
+def _transverse_torus(lattice: LatticeSpec, periods: list, first_axis: int):
+    """Coordinates of the torus with `periods` along axes first_axis,
+    first_axis + 1, ..., in row-major order, and, per coordinate index, its
+    out-edges along those axes as (neighbour index, weight, (axis, sign)):
+    +e_axis then -e_axis, axis by axis.  This is the edge order of the torus
+    and, from axis 2 on, of both cylinder builders.  No periods give the
+    one-point torus."""
+    trans = [tuple(np.unravel_index(i, periods)) if len(periods) != 1 else (i,)
+             for i in range(math.prod(periods))]
     index = {t: i for i, t in enumerate(trans)}
     wiring = []
     for t in trans:
         out = []
-        for axis in range(2, d + 1):
+        for k, p in enumerate(periods):
+            axis = first_axis + k
             for sign, w in ((+1, lattice.alpha(axis)), (-1, lattice.beta(axis))):
                 nb = list(t)
-                nb[axis - 2] = (nb[axis - 2] + sign) % N
+                nb[k] = (nb[k] + sign) % p
                 out.append((index[tuple(nb)], w, (axis, sign)))
         wiring.append(out)
     return trans, wiring
@@ -291,7 +290,7 @@ def build_cylinder_graph(spec: CylinderSpec) -> CylinderGraph:
     N = spec.N if d > 1 else 1
     L = spec.L
 
-    trans, wiring = _transverse_torus(lat, N)
+    trans, wiring = _transverse_torus(lat, [N] * (d - 1), 2)
     n_trans = len(trans)
     n_cyl = (L + 1) * n_trans
     outside = n_cyl
@@ -362,7 +361,7 @@ def build_cylinder_band(lattice: LatticeSpec, N: int, L: int) -> BandGraph:
     if d == 1 and N != 1:
         warnings.warn("d=1 band has a trivial transverse torus; N ignored", stacklevel=2)
     N = N if d > 1 else 1
-    trans, wiring = _transverse_torus(lattice, N)
+    trans, wiring = _transverse_torus(lattice, [N] * (d - 1), 2)
     n_trans = len(trans)
     n = (L + 2) * n_trans
 

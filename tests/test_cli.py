@@ -6,6 +6,7 @@ import pytest
 
 from rwre import (
     DirectedGraph,
+    PreconditionError,
     WeightAssignment,
     build_torus,
     LatticeSpec,
@@ -52,6 +53,20 @@ def test_malformed_alpha_rejected(capsys):
     assert code == 2
     code, out, err = run_cli(capsys, "trap-check", "--alpha", "2,-1")
     assert code == 2
+
+
+@pytest.mark.parametrize("weights", [
+    (float("nan"), 1.0, 1.0, 1.0),
+    (2.0, float("inf")),
+    (2.0, 1.0, -float("inf"), 1.0),
+    (2.0, 0.0),
+    (2.0, 1.0, 1.0),
+])
+def test_non_positive_non_finite_or_odd_weights_rejected(capsys, weights):
+    with pytest.raises(PreconditionError):
+        LatticeSpec(weights)
+    code, out, err = run_cli(capsys, "trap-check", "--alpha", ",".join(map(repr, weights)))
+    assert code == 2 and out == "" and "error:" in err
 
 
 def test_dimension_check(capsys):
@@ -245,6 +260,42 @@ def test_grid_rows_and_per_point_seeds(capsys):
     params = [json.loads(r[1]) for r in rows[1:]]
     assert [(p["N"], p["L"]) for p in params] == [(1, 1), (1, 2), (2, 1), (2, 2)]
     assert [int(r[7]) for r in rows[1:]] == [9 ^ 0, 9 ^ 1, 9 ^ 2, 9 ^ 3]
+
+
+@pytest.mark.parametrize("experiment,sweep", [
+    ("cylinder-delta", ["--N", "1,2", "--L", "1,3"]),
+    ("cylinder-exit", ["--N", "2,1", "--L", "2,1"]),
+    ("transience", ["--L", "3,1,2"]),
+])
+def test_grid_row_is_the_subcommands_record(capsys, experiment, sweep):
+    flags = ["--alpha", "2,1,1,1", "--replicas", "300", "--steps", "2000"]
+    code, out, err = run_cli(capsys, "grid", experiment, *sweep, *flags, "--seed", "41")
+    assert code == 0
+    header, *rows = out.splitlines()
+    ns = sweep[1].split(",") if experiment != "transience" else [None]
+    points = [(n, l) for n in ns for l in sweep[-1].split(",")]
+    assert len(rows) == len(points) > 1
+    for i, (n, l) in enumerate(points):
+        size = ["--L", l] if n is None else ["--N", n, "--L", l]
+        code, out, err = run_cli(capsys, experiment, *size, *flags,
+                                 "--seed", str(41 ^ i), "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == [header, rows[i]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["transience", "--alpha", "2,1", "--L", "3,x"],
+    ["velocity", "--alpha", "2,1", "--horizons", "1.5"],
+    ["grid", "cylinder-delta", "--alpha", "2,1", "--N", "1;2"],
+    ["grid", "transience", "--alpha", "2,1", "--L", "4,four"],
+    ["sample-env", "--alpha", "2,1", "--torus", "3,y"],
+    ["annealed-prob", "--alpha", "2,1", "--torus", "3.0", "--path", "0,1"],
+])
+def test_malformed_integer_list_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "malformed integer list" in capsys.readouterr().err
 
 
 def test_grid_empty_sweep_header_only(capsys):

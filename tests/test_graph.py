@@ -184,6 +184,23 @@ def test_weights_must_be_positive():
         WeightAssignment([1.0, 0.0], g)
 
 
+def test_vertex_sums_are_computed_once_and_read_only():
+    g, w = build_torus(LatticeSpec((2.0, 1.0, 0.7, 0.3)), [3, 2])
+    sums = w.vertex_sums()
+    assert sums is w.vertex_sums()
+    assert sums.tolist() == [2.0 + 1.0 + 0.7 + 0.3] * g.n_vertices
+    with pytest.raises(ValueError):
+        sums[0] = 1.0
+
+
+def test_python_adjacency_is_built_once():
+    g, _ = build_torus(LatticeSpec((2.0, 1.0)), [3])
+    assert g.out_edge_lists() is g.out_edge_lists()
+    assert g.out_edge_lists() == [g.out_edges(v).tolist() for v in range(g.n_vertices)]
+    assert g.head_list() is g.head_list()
+    assert g.head_list() == g.heads.tolist()
+
+
 def test_out_degree_zero_rejected():
     g = DirectedGraph(2, [(0, 1)])
     with pytest.raises(ValueError):
@@ -251,9 +268,13 @@ def _build_digest(kind, d, N, L):
             band = build_cylinder_band(lat, N, L)
             g, w = band.graph, band.weights
             ends = (band.origin, band.left_absorbing.tolist(), band.right_absorbing.tolist())
+    return _graph_digest(g, w, ends)
+
+
+def _graph_digest(g, w, *ends):
     coords = [None if c is None else tuple(int(x) for x in c) for c in g.coords]
     blob = repr((g.n_vertices, g.tails.tolist(), g.heads.tolist(), w.values.tolist(),
-                 list(g.directions), coords, ends))
+                 list(g.directions), coords, *ends))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -261,6 +282,25 @@ def _build_digest(kind, d, N, L):
                          ids=lambda case: "-".join(map(str, case)))
 def test_cylinder_builds_keep_their_edge_order(case):
     assert _build_digest(*case) == _BUILD_DIGESTS[case]
+
+
+# the same digest, without ends, of tori with the weights above per dimension
+_TORUS_DIGESTS = {
+    (1,): "ce9c3bb3a47b33478c283630a9ac05d66f629e8329383908af63245621da2515",
+    (5,): "f6cd38d9ca0dc4fc0a6172861e02a734657a5456948f700ef9f896c5aa64fd0d",
+    (2, 3): "c57446c6551da679f711352349b81e5461d78b495de76746af4a303ecbf46336",
+    (3, 1): "3ae29e7674f3078285beedecce53522bff1d5b87baeffb978488dfe76fdbfd1e",
+    (3, 2, 5): "ae3b833b4464019aacc0eabacffcd506f48ad09bb49efb7aa6650b94dfaf0f31",
+    (2, 2, 1): "d54eb563c98c644e37c517c6ac26be783c0a92e42edca518ab80c3fad2c8198b",
+}
+
+
+@pytest.mark.parametrize("periods", sorted(_TORUS_DIGESTS),
+                         ids=lambda periods: "x".join(map(str, periods)))
+def test_torus_builds_keep_their_edge_order(periods):
+    lat = LatticeSpec({1: (2.0, 1.0), 2: (2.0, 1.0, 0.7, 0.3),
+                       3: (3.0, 1.5, 0.7, 0.3, 1.1, 0.9)}[len(periods)])
+    assert _graph_digest(*build_torus(lat, periods)) == _TORUS_DIGESTS[periods]
 
 
 def test_graph_text_round_trip():
