@@ -146,6 +146,25 @@ def test_sample_rows_draws_only_the_listed_rows(name, g, w):
     assert probs.tobytes() == ref.tobytes()
 
 
+def test_sample_rows_regroups_interleaved_tails():
+    # edge ids interleave tails, so sample_rows must gather each vertex's
+    # out-edges together before it sums them; vertex 0 has 10 out-edges
+    g = DirectedGraph(4, [(0, 1), (1, 2), (0, 2), (2, 3), (0, 3), (1, 0), (0, 0), (3, 0),
+                          (0, 1), (2, 0), (0, 2), (0, 3), (1, 3), (0, 0), (0, 1), (3, 2),
+                          (0, 2)])
+    w = WeightAssignment(np.linspace(0.3, 2.5, g.n_edges), g)
+    for vertices in ([0, 1, 2, 3], [0, 2], [3, 1], [2]):
+        eids, probs = sample_rows(g, w, RngStream(17).generator(), 500, vertices)
+        assert eids.tolist() == np.flatnonzero(np.isin(g.tails, vertices)).tolist()
+        gammas = RngStream(17).generator().standard_gamma(w.values[eids], size=(500, eids.size))
+        ref = np.empty_like(gammas)
+        for v in vertices:
+            cols = np.flatnonzero(g.tails[eids] == v)  # v's out-edges, ascending ids
+            ref[:, cols] = gammas[:, cols] / np.add.reduceat(gammas[:, cols], [0], axis=1)
+        assert probs.tobytes() == ref.tobytes()
+        assert probs.flags.c_contiguous
+
+
 def test_path_probability_examples():
     # p(a,b) = 0.3 with a self-loop carrying 0.7; b returns deterministically
     g = DirectedGraph(2, [(0, 1), (0, 0), (1, 0)])

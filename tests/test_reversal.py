@@ -398,3 +398,36 @@ def test_reversal_prefix_products_match_the_full_gather(shape, k):
     mc, se = _gathered_reversal_moments(g, w, k, 9000, RngStream(53))
     assert rep.mc.tobytes() == mc.tobytes()
     assert rep.se.tobytes() == se.tobytes()
+
+
+def _unblocked_reversal_moments(g, w, k, replicas, rng):
+    """Mean and SE per path built whole: each chunk's (replica, path)
+    products in one Fortran-ordered matrix, filled one path at a time from
+    its parent's column, and reduced by the two-pass formula."""
+    paths = enumerate_paths(reverse_graph(g), 0, k)
+    position = {p: i for i, p in enumerate(paths)}
+    parents = [position.get(p[:-1], -1) for p in paths]
+
+    def run_chunk(gen, size):
+        probs = sample_environment_batch(g, w, gen, size)
+        rev = _reversed_probabilities(g, probs, stationary_batch(probs, g))
+        vals = np.empty((size, len(paths)), order="F")
+        for i, (p, parent) in enumerate(zip(paths, parents)):
+            vals[:, i] = rev[:, p[-1]] if parent < 0 else vals[:, parent] * rev[:, p[-1]]
+        total = vals.sum(axis=0)
+        return Moments(size, total, np.square(vals - total / size).sum(axis=0))
+
+    vals = sum(run_chunked(run_chunk, replicas, rng), Moments())
+    return vals.mean, vals.standard_error
+
+
+@pytest.mark.parametrize("replicas", [1000, 8192 + 17])
+def test_blocked_reversal_products_match_the_unblocked_build(replicas):
+    # products are built in blocks of replicas and reduced in blocks of
+    # columns; 1000 replicas, the 17 of a second chunk and 340 paths each
+    # end on a partial block
+    g, w = build_torus(LatticeSpec((2.0, 1.0, 1.0, 1.0)), [2, 2])
+    rep = verify_reversal_distribution(g, w, 4, replicas, RngStream(59))
+    mc, se = _unblocked_reversal_moments(g, w, 4, replicas, RngStream(59))
+    assert rep.mc.tobytes() == mc.tobytes()
+    assert rep.se.tobytes() == se.tobytes()
