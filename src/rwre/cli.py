@@ -17,9 +17,10 @@ The record subcommands (cylinder-delta, cylinder-exit, transience, velocity,
 ruin) share one handler, which calls the subcommand's entry of
 RECORD_EXPERIMENTS.  `grid` runs each sweep point through the same entry, so
 grid row i is the record that the experiment's own subcommand writes for
-that point's N and L at seed (seed XOR i).  Comma lists of integers (--L of
-transience and grid, grid --N, --horizons, --torus) are parsed once, by
-argparse.
+that point's N and L at seed (seed XOR i).  Both print one warning to
+stderr when the step cap stops more than TRUNCATION_WARN_FRAC of a record's
+replicas.  Comma lists of integers (--L of transience and grid, grid --N,
+--horizons, --torus) are parsed once, by argparse.
 
 Exit status: 0 on success, 2 on precondition or usage errors (including
 malformed inputs and files that cannot be read or written), 1 on internal
@@ -65,6 +66,9 @@ from .rng import RngStream
 
 DEFAULT_SEED = 12345
 GRID_GUARD = 10_000
+# Share of a record's replicas that may be truncated or undecided before the
+# record handlers warn on stderr: the bound acceptance 08 holds walks to.
+TRUNCATION_WARN_FRAC = 0.02
 
 RECORD_COLUMNS = [
     "experiment", "params", "estimate", "se", "replicas",
@@ -181,6 +185,23 @@ def _emit_results(results, args):
         _emit(_records_csv(records), args)
     else:
         _emit_json(records[0] if len(records) == 1 else records, args)
+
+
+def _warn_truncation(results):
+    """Print one warning to stderr when a result's truncated or undecided
+    count is above TRUNCATION_WARN_FRAC of its replicas.  Capped walks are
+    left out of an estimate or counted as failures, and which walks the cap
+    stops depends on where they went, so past that share they bias it.
+    Stdout is not touched."""
+    over = [r for r in results
+            if max(r.truncated, r.undecided) > TRUNCATION_WARN_FRAC * r.replicas]
+    if not over:
+        return
+    worst = max(over, key=lambda r: max(r.truncated, r.undecided) / r.replicas)
+    which = f" (worst of {len(over)} records)" if len(results) > 1 else ""
+    print(f"warning: {worst.truncated} of {worst.replicas} replicas hit the step cap "
+          f"--steps {worst.params['steps']} and {worst.undecided} are undecided{which}; "
+          f"the estimate may be biased, raise --steps", file=sys.stderr)
 
 
 # -- subcommand handlers ---------------------------------------------------
@@ -313,6 +334,7 @@ def _cmd_records(args) -> int:
         for r in results:
             r.wall_time_s = dt
     _emit_results(results, args)
+    _warn_truncation(results)
     return 0
 
 
@@ -339,11 +361,12 @@ def run_grid(args) -> int:
         raise PreconditionError(f"grid has {len(points)} points, guard is {GRID_GUARD}")
     seed = _resolve_seed(args)
     run = RECORD_EXPERIMENTS[args.experiment]
-    records = []
+    results = []
     for i, (n, l) in enumerate(points):
         point = argparse.Namespace(**{**vars(args), "N": n, "L": [l] if transience else l})
-        records += [r.to_record() for r in run(point, lat, RngStream(seed ^ i))]
-    _emit(_records_csv(records), args)
+        results += run(point, lat, RngStream(seed ^ i))
+    _emit(_records_csv([r.to_record() for r in results]), args)
+    _warn_truncation(results)
     return 0
 
 

@@ -105,6 +105,14 @@ def sample_rows(g: DirectedGraph, w: WeightAssignment, gen: np.random.Generator,
     drawn per environment and listed edge, in that order, and divided by the
     sum over its tail's out-edges, summed in `out_edge_ids` order (0/0 gives
     a NaN row).
+
+    The matrix is C-ordered: the draws are divided in place, and every
+    gather runs along the last axis with `take`, whose output is C-ordered
+    too (fancy indexing on that axis gives Fortran-ordered temporaries,
+    which the reduction and the divide walk several times slower).  When
+    the listed edges already come grouped by tail, as on every graph the
+    builders make, the draws are summed where they are, without a regrouped
+    copy.
     """
     listed = np.zeros(g.n_vertices, dtype=bool)
     listed[vertices] = True
@@ -115,8 +123,12 @@ def sample_rows(g: DirectedGraph, w: WeightAssignment, gen: np.random.Generator,
     deg = g.out_degrees[listed]
     starts = np.cumsum(deg) - deg
     gammas = gen.standard_gamma(w.values[eids], size=(count, eids.size))
-    sums = np.add.reduceat(gammas[..., grouped], starts, axis=-1)
-    return eids, gammas / sums[..., row[g.tails[eids]]]
+    if np.any(grouped != np.arange(grouped.size)):
+        sums = np.add.reduceat(gammas.take(grouped, axis=-1), starts, axis=-1)
+    else:
+        sums = np.add.reduceat(gammas, starts, axis=-1)
+    np.divide(gammas, sums.take(row[g.tails[eids]], axis=-1), out=gammas)
+    return eids, gammas
 
 
 def log_path_probability(env: Environment, traj: Trajectory) -> float:

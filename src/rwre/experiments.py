@@ -125,19 +125,21 @@ def _threshold_columns(g: DirectedGraph, probs: np.ndarray) -> list:
     at a time in slot order (the adds `np.cumsum` makes), or +inf from slot
     deg(v) - 1 on, so a uniform is never above it there.  Only vertices with
     a slot left are summed, so a column that is +inf at most vertices (past
-    the degree of all but a few) costs little more than its fill.
+    the degree of all but a few) costs little more than its fill.  Columns
+    are gathered with `take` and `compress`, which keep the running sums
+    C-ordered, so a column that needs no +inf is a view of them.
     """
     pad_eid, _, deg = g.padded_out_tables()
     size, n_vertices = probs.shape[0], g.n_vertices
     verts = np.flatnonzero(deg > 1)  # the vertices whose slot j is not their last
-    cum = probs[:, pad_eid[verts, 0]]
+    cum = probs.take(pad_eid[verts, 0], axis=1)
     columns = []
     for j in range(pad_eid.shape[1] - 1):
         if j:
             keep = deg[verts] > j + 1
             if not keep.all():
-                verts, cum = verts[keep], cum[:, keep]
-            cum = cum + probs[:, pad_eid[verts, j]]
+                verts, cum = verts[keep], cum.compress(keep, axis=1)
+            cum = cum + probs.take(pad_eid[verts, j], axis=1)
         if verts.size == n_vertices:
             columns.append(cum.ravel())
         else:

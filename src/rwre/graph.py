@@ -10,7 +10,6 @@ reversal is the identity on ids.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -276,7 +275,8 @@ def build_cylinder_graph(spec: CylinderSpec) -> CylinderGraph:
     Leftmost vertices send their leftward edge (weight beta_1) to the outside
     vertex and receive an entering edge (weight alpha_1) from it; rightmost
     vertices send their rightward edge to the outside vertex with weight
-    alpha_1 - beta_1.  Requires alpha_1 > beta_1.
+    alpha_1 - beta_1.  Requires alpha_1 > beta_1, and N = 1 in d = 1, where
+    there is no transverse torus.
     """
     lat = spec.lattice
     d = lat.dimension
@@ -286,9 +286,8 @@ def build_cylinder_graph(spec: CylinderSpec) -> CylinderGraph:
             f"cylinder graph requires alpha_1 > beta_1 (got alpha_1={a1}, beta_1={b1})"
         )
     if d == 1 and spec.N != 1:
-        warnings.warn("d=1 cylinder has a trivial transverse torus; N ignored", stacklevel=2)
-    N = spec.N if d > 1 else 1
-    L = spec.L
+        raise PreconditionError(f"a d=1 cylinder has no transverse torus; N must be 1, got {spec.N}")
+    N, L = spec.N, spec.L
 
     trans, wiring = _transverse_torus(lat, [N] * (d - 1), 2)
     n_trans = len(trans)
@@ -353,14 +352,14 @@ def build_cylinder_band(lattice: LatticeSpec, N: int, L: int) -> BandGraph:
 
     Interior abscissas 0..L-1 carry the natural lattice weights; the rows at
     abscissa -1 and L only detect arrival and carry a single self-loop (never
-    traversed, since walks stop on arrival).
+    traversed, since walks stop on arrival).  Requires N = 1 in d = 1, where
+    there is no transverse torus.
     """
     d = lattice.dimension
     if L < 1:
         raise PreconditionError("band requires L >= 1")
     if d == 1 and N != 1:
-        warnings.warn("d=1 band has a trivial transverse torus; N ignored", stacklevel=2)
-    N = N if d > 1 else 1
+        raise PreconditionError(f"a d=1 band has no transverse torus; N must be 1, got {N}")
     trans, wiring = _transverse_torus(lattice, [N] * (d - 1), 2)
     n_trans = len(trans)
     n = (L + 2) * n_trans

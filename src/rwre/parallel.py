@@ -12,6 +12,13 @@ Sums are still added chunk by chunk, so estimates are bit-identical to a
 plain ordered fold of chunk sums; standard errors come from the pooled M2,
 which has no sum-of-squares cancellation, and may differ from a
 sum-of-squares formula in the last bits.
+
+Within a chunk, `Moments.of` reduces a Fortran-ordered matrix (one
+contiguous column per quantity, as `reverse-check` builds its path
+products) a few columns at a time, so its temporaries stay in cache; numpy
+sums each contiguous column pairwise either way, so no bit moves.  Any
+other layout is reduced whole: numpy sums a C-ordered matrix row by row,
+and a column block of it would be summed pairwise instead.
 """
 
 from __future__ import annotations
@@ -24,6 +31,10 @@ import numpy as np
 # Fixed chunk granularity.  Do not derive this from the worker count or
 # results would depend on it.
 CHUNK_REPLICAS = 8192
+
+# Columns per block of `Moments.of` on a Fortran-ordered matrix: 8 columns
+# of a full chunk are 512 KB.
+_COLUMN_BLOCK = 8
 
 
 def chunk_sizes(total: int, chunk: int = CHUNK_REPLICAS):
@@ -57,6 +68,13 @@ def run_chunked(fn, total: int, rng, workers: int = 1, chunk: int = CHUNK_REPLIC
         return [f.result() for f in futures]
 
 
+def _sum_squared_deviations(values: np.ndarray, mean) -> np.ndarray:
+    """Column sums of (values - mean)**2, squared in place in one temporary."""
+    dev = values - mean
+    np.square(dev, out=dev)
+    return dev.sum(axis=0)
+
+
 @dataclass(frozen=True, eq=False)
 class Moments:
     """Replica count `n`, sum `total` and sum of squared deviations from the
@@ -72,11 +90,30 @@ class Moments:
     @classmethod
     def of(cls, values) -> "Moments":
         """Moments of one chunk's values, one replica per row (a 1-D array
-        gives scalar columns)."""
+        gives scalar columns).
+
+        The result is bit-identical to `total = values.sum(axis=0)` and
+        `np.square(values - total / n).sum(axis=0)`.  A Fortran-ordered
+        matrix is reduced `_COLUMN_BLOCK` columns at a time, squaring the
+        deviations in place, so the temporaries stay in cache rather than
+        being two copies of the whole chunk; numpy sums each contiguous
+        column pairwise whether or not it is a block of a wider matrix.
+        Any other layout is reduced whole: numpy sums a C-ordered matrix
+        row by row, and a one-column block of it would be summed pairwise
+        instead, which rounds differently.
+        """
         values = np.asarray(values, dtype=np.float64)
         n = values.shape[0]
-        total = values.sum(axis=0)
-        m2 = np.square(values - total / n).sum(axis=0) if n else total
+        if values.ndim != 2 or not values.flags.f_contiguous or n == 0:
+            total = values.sum(axis=0)
+            return cls(n, total, _sum_squared_deviations(values, total / n) if n else total)
+        total = np.empty(values.shape[1])
+        m2 = np.empty(values.shape[1])
+        for lo in range(0, values.shape[1], _COLUMN_BLOCK):
+            block = values[:, lo:lo + _COLUMN_BLOCK]
+            total[lo:lo + _COLUMN_BLOCK] = block.sum(axis=0)
+            m2[lo:lo + _COLUMN_BLOCK] = _sum_squared_deviations(
+                block, total[lo:lo + _COLUMN_BLOCK] / n)
         return cls(n, total, m2)
 
     def __add__(self, other: "Moments") -> "Moments":

@@ -41,6 +41,10 @@ REVERSED_ROW_TOL = 1e-9
 DIVERGENCE_TOL = 1e-9
 PATH_GUARD = 10_000
 
+# Replicas per block of `verify_reversal_distribution`'s path products: a
+# block of 340 paths (k = 4 on a 2x2 torus) is ~1.4 MB, which stays in cache.
+_REPLICA_BLOCK = 512
+
 
 def stationary_distribution(env: Environment) -> np.ndarray:
     """Unique invariant probability of the environment's chain: the
@@ -293,15 +297,21 @@ def verify_reversal_distribution(g: DirectedGraph, w: WeightAssignment, k: int,
 
     def run_chunk(gen: np.random.Generator, size: int):
         probs = sample_environment_batch(g, w, gen, size)
-        rev = _reversed_probabilities(g, probs, stationary_batch(probs, g))
-        # Column-major: Moments sums each path's replicas pairwise down one
-        # contiguous column (a row-major array is summed row by row, which
-        # rounds differently).
-        vals = np.empty((size, n_paths), order="F")
-        vals[:, : ends[0]] = rev[:, last[: ends[0]]]
-        for lo, hi in zip(ends[:-1], ends[1:]):
-            vals[:, lo:hi] = vals[:, parent[lo:hi]] * rev[:, last[lo:hi]]
-        return Moments.of(vals)
+        rev = _reversed_probabilities(g, probs, stationary_batch(probs, g)).T.copy()
+        # One row per path and one column per replica, so that `vals.T` is
+        # the Fortran-ordered (replica, path) matrix: Moments sums each
+        # path's replicas pairwise down one contiguous column (a row-major
+        # matrix is summed row by row, which rounds differently).  Products
+        # are built one block of replicas at a time, so each depth reads its
+        # parents while they are still in cache; every value is the same
+        # product of the same factors.
+        vals = np.empty((n_paths, size))
+        for r0 in range(0, size, _REPLICA_BLOCK):
+            block, factors = vals[:, r0:r0 + _REPLICA_BLOCK], rev[:, r0:r0 + _REPLICA_BLOCK]
+            block[: ends[0]] = factors[last[: ends[0]]]
+            for lo, hi in zip(ends[:-1], ends[1:]):
+                np.multiply(block[parent[lo:hi]], factors[last[lo:hi]], out=block[lo:hi])
+        return Moments.of(vals.T)
 
     vals = sum(run_chunked(run_chunk, replicas, rng, workers), Moments())
     mc, se = vals.mean, vals.standard_error

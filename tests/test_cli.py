@@ -320,6 +320,35 @@ def test_grid_rejects_unknown_experiment(capsys):
     assert code == 2 and "grid supports" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["cylinder-delta", "--N", "2", "--L", "4"],
+    ["transience", "--L", "10,30"],
+    ["grid", "cylinder-exit", "--N", "1,2", "--L", "2,8"],
+])
+def test_truncation_past_two_percent_warns_once_on_stderr(capsys, argv):
+    flags = ["--alpha", "2,1,1,1", "--replicas", "500", "--steps", "20", "--seed", "3",
+             "--format", "csv"]
+    code, out, err = run_cli(capsys, *argv, *flags)
+    assert code == 0
+    records = list(csv.DictReader(io.StringIO(out)))
+    worst = max(records, key=lambda r: int(r["truncated"]))
+    assert int(worst["truncated"]) > 0.02 * 500
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: ")
+    assert f"{worst['truncated']} of 500 replicas" in lines[0]
+    assert "--steps 20" in lines[0]
+    # stdout holds the records alone
+    assert "warning" not in out and len(out.splitlines()) == len(records) + 1
+
+
+def test_benchmark_grid_settings_print_no_warning(capsys):
+    code, out, err = run_cli(capsys, "grid", "cylinder-delta", "--alpha", "2,1,1,1",
+                             "--N", "1,2,4", "--L", "1,2,4", "--format", "csv",
+                             "--replicas", "16384", "--steps", "5000", "--seed", "1")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 10
+
+
 def test_seed_resolution_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("RWRE_SEED", "777")
     code, out_env, err = run_cli(capsys, "cylinder-delta", "--alpha", "2,1,1,1",

@@ -70,11 +70,14 @@ def test_delta_exit_other_weights_and_shape():
 
 
 def test_delta_exit_one_dimensional():
-    # a transverse period other than 1 is meaningless in d = 1 and warns
-    spec = CylinderSpec(N=3, L=4, lattice=LatticeSpec((2.0, 1.0)))
-    with pytest.warns(UserWarning, match="N ignored"):
-        res = cylinder_delta_exit(spec, 4000, RngStream(62))
+    spec = CylinderSpec(N=1, L=4, lattice=LatticeSpec((2.0, 1.0)))
+    res = cylinder_delta_exit(spec, 4000, RngStream(62))
     assert abs(res.estimate - 0.5) <= 3 * res.standard_error
+    # a d = 1 cylinder has no transverse torus, so N other than 1 is refused
+    # rather than recorded beside the estimate of N = 1
+    for run in (cylinder_delta_exit, cylinder_exit_from_origin):
+        with pytest.raises(PreconditionError, match="N must be 1"):
+            run(CylinderSpec(N=3, L=4, lattice=LatticeSpec((2.0, 1.0))), 100, RngStream(62))
 
 
 def test_delta_exit_requires_drift():

@@ -1,6 +1,5 @@
 import hashlib
 import io
-import warnings
 
 import numpy as np
 import pytest
@@ -96,12 +95,13 @@ def test_cylinder_divergence_sweep():
             assert np.all(cg.weights.vertex_sums() > 0)
 
 
-def test_cylinder_d1_ignores_transverse_period():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        cg = build_cylinder_graph(CylinderSpec(5, 2, LatticeSpec((2.0, 1.0))))
-    assert any("N ignored" in str(c.message) for c in caught)
-    assert cg.graph.n_vertices == 4
+def test_cylinder_d1_rejects_transverse_period():
+    lat = LatticeSpec((2.0, 1.0))
+    with pytest.raises(PreconditionError, match="N must be 1"):
+        build_cylinder_graph(CylinderSpec(5, 2, lat))
+    with pytest.raises(PreconditionError, match="N must be 1"):
+        build_cylinder_band(lat, 5, 2)
+    assert build_cylinder_graph(CylinderSpec(1, 2, lat)).graph.n_vertices == 4
 
 
 def test_reverse_graph_involution():
@@ -258,16 +258,14 @@ _BUILD_DIGESTS = {
 def _build_digest(kind, d, N, L):
     lat = LatticeSpec({1: (2.0, 1.0), 2: (2.0, 1.0, 0.7, 0.3),
                        3: (3.0, 1.5, 0.7, 0.3, 1.1, 0.9)}[d])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        if kind == "cyl":
-            cg = build_cylinder_graph(CylinderSpec(N, L, lat))
-            g, w = cg.graph, cg.weights
-            ends = (cg.outside, cg.left_face.tolist(), cg.right_face.tolist())
-        else:
-            band = build_cylinder_band(lat, N, L)
-            g, w = band.graph, band.weights
-            ends = (band.origin, band.left_absorbing.tolist(), band.right_absorbing.tolist())
+    if kind == "cyl":
+        cg = build_cylinder_graph(CylinderSpec(N, L, lat))
+        g, w = cg.graph, cg.weights
+        ends = (cg.outside, cg.left_face.tolist(), cg.right_face.tolist())
+    else:
+        band = build_cylinder_band(lat, N, L)
+        g, w = band.graph, band.weights
+        ends = (band.origin, band.left_absorbing.tolist(), band.right_absorbing.tolist())
     return _graph_digest(g, w, ends)
 
 
