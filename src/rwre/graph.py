@@ -286,7 +286,8 @@ def build_cylinder_graph(spec: CylinderSpec) -> CylinderGraph:
             f"cylinder graph requires alpha_1 > beta_1 (got alpha_1={a1}, beta_1={b1})"
         )
     if d == 1 and spec.N != 1:
-        raise PreconditionError(f"a d=1 cylinder has no transverse torus; N must be 1, got {spec.N}")
+        raise PreconditionError(
+            f"a d=1 cylinder has no transverse torus; N must be 1, got {spec.N}")
     N, L = spec.N, spec.L
 
     trans, wiring = _transverse_torus(lat, [N] * (d - 1), 2)

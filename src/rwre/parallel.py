@@ -15,10 +15,9 @@ sum-of-squares formula in the last bits.
 
 Within a chunk, `Moments.of` reduces a Fortran-ordered matrix (one
 contiguous column per quantity, as `reverse-check` builds its path
-products) a few columns at a time, so its temporaries stay in cache; numpy
-sums each contiguous column pairwise either way, so no bit moves.  Any
-other layout is reduced whole: numpy sums a C-ordered matrix row by row,
-and a column block of it would be summed pairwise instead.
+products) a few columns at a time, so its temporaries stay in cache, and
+any other layout whole, because only in Fortran order does a column block
+keep numpy's order of adds.
 """
 
 from __future__ import annotations
