@@ -18,9 +18,10 @@ ruin) share one handler, which calls the subcommand's entry of
 RECORD_EXPERIMENTS.  `grid` runs each sweep point through the same entry, so
 grid row i is the record that the experiment's own subcommand writes for
 that point's N and L at seed (seed XOR i).  Both print one warning to
-stderr when the step cap stops more than TRUNCATION_WARN_FRAC of a record's
-replicas.  Comma lists of integers (--L of transience and grid, grid --N,
---horizons, --torus) are parsed once, by argparse.
+stderr when the step cap leaves more than TRUNCATION_WARN_FRAC of a record's
+replicas undecided.  Comma lists of integers (--L of transience and grid,
+grid --N, --horizons, --torus) are parsed once, by argparse, whose parser
+is built once per process.
 
 Exit status: 0 on success, 2 on precondition or usage errors (including
 malformed inputs and files that cannot be read or written), 1 on internal
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -66,8 +68,8 @@ from .rng import RngStream
 
 DEFAULT_SEED = 12345
 GRID_GUARD = 10_000
-# Share of a record's replicas that may be truncated or undecided before the
-# record handlers warn on stderr: the bound acceptance 08 holds walks to.
+# Share of a record's replicas that may be undecided before the record
+# handlers warn on stderr: the bound acceptance 08 holds walks to.
 TRUNCATION_WARN_FRAC = 0.02
 
 RECORD_COLUMNS = [
@@ -188,16 +190,17 @@ def _emit_results(results, args):
 
 
 def _warn_truncation(results):
-    """Print one warning to stderr when a result's truncated or undecided
-    count is above TRUNCATION_WARN_FRAC of its replicas.  Capped walks are
-    left out of an estimate or counted as failures, and which walks the cap
-    stops depends on where they went, so past that share they bias it.
-    Stdout is not touched."""
-    over = [r for r in results
-            if max(r.truncated, r.undecided) > TRUNCATION_WARN_FRAC * r.replicas]
+    """Print one warning to stderr when a result's undecided count is above
+    TRUNCATION_WARN_FRAC of its replicas.  Undecided walks are the capped
+    walks whose outcome the cap hid; they are left out of an estimate or
+    counted as failures, and which walks the cap stops depends on where they
+    went, so past that share they bias it.  (A capped transience walk has
+    decided the levels it already reached; on the cylinders every capped
+    walk is undecided.)  Stdout is not touched."""
+    over = [r for r in results if r.undecided > TRUNCATION_WARN_FRAC * r.replicas]
     if not over:
         return
-    worst = max(over, key=lambda r: max(r.truncated, r.undecided) / r.replicas)
+    worst = max(over, key=lambda r: r.undecided / r.replicas)
     which = f" (worst of {len(over)} records)" if len(results) > 1 else ""
     print(f"warning: {worst.truncated} of {worst.replicas} replicas hit the step cap "
           f"--steps {worst.params['steps']} and {worst.undecided} are undecided{which}; "
@@ -426,7 +429,12 @@ def _add_output(p, formats=()):
                        help=f"output format (default {formats[0]})")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.  Parsing leaves it
+    unchanged (each call returns a fresh namespace, string defaults are
+    converted anew, and stderr and the terminal width are read at the
+    call), so every `main` call can share it."""
     parser = argparse.ArgumentParser(
         prog="rwre",
         description="Random walks in Dirichlet environments: exact identities and Monte Carlo experiments.",
@@ -522,14 +530,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of lengths/levels (default 4)")
     _add_run(p, replicas=10_000, timing=False)
     _add_output(p, ("csv",))
-    p.set_defaults(func=run_grid)
+    # `run_grid` is looked up when called, not when the parser is built, so
+    # the cached parser calls whatever the module binds to that name then
+    p.set_defaults(func=lambda args: run_grid(args))
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (PreconditionError, GraphFormatError, OSError) as exc:

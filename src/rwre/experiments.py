@@ -23,7 +23,11 @@ Every lattice output is an annealed quantity, so lattice walks never sample
 an environment: they run as the oriented-edge linearly reinforced walk, whose
 path law is the annealed law (Enriquez & Sabot 2002; Pemantle 1988).  Each
 walk keeps crossing counts at the sites it visits and takes one uniform per
-step.
+step.  A chunk builds one walker and restarts it for each replica, so the
+walker's tables are built once per chunk.  Sites are keyed by one integer,
+the coordinates as digits in base 2 * max_steps + 1: no walk of max_steps
+steps gets further than max_steps from the origin along any axis, so keys
+stay distinct, and at the caps walks use they stay machine-word sized.
 
 Replica counts are split into fixed-size chunks with one RNG stream per
 chunk; worker count never changes any output.
@@ -321,14 +325,8 @@ def cylinder_exit_from_origin(spec: CylinderSpec, replicas: int, rng: RngStream,
     )
 
 
-# Stride of the integer site key x_1 + x_2 S + x_3 S^2 + ...: keys stay
-# distinct while every coordinate is below S/2 in magnitude, which no walk
-# shorter than 2^61 steps can break.
-_SITE_STRIDE = 1 << 62
-
-
 class _UrnWalk:
-    """Walk from the origin of Z^d under the annealed law of the Dirichlet
+    """Walks from the origin of Z^d under the annealed law of the Dirichlet
     environment, run as the oriented-edge linearly reinforced walk.
 
     From site x the walk steps along direction i (weight order +e_1, -e_1,
@@ -336,25 +334,40 @@ class _UrnWalk:
     N(x,i) counts its earlier steps from x along i and N(x) its earlier
     departures from x.  Only visited sites hold counts.  `x1` is the current
     abscissa, `top` its running maximum and `steps` the steps taken so far.
+
+    One walker serves a whole chunk of replicas: the constant tables are
+    built once, and `restart` puts the walker back at the origin with no
+    counts before each replica, reading on from the same uniforms.  A site
+    x is keyed by the integer x_1 + x_2 S + x_3 S^2 + ... with stride
+    S = 2 * max_steps + 1.  No walk of at most `max_steps` steps moves a
+    coordinate further than max_steps from 0, so each coordinate is a digit
+    of a balanced base-S numeral and distinct sites get distinct keys, which
+    stay small (word-sized) integers at the step counts walks reach.
     """
 
-    def __init__(self, lattice: LatticeSpec, uniforms):
+    def __init__(self, lattice: LatticeSpec, uniforms, max_steps: int):
         w = list(lattice.weights)
         self._fresh = w + [sum(w)]  # per site: w_i + N(x,i) for each i, then the total
         self._key_moves = []
         self._dx = []
+        stride = 2 * max_steps + 1
         for axis in range(lattice.dimension):
             for sign in (1, -1):
-                self._key_moves.append(sign * _SITE_STRIDE ** axis)
+                self._key_moves.append(sign * stride ** axis)
                 self._dx.append(sign if axis == 0 else 0)
-        self._sites = {}
         self._uniforms = uniforms
+        self.restart()
+
+    def restart(self):
+        """Back to the origin with no counts at any site."""
+        self._sites = {}
         self._key = 0
         self.x1 = self.top = self.steps = 0
 
     def run(self, max_steps: int, lo=-math.inf, hi=math.inf):
         """Step until `max_steps` steps in all, or until the abscissa leaves
-        the open band (lo, hi)."""
+        the open band (lo, hi).  `max_steps` may not exceed the constructor's,
+        which sizes the site keys."""
         sites, fresh = self._sites, self._fresh
         key_moves, dx = self._key_moves, self._dx
         total = len(fresh) - 1
@@ -405,11 +418,11 @@ def lattice_transience(lattice: LatticeSpec, levels, replicas: int, step_cap: in
     lmax = max(levels)
 
     def run_chunk(gen: np.random.Generator, size: int):
-        uniforms = block_uniforms(gen)
+        walk = _UrnWalk(lattice, block_uniforms(gen), step_cap)
         maxima = np.empty(size, dtype=np.int64)
         capped = np.empty(size, dtype=bool)
         for i in range(size):
-            walk = _UrnWalk(lattice, uniforms)
+            walk.restart()
             walk.run(step_cap, -1, lmax)
             maxima[i] = walk.top
             capped[i] = walk.x1 >= 0 and walk.top < lmax
@@ -471,10 +484,10 @@ def velocity_probe(lattice: LatticeSpec, horizons, replicas: int, rng: RngStream
         raise PreconditionError("horizons must be positive integers")
 
     def run_chunk(gen: np.random.Generator, size: int):
-        uniforms = block_uniforms(gen)
+        walk = _UrnWalk(lattice, block_uniforms(gen), horizons[-1])
         x1 = np.empty((size, len(horizons)))
         for i in range(size):
-            walk = _UrnWalk(lattice, uniforms)
+            walk.restart()
             for j, n in enumerate(horizons):
                 walk.run(n)
                 x1[i, j] = walk.x1

@@ -61,11 +61,21 @@ def _reversed_probabilities(g: DirectedGraph, probs: np.ndarray, pi: np.ndarray)
 
     The reversed row of a vertex is its in-edges on `g`.  Rows sum to 1
     exactly when pi is stationary, so a row off by more than 1e-9 (or NaN)
-    reports pi as non-stationary.
+    reports pi as non-stationary.  Each row is summed from 0.0 over its
+    in-edges in ascending id order, one in-edge slot at a time.
     """
     vals = probs * pi[..., g.tails] / pi[..., g.heads]
+    in_eid = np.argsort(g.heads, kind="stable")  # grouped by head, ascending id in a group
+    in_deg = np.bincount(g.heads, minlength=g.n_vertices)
+    first = np.cumsum(in_deg) - in_deg
     sums = np.zeros(pi.shape)
-    np.add.at(sums, (..., g.heads), vals)
+    for j in range(int(in_deg.max())):
+        verts = np.flatnonzero(in_deg > j)
+        slot = vals.take(in_eid[first[verts] + j], axis=-1)
+        if verts.size == g.n_vertices:
+            sums += slot
+        else:
+            sums[..., verts] += slot
     off = ~(np.abs(sums - 1.0) <= REVERSED_ROW_TOL)
     if off.any():
         bad = np.flatnonzero(off.reshape(-1, off.shape[-1]).any(axis=0))

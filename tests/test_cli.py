@@ -341,6 +341,49 @@ def test_truncation_past_two_percent_warns_once_on_stderr(capsys, argv):
     assert "warning" not in out and len(out.splitlines()) == len(records) + 1
 
 
+def test_transience_warning_names_the_most_undecided_record(capsys):
+    # both records share the 86 truncated walks, but only the L=30 record
+    # leaves 86 undecided (at L=10 most capped walks had already decided)
+    argv = ["transience", "--alpha", "2,1,1,1", "--L", "10,30", "--replicas", "200",
+            "--seed", "3"]
+    code, out, err = run_cli(capsys, *argv, "--steps", "100")
+    assert code == 0
+    r10, r30 = json.loads(out)
+    assert (r10["truncated"], r10["undecided"]) == (86, 7)
+    assert (r30["truncated"], r30["undecided"]) == (86, 86)
+    assert err == ("warning: 86 of 200 replicas hit the step cap --steps 100 and 86 are "
+                   "undecided (worst of 2 records); the estimate may be biased, raise --steps\n")
+    code, _, err = run_cli(capsys, *argv, "--steps", "100000")
+    assert code == 0 and err == ""
+
+
+def test_cached_parser_carries_no_state_between_calls(capsys):
+    argv = ["transience", "--alpha", "2,1,1,1", "--L", "3,5", "--replicas", "50",
+            "--steps", "1000", "--seed", "8"]
+    code, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0 and csv_out.startswith(",".join(RECORD_COLUMNS) + "\n")
+    code, json_out, _ = run_cli(capsys, *argv)
+    assert code == 0 and [r["params"]["L"] for r in json.loads(json_out)] == [3, 5]
+    # a precondition error (exit 2 from main) and a usage error (exit 2 from
+    # argparse) leave nothing behind for the next call
+    code, out, err = run_cli(capsys, *argv, "--replicas", "0")
+    assert code == 2 and out == "" and err.startswith("error: ")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "xml"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, again, err = run_cli(capsys, *argv)
+    assert code == 0 and again == json_out and err == ""
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name in ("sample-env", "annealed-prob", "cycle-check", "reverse-check",
+                 "cylinder-delta", "cylinder-exit", "transience", "trap-check",
+                 "velocity", "ruin", "grid"):
+        assert name in out
+
+
 def test_benchmark_grid_settings_print_no_warning(capsys):
     code, out, err = run_cli(capsys, "grid", "cylinder-delta", "--alpha", "2,1,1,1",
                              "--N", "1,2,4", "--L", "1,2,4", "--format", "csv",

@@ -246,10 +246,10 @@ def test_lattice_urn_walk_law_matches_exact_formula():
     lat = LatticeSpec((2.0, 1.0))
     g, w = build_torus(lat, [9])
     n = 40_000
-    uniforms = block_uniforms(RngStream(85).generator())
+    walk = _UrnWalk(lat, block_uniforms(RngStream(85).generator()), 4)
     counts = {}
     for _ in range(n):
-        walk = _UrnWalk(lat, uniforms)
+        walk.restart()
         xs = []
         for step in range(1, 5):
             walk.run(step)
@@ -268,6 +268,65 @@ def test_lattice_urn_walk_law_matches_exact_formula():
     assert sum(counts.values()) == n and len(counts) == 16
     assert max(abs(z) for z in zs) <= 6.0
     assert sum(abs(z) > 3.0 for z in zs) <= 1
+
+
+def _tuple_urn_walk(weights, uniforms, max_steps, lo=-math.inf, hi=math.inf):
+    """Reference urn walk keyed by coordinate tuples, with `_UrnWalk`'s
+    arithmetic: per site the weights plus counts, then their running total.
+    Returns (final site, top, steps, sites visited)."""
+    d = len(weights) // 2
+    fresh = list(weights) + [sum(weights)]
+    sites = {}
+    x = [0] * d
+    top = steps = 0
+    while steps < max_steps and lo < x[0] < hi:
+        row = sites.setdefault(tuple(x), fresh[:])
+        t = next(uniforms) * row[-1]
+        k = 0
+        while k < 2 * d - 1 and t >= row[k]:
+            t -= row[k]
+            k += 1
+        row[k] += 1.0
+        row[-1] += 1.0
+        x[k // 2] += 1 if k % 2 == 0 else -1
+        steps += 1
+        top = max(top, x[0])
+    return tuple(x), top, steps, len(sites)
+
+
+TRAP_WEIGHTS = (0.06, 0.05, 0.05, 0.05, 0.04, 0.06)
+
+
+@pytest.mark.parametrize("d, bias", [(d, bias) for d in (1, 2, 3)
+                                     for bias in ("trap", "drift", *range(2 * d))])
+def test_urn_walk_site_keys_match_a_tuple_keyed_walk(d, bias):
+    # trap weights revisit sites often; a drift along +e_1 with the other
+    # axes free carries the walk far along e_1 while it wanders across, where
+    # a too-small stride would give two visited sites one key; weights of 1000
+    # along one direction and 0.001 elsewhere drive that coordinate to
+    # +-max_steps, the edge of the key stride
+    if bias == "trap":
+        weights = TRAP_WEIGHTS[:2 * d]
+    elif bias == "drift":
+        weights = (4.0, 0.001) + (1.0,) * (2 * d - 2)
+    else:
+        weights = tuple(1000.0 if i == bias else 0.001 for i in range(2 * d))
+    max_steps = 60
+    lat = LatticeSpec(weights)
+    walk = _UrnWalk(lat, block_uniforms(RngStream(90 + d).generator()), max_steps)
+    uniforms = block_uniforms(RngStream(90 + d).generator())
+    reached_edge = False
+    for replica in range(40):
+        walk.restart()
+        band = (-1, 8) if replica % 2 else (-math.inf, math.inf)
+        walk.run(max_steps, *band)
+        x, top, steps, n_sites = _tuple_urn_walk(weights, uniforms, max_steps, *band)
+        assert (walk.x1, walk.top, walk.steps, len(walk._sites)) == (x[0], top, steps, n_sites)
+        reached_edge |= max(map(abs, x)) == max_steps
+    if isinstance(bias, int):
+        assert reached_edge
+    # both walks read the same number of uniforms
+    assert next(walk._uniforms) == next(uniforms)
 
 
 def test_transience_undecided_accounting():

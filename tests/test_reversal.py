@@ -193,6 +193,34 @@ def test_reverse_environment_sampled_rows_stochastic():
     assert np.max(np.abs(sums - 1.0)) < 1e-10
 
 
+def test_reversed_rows_off_are_listed_by_vertex():
+    # a pi off by 1e-6 at one vertex, or a NaN row, must name the same
+    # vertices as summing the reversed rows with np.add.at (the reference)
+    g, w = build_torus(LatticeSpec((2.0, 1.0, 1.0, 1.0)), [3, 3])
+    probs = sample_environment_batch(g, w, RngStream(42).generator(), 64)
+    pi = stationary_batch(probs, g)
+    _reversed_probabilities(g, probs, pi)  # stationary: no error
+
+    def reference_off(probs, pi):
+        vals = probs * pi[..., g.tails] / pi[..., g.heads]
+        sums = np.zeros(pi.shape)
+        np.add.at(sums, (..., g.heads), vals)
+        off = ~(np.abs(sums - 1.0) <= 1e-9)
+        return np.flatnonzero(off.reshape(-1, off.shape[-1]).any(axis=0)).tolist()
+
+    off_pi = pi.copy()
+    off_pi[17, 4] *= 1.0 + 1e-6
+    nan_probs = probs.copy()
+    nan_probs[30, g.out_edges(2)] = np.nan
+    for p, q in ((probs, off_pi), (nan_probs, pi), (probs[17], off_pi[17])):
+        bad = reference_off(p, q)
+        assert bad
+        with pytest.raises(PreconditionError, match=re.escape(f"at vertices {bad}")):
+            _reversed_probabilities(g, p, q)
+    assert reference_off(probs, off_pi) == sorted({4, *g.heads[g.out_edges(4)].tolist()})
+    assert reference_off(nan_probs, pi) == sorted(set(g.heads[g.out_edges(2)].tolist()))
+
+
 def test_reverse_environment_involution():
     g, w = build_torus(LatticeSpec((2.0, 1.0, 1.0, 1.0)), [3, 3])
     env = sample_environment(g, w, RngStream(41))
