@@ -196,12 +196,16 @@ def _warn_truncation(results):
     counted as failures, and which walks the cap stops depends on where they
     went, so past that share they bias it.  (A capped transience walk has
     decided the levels it already reached; on the cylinders every capped
-    walk is undecided.)  Stdout is not touched."""
+    walk is undecided.)  Among records with different params, it names the
+    worst one by the params that set it apart (its level L, or its grid
+    point's N and L).  Stdout is not touched."""
     over = [r for r in results if r.undecided > TRUNCATION_WARN_FRAC * r.replicas]
     if not over:
         return
     worst = max(over, key=lambda r: r.undecided / r.replicas)
-    which = f" (worst of {len(over)} records)" if len(results) > 1 else ""
+    point = ", ".join(f"{k}={v}" for k, v in worst.params.items()
+                      if any(r.params[k] != v for r in results))
+    which = f" (worst of {len(over)} records: {point})" if point else ""
     print(f"warning: {worst.truncated} of {worst.replicas} replicas hit the step cap "
           f"--steps {worst.params['steps']} and {worst.undecided} are undecided{which}; "
           f"the estimate may be biased, raise --steps", file=sys.stderr)

@@ -133,7 +133,8 @@ def _threshold_columns(g: DirectedGraph, probs: np.ndarray) -> list:
     are gathered with `take` and `compress`, which keep the running sums
     C-ordered, so a column that needs no +inf is a view of them.
     """
-    pad_eid, _, deg = g.padded_out_tables()
+    pad_eid, _ = g.padded_out_tables()
+    deg = g.out_degrees
     size, n_vertices = probs.shape[0], g.n_vertices
     verts = np.flatnonzero(deg > 1)  # the vertices whose slot j is not their last
     cum = probs.take(pad_eid[verts, 0], axis=1)
@@ -170,11 +171,10 @@ def _walk_until_absorbed(g: DirectedGraph, probs: np.ndarray, start: int,
     split never changes a result or the generator's final state.  The step
     cap counts across both phases.
 
-    Returns each walker's final vertex, the vertex it left on its absorbing
-    step (-1 where it never got absorbed), and the indices of the walkers
-    the step cap stopped.
+    Returns each walker's final vertex and the vertex it left on its
+    absorbing step, -1 where the step cap stopped it first.
     """
-    _, pad_head, _ = g.padded_out_tables()
+    _, pad_head = g.padded_out_tables()
     columns = _threshold_columns(g, probs)
     size, n_vertices = probs.shape[0], g.n_vertices
     slots = pad_head.shape[1]
@@ -203,7 +203,7 @@ def _walk_until_absorbed(g: DirectedGraph, probs: np.ndarray, start: int,
         steps += 1
     pos[active] = here
     if steps == step_cap or active.size == 0:
-        return pos, left, active
+        return pos, left
 
     # each straggler's rows: its thresholds at every vertex, closed by +inf
     rows = [column.reshape(size, n_vertices)[active] for column in columns]
@@ -234,9 +234,8 @@ def _walk_until_absorbed(g: DirectedGraph, probs: np.ndarray, start: int,
             walkers = [walkers[j] for j in kept]
             rows = [rows[j] for j in kept]
             here = [here[j] for j in kept]
-    capped = np.array(walkers, dtype=np.int64)
-    pos[capped] = here
-    return pos, left, capped
+    pos[np.array(walkers, dtype=np.int64)] = here
+    return pos, left
 
 
 def cylinder_delta_exit(spec: CylinderSpec, replicas: int, rng: RngStream,
@@ -250,8 +249,6 @@ def cylinder_delta_exit(spec: CylinderSpec, replicas: int, rng: RngStream,
     expectation is exactly 1 - beta_1/alpha_1 for every N and L.  Replicas
     that hit the step cap are excluded from the estimate and reported.
     """
-    if replicas < 1:
-        raise PreconditionError("at least one replica required")
     cg = build_cylinder_graph(spec)
     g = cg.graph
     delta = cg.outside
@@ -262,7 +259,7 @@ def cylinder_delta_exit(spec: CylinderSpec, replicas: int, rng: RngStream,
 
     def run_chunk(gen: np.random.Generator, size: int):
         probs = sample_environment_batch(g, cg.weights, gen, size)
-        _, left, _ = _walk_until_absorbed(g, probs, delta, absorbing, gen, step_cap)
+        _, left = _walk_until_absorbed(g, probs, delta, absorbing, gen, step_cap)
         return Moments.of(right_mask[left[left >= 0]])
 
     returned = sum(run_chunked(run_chunk, replicas, rng, workers), Moments())
@@ -290,14 +287,8 @@ def cylinder_exit_from_origin(spec: CylinderSpec, replicas: int, rng: RngStream,
     Replicas that hit the step cap count as failures, so the estimate is a
     conservative lower bound.
     """
-    if replicas < 1:
-        raise PreconditionError("at least one replica required")
-    lat = spec.lattice
-    if lat.alpha(1) <= lat.beta(1):
-        raise PreconditionError(
-            f"requires alpha_1 > beta_1 (got alpha_1={lat.alpha(1)}, beta_1={lat.beta(1)})"
-        )
-    band = build_cylinder_band(lat, spec.N, spec.L)
+    spec.lattice.require_drift()
+    band = build_cylinder_band(spec)
     g = band.graph
     right_mask = np.zeros(g.n_vertices, dtype=bool)
     right_mask[band.right_absorbing] = True
@@ -306,15 +297,15 @@ def cylinder_exit_from_origin(spec: CylinderSpec, replicas: int, rng: RngStream,
 
     def run_chunk(gen: np.random.Generator, size: int):
         probs = sample_environment_batch(g, band.weights, gen, size)
-        pos, _, capped = _walk_until_absorbed(g, probs, band.origin, absorbing, gen, step_cap)
-        return Moments.of(right_mask[pos]), capped.size
+        pos, left = _walk_until_absorbed(g, probs, band.origin, absorbing, gen, step_cap)
+        return Moments.of(right_mask[pos]), int(np.count_nonzero(left < 0))
 
     chunks = run_chunked(run_chunk, replicas, rng, workers)
     right = sum((m for m, _ in chunks), Moments())
     truncated = sum(t for _, t in chunks)
     return ExperimentResult(
         experiment="cylinder-exit",
-        params={"alpha": list(lat.weights), "N": spec.N, "L": spec.L,
+        params={"alpha": list(spec.lattice.weights), "N": spec.N, "L": spec.L,
                 "steps": step_cap},
         estimate=float(right.mean),
         standard_error=float(right.standard_error),
@@ -405,13 +396,7 @@ def lattice_transience(lattice: LatticeSpec, levels, replicas: int, step_cap: in
     the estimate, which is therefore a conservative lower bound.  Returns one
     result per level, in the order given.
     """
-    if replicas < 1:
-        raise PreconditionError("at least one replica required")
-    if lattice.alpha(1) <= lattice.beta(1):
-        raise PreconditionError(
-            f"requires alpha_1 > beta_1 (got alpha_1={lattice.alpha(1)}, "
-            f"beta_1={lattice.beta(1)})"
-        )
+    lattice.require_drift()
     levels = [int(L) for L in levels]
     if not levels or any(L < 1 for L in levels):
         raise PreconditionError("levels must be positive integers")
@@ -477,8 +462,6 @@ def velocity_probe(lattice: LatticeSpec, horizons, replicas: int, rng: RngStream
     off at each checkpoint, so the per-horizon estimates are coupled.  No
     stopping rule applies; walks always complete, so nothing is truncated.
     """
-    if replicas < 1:
-        raise PreconditionError("at least one replica required")
     horizons = sorted(int(n) for n in horizons)
     if not horizons or horizons[0] < 1:
         raise PreconditionError("horizons must be positive integers")
@@ -531,7 +514,7 @@ def ruin_exit_probability(lattice: LatticeSpec, L: int, replicas: int, rng: RngS
     """
     if lattice.dimension != 1:
         raise PreconditionError("the ruin oracle is one-dimensional")
-    if replicas < 2:
+    if replicas == 1:  # run_chunked refuses fewer
         raise PreconditionError("at least two replicas required")
     if L < 1:
         raise PreconditionError("L must be >= 1")

@@ -104,10 +104,10 @@ class DirectedGraph:
         return hits[0]
 
     def padded_out_tables(self):
-        """(edge-id table, head table, degree vector) padded to max out-degree.
+        """(edge-id table, head table) padded to the largest out-degree.
 
-        Padding repeats the vertex's last out-edge; selection indices must be
-        clamped to degree-1 so padding is never chosen.
+        Padding repeats the vertex's last out-edge.  The walk kernel never
+        selects it: its thresholds are +inf from each vertex's last slot on.
         """
         if self._padded is None:
             dmax = int(self.out_degrees.max())
@@ -118,8 +118,7 @@ class DirectedGraph:
                     raise ValueError(f"vertex {v} has out-degree 0")
                 pad_eid[v, :len(ids)] = ids
                 pad_eid[v, len(ids):] = ids[-1]
-            pad_head = self.heads[pad_eid]
-            self._padded = (pad_eid, pad_head, self.out_degrees.copy())
+            self._padded = (pad_eid, self.heads[pad_eid])
         return self._padded
 
     def is_strongly_connected(self) -> bool:
@@ -201,10 +200,19 @@ class LatticeSpec:
     def total(self) -> float:
         return float(sum(self.weights))
 
+    def require_drift(self):
+        """Raise unless alpha_1 > beta_1, the drift to the right that the
+        cylinder identities and the transience lower bound 1 - beta_1/alpha_1
+        need."""
+        a1, b1 = self.alpha(1), self.beta(1)
+        if a1 <= b1:
+            raise PreconditionError(f"requires alpha_1 > beta_1 (got alpha_1={a1}, beta_1={b1})")
+
 
 @dataclass(frozen=True)
 class CylinderSpec:
-    """Cylinder of length L with transverse torus (Z_N)^(d-1)."""
+    """Cylinder of length L with transverse torus (Z_N)^(d-1); N = 1 in
+    d = 1, where there is no transverse torus."""
 
     N: int
     L: int
@@ -213,6 +221,9 @@ class CylinderSpec:
     def __post_init__(self):
         if self.N < 1 or self.L < 1:
             raise PreconditionError("cylinder requires N >= 1 and L >= 1")
+        if self.lattice.dimension == 1 and self.N != 1:
+            raise PreconditionError(
+                f"a d=1 cylinder has no transverse torus; N must be 1, got {self.N}")
 
 
 @dataclass
@@ -238,11 +249,7 @@ def build_torus(lattice: LatticeSpec, periods: Sequence[int]):
         raise PreconditionError(f"need {d} periods for a {d}-dimensional torus")
     if any(p < 1 for p in periods):
         raise PreconditionError("periods must be >= 1")
-    coords, wiring = _transverse_torus(lattice, periods, 1)
-    edges = [(v, nb) for v, out in enumerate(wiring) for nb, _, _ in out]
-    g = DirectedGraph(len(coords), edges, coords=coords,
-                      directions=[direction for out in wiring for _, _, direction in out])
-    return g, WeightAssignment([w for out in wiring for _, w, _ in out], g)
+    return _wire(*_transverse_torus(lattice, periods, 1))
 
 
 def _transverse_torus(lattice: LatticeSpec, periods: list, first_axis: int):
@@ -268,6 +275,44 @@ def _transverse_torus(lattice: LatticeSpec, periods: list, first_axis: int):
     return trans, wiring
 
 
+def _cylinder_rows(spec: CylinderSpec, first: int):
+    """Coordinates and out-lists of the cylinder's abscissas first..L.
+
+    Vertex (x1, t) gets id (x1 - first) * N^(d-1) + t, t the row-major index
+    of its transverse coordinate, so every edge within these rows joins ids
+    at most N^(d-1) apart.  Each out-list holds (head, weight, (axis, sign))
+    triples: +e_1, -e_1, then the transverse torus.  The +e_1 heads of row L
+    and the -e_1 heads of row `first` lie past the ends of the id range; the
+    caller rewires them.  Also returns N^(d-1).
+    """
+    lat = spec.lattice
+    trans, wiring = _transverse_torus(lat, [spec.N] * (lat.dimension - 1), 2)
+    n_trans = len(trans)
+    # the out-lists of row `first`, with heads relative to the row's first id
+    template = [[(ti + n_trans, lat.alpha(1), (1, +1)), (ti - n_trans, lat.beta(1), (1, -1)),
+                 *out] for ti, out in enumerate(wiring)]
+    coords, outs = [], []
+    for x1 in range(first, spec.L + 1):
+        row = len(outs)
+        coords += [(x1, *t) for t in trans]
+        outs += [[(row + head, w, direction) for head, w, direction in out] for out in template]
+    return coords, outs, n_trans
+
+
+def _wire(coords, outs):
+    """(graph, weights) whose vertex v has coordinates `coords[v]` and the
+    out-edges `outs[v]`, given as (head, weight, (axis, sign)) triples; edge
+    ids follow vertex order, then list order."""
+    edges, weights, directions = [], [], []
+    for v, out in enumerate(outs):
+        for head, w, direction in out:
+            edges.append((v, head))
+            weights.append(w)
+            directions.append(direction)
+    g = DirectedGraph(len(outs), edges, coords=coords, directions=directions)
+    return g, WeightAssignment(weights, g)
+
+
 def build_cylinder_graph(spec: CylinderSpec) -> CylinderGraph:
     """Finite cylinder of abscissas 0..L plus an outside vertex, wired so the
     modified weights have zero divergence everywhere.
@@ -275,66 +320,21 @@ def build_cylinder_graph(spec: CylinderSpec) -> CylinderGraph:
     Leftmost vertices send their leftward edge (weight beta_1) to the outside
     vertex and receive an entering edge (weight alpha_1) from it; rightmost
     vertices send their rightward edge to the outside vertex with weight
-    alpha_1 - beta_1.  Requires alpha_1 > beta_1, and N = 1 in d = 1, where
-    there is no transverse torus.
+    alpha_1 - beta_1.  The outside vertex comes last, after the rows.
+    Requires alpha_1 > beta_1.
     """
     lat = spec.lattice
-    d = lat.dimension
+    lat.require_drift()
     a1, b1 = lat.alpha(1), lat.beta(1)
-    if a1 <= b1:
-        raise PreconditionError(
-            f"cylinder graph requires alpha_1 > beta_1 (got alpha_1={a1}, beta_1={b1})"
-        )
-    if d == 1 and spec.N != 1:
-        raise PreconditionError(
-            f"a d=1 cylinder has no transverse torus; N must be 1, got {spec.N}")
-    N, L = spec.N, spec.L
-
-    trans, wiring = _transverse_torus(lat, [N] * (d - 1), 2)
-    n_trans = len(trans)
-    n_cyl = (L + 1) * n_trans
-    outside = n_cyl
-
-    def vid(x1, t_idx):
-        return x1 * n_trans + t_idx
-
-    coords = [None] * (n_cyl + 1)
-    edges, weights, directions = [], [], []
-
-    for x1 in range(L + 1):
-        for ti, t in enumerate(trans):
-            v = vid(x1, ti)
-            coords[v] = (x1, *t)
-            # axis 1: rightward then leftward
-            if x1 < L:
-                edges.append((v, vid(x1 + 1, ti)))
-                weights.append(a1)
-            else:
-                edges.append((v, outside))
-                weights.append(a1 - b1)
-            directions.append((1, +1))
-            if x1 > 0:
-                edges.append((v, vid(x1 - 1, ti)))
-            else:
-                edges.append((v, outside))
-            weights.append(b1)
-            directions.append((1, -1))
-            # transverse axes wrap mod N
-            for nb, w, direction in wiring[ti]:
-                edges.append((v, vid(x1, nb)))
-                weights.append(w)
-                directions.append(direction)
-
-    # entering edges: outside -> every leftmost vertex, weight alpha_1
-    for ti in range(n_trans):
-        edges.append((outside, vid(0, ti)))
-        weights.append(a1)
-        directions.append((1, +1))
-
-    g = DirectedGraph(n_cyl + 1, edges, coords=coords, directions=directions)
-    left = np.array([vid(0, ti) for ti in range(n_trans)], dtype=np.int64)
-    right = np.array([vid(L, ti) for ti in range(n_trans)], dtype=np.int64)
-    return CylinderGraph(g, WeightAssignment(weights, g), outside, left, right)
+    coords, outs, n_trans = _cylinder_rows(spec, 0)
+    outside = len(outs)
+    for v in range(n_trans):
+        outs[v][1] = (outside, b1, (1, -1))
+        outs[outside - n_trans + v][0] = (outside, a1 - b1, (1, +1))
+    coords.append(None)
+    outs.append([(v, a1, (1, +1)) for v in range(n_trans)])
+    g, w = _wire(coords, outs)
+    return CylinderGraph(g, w, outside, np.arange(n_trans), np.arange(outside - n_trans, outside))
 
 
 @dataclass
@@ -348,52 +348,19 @@ class BandGraph:
     right_absorbing: np.ndarray
 
 
-def build_cylinder_band(lattice: LatticeSpec, N: int, L: int) -> BandGraph:
+def build_cylinder_band(spec: CylinderSpec) -> BandGraph:
     """Finite window of the infinite cylinder for exit experiments.
 
     Interior abscissas 0..L-1 carry the natural lattice weights; the rows at
     abscissa -1 and L only detect arrival and carry a single self-loop (never
-    traversed, since walks stop on arrival).  Requires N = 1 in d = 1, where
-    there is no transverse torus.
+    traversed, since walks stop on arrival).
     """
-    d = lattice.dimension
-    if L < 1:
-        raise PreconditionError("band requires L >= 1")
-    if d == 1 and N != 1:
-        raise PreconditionError(f"a d=1 band has no transverse torus; N must be 1, got {N}")
-    trans, wiring = _transverse_torus(lattice, [N] * (d - 1), 2)
-    n_trans = len(trans)
-    n = (L + 2) * n_trans
-
-    def vid(x1, t_idx):
-        return (x1 + 1) * n_trans + t_idx
-
-    coords = [None] * n
-    edges, weights, directions = [], [], []
-    for x1 in range(-1, L + 1):
-        for ti, t in enumerate(trans):
-            v = vid(x1, ti)
-            coords[v] = (x1, *t)
-            if x1 in (-1, L):
-                edges.append((v, v))
-                weights.append(1.0)
-                directions.append((1, +1))
-                continue
-            edges.append((v, vid(x1 + 1, ti)))
-            weights.append(lattice.alpha(1))
-            directions.append((1, +1))
-            edges.append((v, vid(x1 - 1, ti)))
-            weights.append(lattice.beta(1))
-            directions.append((1, -1))
-            for nb, w, direction in wiring[ti]:
-                edges.append((v, vid(x1, nb)))
-                weights.append(w)
-                directions.append(direction)
-
-    g = DirectedGraph(n, edges, coords=coords, directions=directions)
-    left = np.array([vid(-1, ti) for ti in range(n_trans)], dtype=np.int64)
-    right = np.array([vid(L, ti) for ti in range(n_trans)], dtype=np.int64)
-    return BandGraph(g, WeightAssignment(weights, g), vid(0, 0), left, right)
+    coords, outs, n_trans = _cylinder_rows(spec, -1)
+    n = len(outs)
+    for v in (*range(n_trans), *range(n - n_trans, n)):
+        outs[v] = [(v, 1.0, (1, +1))]
+    g, w = _wire(coords, outs)
+    return BandGraph(g, w, n_trans, np.arange(n_trans), np.arange(n - n_trans, n))
 
 
 def reverse_graph(g: DirectedGraph) -> DirectedGraph:

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import PreconditionError
+
 # Fixed chunk granularity.  Do not derive this from the worker count or
 # results would depend on it.
 CHUNK_REPLICAS = 8192
@@ -39,7 +41,7 @@ _COLUMN_BLOCK = 8
 def chunk_sizes(total: int, chunk: int = CHUNK_REPLICAS):
     """Sizes of the consecutive chunks covering `total` replicas."""
     if total <= 0:
-        raise ValueError("replica count must be positive")
+        raise PreconditionError("at least one replica required")
     sizes = [chunk] * (total // chunk)
     if total % chunk:
         sizes.append(total % chunk)

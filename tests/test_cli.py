@@ -13,7 +13,7 @@ from rwre import (
     read_environment,
     write_graph,
 )
-from rwre.cli import RECORD_COLUMNS, main
+from rwre.cli import RECORD_COLUMNS, RECORD_EXPERIMENTS, main
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +44,26 @@ def test_balanced_drift_rejected(capsys):
                              "--replicas", "100")
     assert code == 2
     assert "alpha_1 > beta_1" in err
+
+
+_D1_TORUS = "a d=1 cylinder has no transverse torus; N must be 1, got 3"
+_DRIFT = "requires alpha_1 > beta_1 (got alpha_1=1.0, beta_1=2.0)"
+
+
+@pytest.mark.parametrize("argv, message", [
+    *[([command, "--alpha", "2,1", "--replicas", "0"], "at least one replica required")
+      for command in RECORD_EXPERIMENTS],
+    (["grid", "cylinder-exit", "--alpha", "2,1", "--replicas", "0"],
+     "at least one replica required"),
+    (["cylinder-delta", "--alpha", "2,1", "--N", "3", "--L", "2"], _D1_TORUS),
+    (["cylinder-exit", "--alpha", "2,1", "--N", "3", "--L", "2"], _D1_TORUS),
+    (["cylinder-delta", "--alpha", "1,2"], _DRIFT),
+    (["cylinder-exit", "--alpha", "1,2"], _DRIFT),
+    (["transience", "--alpha", "1,2"], _DRIFT),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_each_precondition_exits_two_with_one_message(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_malformed_alpha_rejected(capsys):
@@ -337,6 +357,10 @@ def test_truncation_past_two_percent_warns_once_on_stderr(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("warning: ")
     assert f"{worst['truncated']} of 500 replicas" in lines[0]
     assert "--steps 20" in lines[0]
+    if argv[0] == "grid":
+        # N and L both vary over the sweep, so the warning names both
+        point = json.loads(worst["params"])
+        assert f" records: N={point['N']}, L={point['L']});" in lines[0]
     # stdout holds the records alone
     assert "warning" not in out and len(out.splitlines()) == len(records) + 1
 
@@ -352,7 +376,7 @@ def test_transience_warning_names_the_most_undecided_record(capsys):
     assert (r10["truncated"], r10["undecided"]) == (86, 7)
     assert (r30["truncated"], r30["undecided"]) == (86, 86)
     assert err == ("warning: 86 of 200 replicas hit the step cap --steps 100 and 86 are "
-                   "undecided (worst of 2 records); the estimate may be biased, raise --steps\n")
+                   "undecided (worst of 2 records: L=30); the estimate may be biased, raise --steps\n")
     code, _, err = run_cli(capsys, *argv, "--steps", "100000")
     assert code == 0 and err == ""
 

@@ -105,7 +105,8 @@ def _lockstep_reference(g, probs, start, absorbing, gen, step_cap):
     Also returns (active walkers, walkers absorbed) per step."""
     # cumulative rows padded to the largest degree, zero-filled past each
     # degree, with picks clamped to the last real out-edge
-    pad_eid, pad_head, deg = g.padded_out_tables()
+    pad_eid, pad_head = g.padded_out_tables()
+    deg = g.out_degrees
     live = np.arange(pad_eid.shape[1]) < deg[:, None]
     cum = np.cumsum(np.where(live, probs[:, pad_eid], 0.0), axis=-1)
     size = probs.shape[0]
@@ -148,7 +149,9 @@ def test_walk_kernel_matches_pure_lockstep(weights, N, L, replicas, cap, seed, c
         probs = sample_environment_batch(cg.graph, cg.weights, RngStream(seed).generator(),
                                          replicas)
     gen, ref_gen = RngStream(seed + 100).generator(), RngStream(seed + 100).generator()
-    pos, left, capped = _walk_until_absorbed(cg.graph, probs, cg.outside, absorbing, gen, cap)
+    pos, left = _walk_until_absorbed(cg.graph, probs, cg.outside, absorbing, gen, cap)
+    # the walkers the cap stopped are those never absorbed
+    capped = np.flatnonzero(left < 0)
     ref_pos, ref_left, ref_capped, trace = _lockstep_reference(
         cg.graph, probs, cg.outside, absorbing, ref_gen, cap)
     np.testing.assert_array_equal(pos, ref_pos)
@@ -484,7 +487,7 @@ def test_ruin_oracle_worker_determinism():
 def test_walk_bookkeeping_audit_band():
     # re-scan finished walks: a cap-only walk runs its whole cap, follows its
     # edges, and reports a truncation where its trajectory ends
-    band = build_cylinder_band(lat_2d(2.0, 1.0, 1.0, 1.0), 3, 3)
+    band = build_cylinder_band(CylinderSpec(3, 3, lat_2d(2.0, 1.0, 1.0, 1.0)))
     rule = StoppingRule(max_steps=40)
     base = RngStream(83)
     env = sample_environment(band.graph, band.weights, base.with_stream(999))

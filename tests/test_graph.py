@@ -97,10 +97,10 @@ def test_cylinder_divergence_sweep():
 
 def test_cylinder_d1_rejects_transverse_period():
     lat = LatticeSpec((2.0, 1.0))
-    with pytest.raises(PreconditionError, match="N must be 1"):
-        build_cylinder_graph(CylinderSpec(5, 2, lat))
-    with pytest.raises(PreconditionError, match="N must be 1"):
-        build_cylinder_band(lat, 5, 2)
+    # the spec itself refuses it, so neither builder ever sees one
+    for N in (3, 5):
+        with pytest.raises(PreconditionError, match="N must be 1"):
+            CylinderSpec(N, 2, lat)
     assert build_cylinder_graph(CylinderSpec(1, 2, lat)).graph.n_vertices == 4
 
 
@@ -222,7 +222,7 @@ def test_strong_connectivity():
 
 
 def test_band_graph_shape():
-    band = build_cylinder_band(LatticeSpec((2.0, 1.0, 1.0, 1.0)), 3, 4)
+    band = build_cylinder_band(CylinderSpec(3, 4, LatticeSpec((2.0, 1.0, 1.0, 1.0))))
     g = band.graph
     assert g.n_vertices == 6 * 3
     assert band.left_absorbing.size == 3
@@ -263,7 +263,7 @@ def _build_digest(kind, d, N, L):
         g, w = cg.graph, cg.weights
         ends = (cg.outside, cg.left_face.tolist(), cg.right_face.tolist())
     else:
-        band = build_cylinder_band(lat, N, L)
+        band = build_cylinder_band(CylinderSpec(N, L, lat))
         g, w = band.graph, band.weights
         ends = (band.origin, band.left_absorbing.tolist(), band.right_absorbing.tolist())
     return _graph_digest(g, w, ends)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from rwre import (
+    CylinderSpec,
     LatticeSpec,
     RngStream,
     StoppingRule,
@@ -65,7 +66,7 @@ def _outputs(case):
     if case[0] == "quenched":
         _, graph, kind = case
         if graph == "band":
-            band = build_cylinder_band(LatticeSpec(TORUS_WEIGHTS["w2111"]), 3, 3)
+            band = build_cylinder_band(CylinderSpec(3, 3, LatticeSpec(TORUS_WEIGHTS["w2111"])))
             g, w, origin, target = band.graph, band.weights, band.origin, 7
         else:
             g, w = build_torus(LatticeSpec(TORUS_WEIGHTS["w2111"]), [3, 3])
