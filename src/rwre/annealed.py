@@ -17,6 +17,7 @@ it on a batch of one, so batch values equal single-path values bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -156,6 +157,12 @@ def reinforced_walk(w: WeightAssignment, start: int, stop: StoppingRule, rng: Rn
     return walk_until_stopped(w.graph, start, stop, rng, choose)
 
 
+def _trace_chunk(lows, highs, gen, size):
+    """`reinforced_trace_frequency` on one chunk of `size` replicas drawn from `gen`."""
+    us = gen.random((size, lows.size))
+    return Moments.of(np.all((us >= lows) & (us < highs), axis=1))
+
+
 def reinforced_trace_frequency(w: WeightAssignment, traj: Trajectory, replicas: int,
                                rng: RngStream, workers: int = 1):
     """Fraction of reinforced walks of len(traj) steps that trace the path exactly.
@@ -177,13 +184,15 @@ def reinforced_trace_frequency(w: WeightAssignment, traj: Trajectory, replicas: 
             low += x / row[-1]
         lows[s] = low
         highs[s] = low + row[j] / row[-1]
-
-    def run_chunk(gen: np.random.Generator, size: int):
-        us = gen.random((size, len(traj)))
-        return Moments.of(np.all((us >= lows) & (us < highs), axis=1))
-
+    run_chunk = functools.partial(_trace_chunk, lows, highs)
     hits = sum(run_chunked(run_chunk, replicas, rng, workers), Moments())
     return float(hits.mean), float(hits.standard_error)
+
+
+def _mc_chunk(g, w, edge_ids, gen, size):
+    """`annealed_path_probability_mc` on one chunk of `size` replicas drawn from `gen`."""
+    eids, probs = sample_rows(g, w, gen, size, g.tails[edge_ids])
+    return Moments.of(probs[:, np.searchsorted(eids, edge_ids)].prod(axis=1))
 
 
 def annealed_path_probability_mc(g: DirectedGraph, w: WeightAssignment, traj: Trajectory,
@@ -201,12 +210,7 @@ def annealed_path_probability_mc(g: DirectedGraph, w: WeightAssignment, traj: Tr
     if replicas < 100:
         raise PreconditionError("at least 100 replicas required")
     edge_ids = np.asarray(traj.edges, dtype=np.int64)
-    departed = g.tails[edge_ids]
-
-    def run_chunk(gen: np.random.Generator, size: int):
-        eids, probs = sample_rows(g, w, gen, size, departed)
-        return Moments.of(probs[:, np.searchsorted(eids, edge_ids)].prod(axis=1))
-
+    run_chunk = functools.partial(_mc_chunk, g, w, edge_ids)
     vals = sum(run_chunked(run_chunk, replicas, rng, workers), Moments())
     return float(vals.mean), float(vals.standard_error)
 

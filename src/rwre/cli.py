@@ -197,15 +197,21 @@ def _warn_truncation(results):
     went, so past that share they bias it.  (A capped transience walk has
     decided the levels it already reached; on the cylinders every capped
     walk is undecided.)  Among records with different params, it names the
-    worst one by the params that set it apart (its level L, or its grid
-    point's N and L).  Stdout is not touched."""
+    record past the threshold, or the worst of several, by the params that
+    set it apart (its level L, or its grid point's N and L).  Stdout is not
+    touched."""
     over = [r for r in results if r.undecided > TRUNCATION_WARN_FRAC * r.replicas]
     if not over:
         return
     worst = max(over, key=lambda r: r.undecided / r.replicas)
     point = ", ".join(f"{k}={v}" for k, v in worst.params.items()
                       if any(r.params[k] != v for r in results))
-    which = f" (worst of {len(over)} records: {point})" if point else ""
+    if not point:
+        which = ""
+    elif len(over) > 1:
+        which = f" (worst of {len(over)} records: {point})"
+    else:
+        which = f" (record {point})"
     print(f"warning: {worst.truncated} of {worst.replicas} replicas hit the step cap "
           f"--steps {worst.params['steps']} and {worst.undecided} are undecided{which}; "
           f"the estimate may be biased, raise --steps", file=sys.stderr)
@@ -413,7 +419,8 @@ def _add_run(p, replicas: int, steps=True, timing=True):
     """Flags of a seeded Monte Carlo run."""
     _add_seed(p)
     p.add_argument("--workers", type=_int_at_least(1), default=1,
-                   help="worker threads; affects speed only, never results (default 1)")
+                   help="worker processes, the caller included, capped at the available "
+                        "CPUs; affects speed only, never results (default 1)")
     if timing:
         p.add_argument("--timing", action="store_true",
                        help="record wall time in the output (off by default so reruns are byte-identical)")

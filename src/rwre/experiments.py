@@ -35,6 +35,7 @@ chunk; worker count never changes any output.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -238,6 +239,13 @@ def _walk_until_absorbed(g: DirectedGraph, probs: np.ndarray, start: int,
     return pos, left
 
 
+def _delta_chunk(cg, absorbing, right_mask, step_cap, gen, size):
+    """`cylinder_delta_exit` on one chunk of `size` replicas drawn from `gen`."""
+    probs = sample_environment_batch(cg.graph, cg.weights, gen, size)
+    _, left = _walk_until_absorbed(cg.graph, probs, cg.outside, absorbing, gen, step_cap)
+    return Moments.of(right_mask[left[left >= 0]])
+
+
 def cylinder_delta_exit(spec: CylinderSpec, replicas: int, rng: RngStream,
                         step_cap: int = DEFAULT_STEP_CAP, workers: int = 1) -> ExperimentResult:
     """Probability that the walk from the outside vertex re-enters it through
@@ -250,18 +258,11 @@ def cylinder_delta_exit(spec: CylinderSpec, replicas: int, rng: RngStream,
     that hit the step cap are excluded from the estimate and reported.
     """
     cg = build_cylinder_graph(spec)
-    g = cg.graph
-    delta = cg.outside
-    right_mask = np.zeros(g.n_vertices, dtype=bool)
+    right_mask = np.zeros(cg.graph.n_vertices, dtype=bool)
     right_mask[cg.right_face] = True
-    absorbing = np.zeros(g.n_vertices, dtype=bool)
-    absorbing[delta] = True
-
-    def run_chunk(gen: np.random.Generator, size: int):
-        probs = sample_environment_batch(g, cg.weights, gen, size)
-        _, left = _walk_until_absorbed(g, probs, delta, absorbing, gen, step_cap)
-        return Moments.of(right_mask[left[left >= 0]])
-
+    absorbing = np.zeros(cg.graph.n_vertices, dtype=bool)
+    absorbing[cg.outside] = True
+    run_chunk = functools.partial(_delta_chunk, cg, absorbing, right_mask, step_cap)
     returned = sum(run_chunked(run_chunk, replicas, rng, workers), Moments())
     truncated = replicas - returned.n
     return ExperimentResult(
@@ -277,6 +278,13 @@ def cylinder_delta_exit(spec: CylinderSpec, replicas: int, rng: RngStream,
     )
 
 
+def _band_chunk(band, absorbing, right_mask, step_cap, gen, size):
+    """`cylinder_exit_from_origin` on one chunk of `size` replicas drawn from `gen`."""
+    probs = sample_environment_batch(band.graph, band.weights, gen, size)
+    pos, left = _walk_until_absorbed(band.graph, probs, band.origin, absorbing, gen, step_cap)
+    return Moments.of(right_mask[pos]), int(np.count_nonzero(left < 0))
+
+
 def cylinder_exit_from_origin(spec: CylinderSpec, replicas: int, rng: RngStream,
                               step_cap: int = DEFAULT_STEP_CAP,
                               workers: int = 1) -> ExperimentResult:
@@ -289,17 +297,11 @@ def cylinder_exit_from_origin(spec: CylinderSpec, replicas: int, rng: RngStream,
     """
     spec.lattice.require_drift()
     band = build_cylinder_band(spec)
-    g = band.graph
-    right_mask = np.zeros(g.n_vertices, dtype=bool)
+    right_mask = np.zeros(band.graph.n_vertices, dtype=bool)
     right_mask[band.right_absorbing] = True
     absorbing = right_mask.copy()
     absorbing[band.left_absorbing] = True
-
-    def run_chunk(gen: np.random.Generator, size: int):
-        probs = sample_environment_batch(g, band.weights, gen, size)
-        pos, left = _walk_until_absorbed(g, probs, band.origin, absorbing, gen, step_cap)
-        return Moments.of(right_mask[pos]), int(np.count_nonzero(left < 0))
-
+    run_chunk = functools.partial(_band_chunk, band, absorbing, right_mask, step_cap)
     chunks = run_chunked(run_chunk, replicas, rng, workers)
     right = sum((m for m, _ in chunks), Moments())
     truncated = sum(t for _, t in chunks)
@@ -384,6 +386,21 @@ class _UrnWalk:
         self._key, self.x1, self.top, self.steps = key, x1, top, steps
 
 
+def _transience_chunk(lattice, levels, step_cap, gen, size):
+    """`lattice_transience` on one chunk of `size` replicas drawn from `gen`."""
+    lmax = max(levels)
+    walk = _UrnWalk(lattice, block_uniforms(gen), step_cap)
+    maxima = np.empty(size, dtype=np.int64)
+    capped = np.empty(size, dtype=bool)
+    for i in range(size):
+        walk.restart()
+        walk.run(step_cap, -1, lmax)
+        maxima[i] = walk.top
+        capped[i] = walk.x1 >= 0 and walk.top < lmax
+    reached = maxima[:, None] >= np.array(levels)
+    return Moments.of(reached), int(capped.sum()), (capped[:, None] & ~reached).sum(axis=0)
+
+
 def lattice_transience(lattice: LatticeSpec, levels, replicas: int, step_cap: int,
                        rng: RngStream, workers: int = 1):
     """Estimate P(T_L < D) for each level L: reach abscissa L before ever
@@ -400,20 +417,7 @@ def lattice_transience(lattice: LatticeSpec, levels, replicas: int, step_cap: in
     levels = [int(L) for L in levels]
     if not levels or any(L < 1 for L in levels):
         raise PreconditionError("levels must be positive integers")
-    lmax = max(levels)
-
-    def run_chunk(gen: np.random.Generator, size: int):
-        walk = _UrnWalk(lattice, block_uniforms(gen), step_cap)
-        maxima = np.empty(size, dtype=np.int64)
-        capped = np.empty(size, dtype=bool)
-        for i in range(size):
-            walk.restart()
-            walk.run(step_cap, -1, lmax)
-            maxima[i] = walk.top
-            capped[i] = walk.x1 >= 0 and walk.top < lmax
-        reached = maxima[:, None] >= np.array(levels)
-        return Moments.of(reached), int(capped.sum()), (capped[:, None] & ~reached).sum(axis=0)
-
+    run_chunk = functools.partial(_transience_chunk, lattice, levels, step_cap)
     chunks = run_chunked(run_chunk, replicas, rng, workers)
     successes = sum((m for m, _, _ in chunks), Moments())
     truncated = sum(t for _, t, _ in chunks)
@@ -454,6 +458,18 @@ def trap_condition(lattice: LatticeSpec, axis: int) -> TrapCheck:
     return TrapCheck(axis=axis, value=value, holds=value <= 1.0, slack=1.0 - value)
 
 
+def _velocity_chunk(lattice, horizons, gen, size):
+    """`velocity_probe` on one chunk of `size` replicas drawn from `gen`."""
+    walk = _UrnWalk(lattice, block_uniforms(gen), horizons[-1])
+    x1 = np.empty((size, len(horizons)))
+    for i in range(size):
+        walk.restart()
+        for j, n in enumerate(horizons):
+            walk.run(n)
+            x1[i, j] = walk.x1
+    return Moments.of(x1)
+
+
 def velocity_probe(lattice: LatticeSpec, horizons, replicas: int, rng: RngStream,
                    workers: int = 1):
     """Estimate E[X_n . e_1] / n at each horizon n.
@@ -465,17 +481,7 @@ def velocity_probe(lattice: LatticeSpec, horizons, replicas: int, rng: RngStream
     horizons = sorted(int(n) for n in horizons)
     if not horizons or horizons[0] < 1:
         raise PreconditionError("horizons must be positive integers")
-
-    def run_chunk(gen: np.random.Generator, size: int):
-        walk = _UrnWalk(lattice, block_uniforms(gen), horizons[-1])
-        x1 = np.empty((size, len(horizons)))
-        for i in range(size):
-            walk.restart()
-            for j, n in enumerate(horizons):
-                walk.run(n)
-                x1[i, j] = walk.x1
-        return Moments.of(x1)
-
+    run_chunk = functools.partial(_velocity_chunk, lattice, horizons)
     x1 = sum(run_chunked(run_chunk, replicas, rng, workers), Moments())
     return [ExperimentResult(
         experiment="velocity",
@@ -503,6 +509,13 @@ def quenched_ruin_probability(right_probs) -> float:
     return float(1.0 / (1.0 + np.cumprod(rho).sum()))
 
 
+def _ruin_chunk(a1, b1, L, gen, size):
+    """`ruin_exit_probability` on one chunk of `size` replicas drawn from `gen`."""
+    p = gen.beta(a1, b1, size=(size, L))
+    rho = (1.0 - p) / p
+    return Moments.of(1.0 / (1.0 + np.cumprod(rho, axis=1).sum(axis=1)))
+
+
 def ruin_exit_probability(lattice: LatticeSpec, L: int, replicas: int, rng: RngStream,
                           workers: int = 1) -> ExperimentResult:
     """Exact-formula oracle for the d=1 cylinder exit probability.
@@ -514,17 +527,9 @@ def ruin_exit_probability(lattice: LatticeSpec, L: int, replicas: int, rng: RngS
     """
     if lattice.dimension != 1:
         raise PreconditionError("the ruin oracle is one-dimensional")
-    if replicas == 1:  # run_chunked refuses fewer
-        raise PreconditionError("at least two replicas required")
     if L < 1:
         raise PreconditionError("L must be >= 1")
-    a1, b1 = lattice.alpha(1), lattice.beta(1)
-
-    def run_chunk(gen: np.random.Generator, size: int):
-        p = gen.beta(a1, b1, size=(size, L))
-        rho = (1.0 - p) / p
-        return Moments.of(1.0 / (1.0 + np.cumprod(rho, axis=1).sum(axis=1)))
-
+    run_chunk = functools.partial(_ruin_chunk, lattice.alpha(1), lattice.beta(1), L)
     h = sum(run_chunked(run_chunk, replicas, rng, workers), Moments())
     return ExperimentResult(
         experiment="ruin-oracle",

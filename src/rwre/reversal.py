@@ -22,6 +22,7 @@ approximated by another route.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,6 +266,26 @@ def stationary_batch(probs: np.ndarray, g: DirectedGraph) -> np.ndarray:
     return (x / x.sum(axis=0)).T
 
 
+def _reverse_chunk(g, w, parent, last, ends, gen, size):
+    """`verify_reversal_distribution` on one chunk of `size` replicas drawn from `gen`."""
+    probs = sample_environment_batch(g, w, gen, size)
+    rev = _reversed_probabilities(g, probs, stationary_batch(probs, g)).T.copy()
+    # One row per path and one column per replica, so that `vals.T` is
+    # the Fortran-ordered (replica, path) matrix: Moments sums each
+    # path's replicas pairwise down one contiguous column (a row-major
+    # matrix is summed row by row, which rounds differently).  Products
+    # are built one block of replicas at a time, so each depth reads its
+    # parents while they are still in cache; every value is the same
+    # product of the same factors.
+    vals = np.empty((parent.size, size))
+    for r0 in range(0, size, _REPLICA_BLOCK):
+        block, factors = vals[:, r0:r0 + _REPLICA_BLOCK], rev[:, r0:r0 + _REPLICA_BLOCK]
+        block[: ends[0]] = factors[last[: ends[0]]]
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            np.multiply(block[parent[lo:hi]], factors[last[lo:hi]], out=block[lo:hi])
+    return Moments.of(vals.T)
+
+
 def verify_reversal_distribution(g: DirectedGraph, w: WeightAssignment, k: int,
                                  replicas: int, rng: RngStream, root: int = 0,
                                  workers: int = 1) -> ReversalReport:
@@ -305,24 +326,7 @@ def verify_reversal_distribution(g: DirectedGraph, w: WeightAssignment, k: int,
 
     exact = np.exp(annealed_log_paths_batch(wr, idx))
 
-    def run_chunk(gen: np.random.Generator, size: int):
-        probs = sample_environment_batch(g, w, gen, size)
-        rev = _reversed_probabilities(g, probs, stationary_batch(probs, g)).T.copy()
-        # One row per path and one column per replica, so that `vals.T` is
-        # the Fortran-ordered (replica, path) matrix: Moments sums each
-        # path's replicas pairwise down one contiguous column (a row-major
-        # matrix is summed row by row, which rounds differently).  Products
-        # are built one block of replicas at a time, so each depth reads its
-        # parents while they are still in cache; every value is the same
-        # product of the same factors.
-        vals = np.empty((n_paths, size))
-        for r0 in range(0, size, _REPLICA_BLOCK):
-            block, factors = vals[:, r0:r0 + _REPLICA_BLOCK], rev[:, r0:r0 + _REPLICA_BLOCK]
-            block[: ends[0]] = factors[last[: ends[0]]]
-            for lo, hi in zip(ends[:-1], ends[1:]):
-                np.multiply(block[parent[lo:hi]], factors[last[lo:hi]], out=block[lo:hi])
-        return Moments.of(vals.T)
-
+    run_chunk = functools.partial(_reverse_chunk, g, w, parent, last, ends)
     vals = sum(run_chunked(run_chunk, replicas, rng, workers), Moments())
     mc, se = vals.mean, vals.standard_error
     diff = mc - exact

@@ -1,8 +1,13 @@
-"""Shared helpers for the tests: tiny fixture graphs and random path makers."""
+"""Shared helpers for the tests: tiny fixture graphs, random path makers, and
+the chunk functions of the worker-pool tests (kept here, not in a test
+module, so that a worker process loads them without importing pytest)."""
+
+import os
+import time
 
 import numpy as np
 
-from rwre import DirectedGraph, Trajectory, WeightAssignment
+from rwre import DirectedGraph, PreconditionError, Trajectory, WeightAssignment
 
 
 def random_path(g, rng, length, start=None):
@@ -50,3 +55,27 @@ def two_state_chain():
     """Self-loop chain with p(a,a)=1/2, p(a,b)=1/2, p(b,a)=1/4, p(b,b)=3/4."""
     g = DirectedGraph(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
     return g, np.array([0.5, 0.5, 0.25, 0.75])
+
+
+def draw(gen, size):
+    return size, float(gen.random())
+
+
+def slow_draw(gen, size):
+    time.sleep(0.01)
+    return draw(gen, size)
+
+
+def pid(gen, size):
+    return os.getpid()
+
+
+def refuse_one(gen, size):
+    if size == 1:
+        raise PreconditionError("chunk of 1 refused")
+    return size
+
+
+def reciprocal(gen, size):
+    """1 / (size - 1): numpy warns of a division by zero on a chunk of one."""
+    return float(np.float64(1.0) / np.float64(size - 1))

@@ -381,6 +381,24 @@ def test_transience_warning_names_the_most_undecided_record(capsys):
     assert code == 0 and err == ""
 
 
+
+def test_warning_names_a_lone_record_past_the_threshold(capsys):
+    # of the two grid points only L=8 leaves more than 2% undecided
+    code, out, err = run_cli(capsys, "grid", "cylinder-exit", "--alpha", "2,1,1,1",
+                             "--N", "2", "--L", "2,8", "--replicas", "500", "--steps", "20",
+                             "--seed", "3")
+    assert code == 0
+    assert [int(r["undecided"]) for r in csv.DictReader(io.StringIO(out))][1] == 221
+    assert err == ("warning: 221 of 500 replicas hit the step cap --steps 20 and 221 are "
+                   "undecided (record L=8); the estimate may be biased, raise --steps\n")
+
+
+def test_ruin_runs_one_replica(capsys):
+    code, out, err = run_cli(capsys, "ruin", "--alpha", "2,1", "--replicas", "1")
+    rec = json.loads(out)
+    assert code == 0 and err == ""
+    assert rec["replicas"] == 1 and rec["se"] == 0.0 and 0.0 < rec["estimate"] < 1.0
+
 def test_cached_parser_carries_no_state_between_calls(capsys):
     argv = ["transience", "--alpha", "2,1,1,1", "--L", "3,5", "--replicas", "50",
             "--steps", "1000", "--seed", "8"]

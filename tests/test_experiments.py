@@ -475,7 +475,7 @@ def test_ruin_oracle_preconditions():
     with pytest.raises(PreconditionError):
         ruin_exit_probability(LatticeSpec((2.0, 1.0)), 0, 1000, RngStream(81))
     with pytest.raises(PreconditionError):
-        ruin_exit_probability(LatticeSpec((2.0, 1.0)), 2, 1, RngStream(81))
+        ruin_exit_probability(LatticeSpec((2.0, 1.0)), 2, 0, RngStream(81))
 
 
 def test_ruin_oracle_worker_determinism():
