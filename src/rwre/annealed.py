@@ -41,10 +41,14 @@ def _log_rising(a: np.ndarray, n: np.ndarray) -> np.ndarray:
     """log a(a+1)...(a+n-1) entrywise: the exactly rounded sum (math.fsum) of
     the n logs, for every count.  It keeps full relative accuracy at any
     weight, where a log-Gamma difference cancels when a is large (at
-    a = 1e9 and n = 2000 its error is 3.3e-6 in log).  The counts of a path
-    sum to at most twice its length, so the cost stays linear in the path."""
-    return np.array([math.fsum(math.log(ai + k) for k in range(ni))
-                     for ai, ni in zip(a.tolist(), n.tolist())], dtype=np.float64)
+    a = 1e9 and n = 2000 its error is 3.3e-6 in log).  Each distinct (a, n)
+    pair is summed once: lattice-derived graphs have few distinct weights and
+    small counts, so a batch of paths repeats the same pairs many times.  The
+    counts of a path sum to at most twice its length, so the cost stays
+    linear in the path."""
+    pairs = list(zip(a.tolist(), n.tolist()))
+    table = {(ai, ni): math.fsum(math.log(ai + k) for k in range(ni)) for ai, ni in set(pairs)}
+    return np.array([table[pair] for pair in pairs], dtype=np.float64)
 
 
 def _log_paths(w: WeightAssignment, path: np.ndarray, eids: np.ndarray,

@@ -26,7 +26,8 @@ class DirectedGraph:
     Parameters
     ----------
     n_vertices : int
-    edges : sequence of (tail, head) pairs, indexed by edge id in order
+    edges : (tail, head) pairs, indexed by edge id in order: a sequence of
+        pairs or an (n_edges, 2) integer array
     coords : optional integer coordinates per vertex (lattice-derived graphs);
         an entry may be None (e.g. the outside vertex of a cylinder graph).
     directions : optional per-edge (axis, sign) labels for lattice-derived
@@ -38,10 +39,13 @@ class DirectedGraph:
         if n_vertices <= 0:
             raise ValueError("graph needs at least one vertex")
         self.n_vertices = int(n_vertices)
-        tails = np.asarray([e[0] for e in edges], dtype=np.int64)
-        heads = np.asarray([e[1] for e in edges], dtype=np.int64)
-        if len(tails) == 0:
+        pairs = np.asarray(edges, dtype=np.int64)
+        if pairs.size == 0:
             raise ValueError("graph needs at least one edge")
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("edges must be (tail, head) pairs")
+        tails = np.ascontiguousarray(pairs[:, 0])
+        heads = np.ascontiguousarray(pairs[:, 1])
         if tails.min() < 0 or tails.max() >= n_vertices or heads.min() < 0 or heads.max() >= n_vertices:
             raise ValueError("edge endpoint out of range")
         self.tails = tails
@@ -51,11 +55,8 @@ class DirectedGraph:
         self.directions = directions
 
         # CSR-style out-adjacency: edge ids grouped by tail.
-        order = np.argsort(tails, kind="stable")
-        counts = np.bincount(tails, minlength=n_vertices)
-        self.out_degrees = counts
-        self.out_offsets = np.concatenate([[0], np.cumsum(counts)])
-        self.out_edge_ids = order.astype(np.int64)
+        self.out_edge_ids, self.out_offsets = _group_edges(tails, self.n_vertices)
+        self.out_degrees = np.diff(self.out_offsets)
         self._edge_lookup = None
         self._padded = None
         self._out_lists = None
@@ -122,19 +123,41 @@ class DirectedGraph:
         return self._padded
 
     def is_strongly_connected(self) -> bool:
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import connected_components
-
-        data = np.ones(self.n_edges, dtype=np.int8)
-        adj = coo_matrix((data, (self.tails, self.heads)), shape=(self.n_vertices, self.n_vertices))
-        n_comp, _ = connected_components(adj.tocsr(), directed=True, connection="strong")
-        return n_comp == 1
+        """Whether every vertex reaches every other: a search from vertex 0
+        along the edges and one against them both reach every vertex."""
+        in_edge_ids, in_offsets = _group_edges(self.heads, self.n_vertices)
+        return (_reaches_all(self.out_offsets, self.heads[self.out_edge_ids])
+                and _reaches_all(in_offsets, self.tails[in_edge_ids]))
 
     def validate(self):
         """Raise unless every vertex has out-degree >= 1."""
         if self.min_out_degree() < 1:
             bad = np.flatnonzero(self.out_degrees == 0)
             raise ValueError(f"vertices with out-degree 0: {bad.tolist()}")
+
+
+def _group_edges(ends: np.ndarray, n_vertices: int):
+    """Edge ids grouped by `ends` (tails or heads), in increasing id order
+    within each vertex, and the offset of each vertex's group, with a final
+    entry n_edges."""
+    counts = np.bincount(ends, minlength=n_vertices)
+    return np.argsort(ends, kind="stable"), np.concatenate([[0], np.cumsum(counts)])
+
+
+def _reaches_all(offsets: np.ndarray, neighbours: np.ndarray) -> bool:
+    """Whether a depth-first search from vertex 0 reaches every vertex, where
+    the neighbours of v are neighbours[offsets[v]:offsets[v + 1]]."""
+    offsets, neighbours = offsets.tolist(), neighbours.tolist()
+    seen = [False] * (len(offsets) - 1)
+    seen[0] = True
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for u in neighbours[offsets[v]:offsets[v + 1]]:
+            if not seen[u]:
+                seen[u] = True
+                stack.append(u)
+    return all(seen)
 
 
 class WeightAssignment:
@@ -303,13 +326,14 @@ def _wire(coords, outs):
     """(graph, weights) whose vertex v has coordinates `coords[v]` and the
     out-edges `outs[v]`, given as (head, weight, (axis, sign)) triples; edge
     ids follow vertex order, then list order."""
-    edges, weights, directions = [], [], []
+    tails, heads, weights, directions = [], [], [], []
     for v, out in enumerate(outs):
         for head, w, direction in out:
-            edges.append((v, head))
+            tails.append(v)
+            heads.append(head)
             weights.append(w)
             directions.append(direction)
-    g = DirectedGraph(len(outs), edges, coords=coords, directions=directions)
+    g = DirectedGraph(len(outs), np.array((tails, heads)).T, coords=coords, directions=directions)
     return g, WeightAssignment(weights, g)
 
 
@@ -370,7 +394,7 @@ def reverse_graph(g: DirectedGraph) -> DirectedGraph:
         rev_directions = [(axis, -sign) for axis, sign in g.directions]
     return DirectedGraph(
         g.n_vertices,
-        list(zip(g.heads.tolist(), g.tails.tolist())),
+        np.column_stack((g.heads, g.tails)),
         coords=g.coords,
         directions=rev_directions,
     )

@@ -1,6 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +186,31 @@ def test_reverse_check_passes_in_the_trap_regime(capsys):
                                  "--seed", "11")
         assert code == 0, err
         assert out.strip().split("\n")[-1].endswith("policy pass"), weight
+
+
+def test_reverse_check_runs_without_scipy(capsys):
+    # rwre depends on numpy alone: with every scipy import made to raise,
+    # reverse-check (which checks strong connectivity first) exits 0 with
+    # the same report, and no scipy module is ever loaded
+    argv = ["reverse-check", "--alpha", "2,1,1,1", "--torus", "2,2", "--k", "2",
+            "--replicas", "1000", "--seed", "1"]
+    script = textwrap.dedent(f"""
+        import sys
+        sys.modules["scipy"] = None
+        from rwre.cli import main
+        code = main({argv!r})
+        loaded = sorted(m for m in sys.modules if m.startswith("scipy."))
+        print("scipy modules:", loaded, file=sys.stderr)
+        sys.exit(code)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    blocked = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=60)
+    code, out, err = run_cli(capsys, *argv)
+    assert blocked.returncode == 0, blocked.stderr
+    assert blocked.stderr == "scipy modules: []\n"
+    assert code == 0 and blocked.stdout == out
 
 
 def test_reverse_check_nan_rows_exit_two(capsys):

@@ -3,6 +3,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rwre import (
     CylinderSpec,
@@ -219,6 +221,36 @@ def test_strong_connectivity():
     assert g.is_strongly_connected()
     g2 = DirectedGraph(2, [(0, 1), (1, 1)])
     assert not g2.is_strongly_connected()
+
+
+def _closure_is_complete(n, edges):
+    """Brute force: the reflexive transitive closure of the adjacency matrix,
+    by repeated boolean squaring, is all True."""
+    reach = np.eye(n, dtype=bool)
+    for t, h in edges:
+        reach[t, h] = True
+    for _ in range(n):
+        reach |= reach @ reach
+    return bool(reach.all())
+
+
+@st.composite
+def multigraphs(draw):
+    """1-8 vertices and 1-24 edges drawn with replacement, so self-loops,
+    parallel edges and vertices with no in-edges all occur."""
+    n = draw(st.integers(1, 8))
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=24))
+
+
+@given(multigraphs())
+@example((1, [(0, 0)]))
+@example((3, [(0, 1), (1, 0), (2, 0)]))
+@example((3, [(0, 1), (1, 2), (1, 2), (2, 0)]))
+@example((2, [(1, 0), (1, 1)]))
+def test_strong_connectivity_matches_transitive_closure(graph):
+    n, edges = graph
+    assert DirectedGraph(n, edges).is_strongly_connected() == _closure_is_complete(n, edges)
 
 
 def test_band_graph_shape():

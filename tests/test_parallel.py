@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import select
@@ -72,6 +73,20 @@ def test_block_uniforms_equal_one_draw():
     uniforms = block_uniforms(RngStream(9).generator())
     drawn = list(itertools.islice(uniforms, 5000))
     assert drawn == RngStream(9).generator().random(5000).tolist()
+
+
+def test_numpy_bitstream_canary():
+    # Every digest test pins records drawn from numpy's Philox uniforms and
+    # standard_gamma, which rwre reproduces only per numpy version.  If this
+    # digest moves, numpy changed the stream and those digests fail with it;
+    # shapes below and above 1 cover both of numpy's Gamma samplers.
+    gen = RngStream(2009, 3).generator()
+    uniforms = gen.random(64)
+    gammas = gen.standard_gamma([0.01, 0.3, 1.0, 2.0, 7.5], size=(8, 5))
+    blob = np.concatenate([uniforms, gammas.ravel()]).astype("<f8").tobytes()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "d011d6ad58657aa0f1a9e9a8eaf462a82b032140a8b6bf50c102eb30440580ff"
+    ), f"numpy {np.__version__} draws a different Philox/standard_gamma stream"
 
 
 def test_keyed_generator_independent_of_access_order():
