@@ -128,24 +128,24 @@ def _threshold_columns(g: DirectedGraph, probs: np.ndarray) -> list:
     Column j is flat over (environment r, vertex v) at r * n_vertices + v and
     holds the cumulative probability of v's out-slots 0..j, summed one slot
     at a time in slot order (the adds `np.cumsum` makes), or +inf from slot
-    deg(v) - 1 on, so a uniform is never above it there.  Only vertices with
-    a slot left are summed, so a column that is +inf at most vertices (past
-    the degree of all but a few) costs little more than its fill.  Columns
-    are gathered with `take` and `compress`, which keep the running sums
+    deg(v) - 1 on, so a uniform is never above it there.  Slot j of v is the
+    edge `g.out_edge_ids[g.out_offsets[v] + j]`.  Only vertices with a slot
+    left are summed, so a column that is +inf at most vertices (past the
+    degree of all but a few) costs little more than its fill.  Columns are
+    gathered with `take` and `compress`, which keep the running sums
     C-ordered, so a column that needs no +inf is a view of them.
     """
-    pad_eid, _ = g.padded_out_tables()
     deg = g.out_degrees
     size, n_vertices = probs.shape[0], g.n_vertices
     verts = np.flatnonzero(deg > 1)  # the vertices whose slot j is not their last
-    cum = probs.take(pad_eid[verts, 0], axis=1)
+    cum = probs.take(g.out_edge_ids[g.out_offsets[verts]], axis=1)
     columns = []
-    for j in range(pad_eid.shape[1] - 1):
+    for j in range(int(deg.max()) - 1):
         if j:
             keep = deg[verts] > j + 1
             if not keep.all():
                 verts, cum = verts[keep], cum.compress(keep, axis=1)
-            cum = cum + probs.take(pad_eid[verts, j], axis=1)
+            cum = cum + probs.take(g.out_edge_ids[g.out_offsets[verts] + j], axis=1)
         if verts.size == n_vertices:
             columns.append(cum.ravel())
         else:
@@ -164,22 +164,23 @@ def _walk_until_absorbed(g: DirectedGraph, probs: np.ndarray, start: int,
     walker order, and a walker at vertex v takes out-slot k, the number of
     v's threshold columns (`_threshold_columns`) that its uniform exceeds:
     the first out-edge whose cumulative probability is at least the uniform,
-    the last out-edge if none is, edge 0 on a NaN row.  While more than
-    `_SCALAR_TAIL` walkers are active a step is a few one-dimensional numpy
-    passes over the active walkers' vertices and row offsets; the stragglers
-    left after that finish in a plain Python loop over the same thresholds,
-    which draws the same uniforms and picks the same edges, so the phase
-    split never changes a result or the generator's final state.  The step
-    cap counts across both phases.
+    the last out-edge if none is, edge 0 on a NaN row.  Slot k of v is edge
+    `g.out_edge_ids[g.out_offsets[v] + k]`.  While more than `_SCALAR_TAIL`
+    walkers are active a step is a few one-dimensional numpy passes over the
+    active walkers' vertices and row offsets, and the next vertex is read
+    from `g.heads[g.out_edge_ids]` at that slot; the stragglers left after
+    that finish in a plain Python loop over the same thresholds and the
+    graph's `out_edge_lists()` and `head_list()`, which draws the same
+    uniforms and picks the same edges, so the phase split never changes a
+    result or the generator's final state.  The step cap counts across both
+    phases.
 
     Returns each walker's final vertex and the vertex it left on its
     absorbing step, -1 where the step cap stopped it first.
     """
-    _, pad_head = g.padded_out_tables()
     columns = _threshold_columns(g, probs)
     size, n_vertices = probs.shape[0], g.n_vertices
-    slots = pad_head.shape[1]
-    heads = pad_head.ravel()
+    heads = g.heads.take(g.out_edge_ids)  # the head of each out-slot
     pos = np.full(size, start, dtype=np.int64)
     left = np.full(size, -1, dtype=np.int64)
     active = np.arange(size)
@@ -189,7 +190,7 @@ def _walk_until_absorbed(g: DirectedGraph, probs: np.ndarray, start: int,
     while steps < step_cap and active.size > _SCALAR_TAIL:
         u = gen.random(active.size)
         cell = offset + here
-        k = here * slots  # plus the slot taken: an index into the padded heads
+        k = g.out_offsets.take(here)  # plus the slot taken: an index into `heads`
         for column in columns:
             k += u > column.take(cell)
         nxt = heads.take(k)
@@ -212,7 +213,7 @@ def _walk_until_absorbed(g: DirectedGraph, probs: np.ndarray, start: int,
     rows = np.stack(rows, axis=-1).tolist()
     walkers = active.tolist()
     here = here.tolist()
-    heads = pad_head.tolist()
+    out, heads = g.out_edge_lists(), g.head_list()
     stops = absorbing.tolist()
     for _ in range(step_cap - steps):
         if not walkers:
@@ -224,7 +225,7 @@ def _walk_until_absorbed(g: DirectedGraph, probs: np.ndarray, start: int,
             k = 0
             while u > row[k]:
                 k += 1
-            nxt = heads[v][k]
+            nxt = heads[out[v][k]]
             if stops[nxt]:
                 pos[walkers[j]] = nxt
                 left[walkers[j]] = v
@@ -455,6 +456,8 @@ def trap_condition(lattice: LatticeSpec, axis: int) -> TrapCheck:
     if axis < 1 or axis > lattice.dimension:
         raise PreconditionError(f"axis must be in 1..{lattice.dimension}")
     value = 2.0 * lattice.total() - lattice.alpha(axis) - lattice.beta(axis)
+    if not math.isfinite(value):
+        raise PreconditionError(f"the zero-speed value overflows for weights {lattice.weights}")
     return TrapCheck(axis=axis, value=value, holds=value <= 1.0, slack=1.0 - value)
 
 

@@ -21,7 +21,13 @@ VertexId = int
 
 
 class DirectedGraph:
-    """Finite directed multigraph with per-vertex out-adjacency.
+    """Finite directed multigraph with its edge ids grouped both ways.
+
+    `out_edge_ids` lists the edge ids grouped by tail, so vertex v's
+    out-edges are `out_edge_ids[out_offsets[v]:out_offsets[v + 1]]`;
+    `in_edge_ids` and `in_offsets` group them by head the same way.  Within
+    a vertex the ids ascend.  Walks read the first grouping, reversed rows
+    and the backward reachability search the second.
 
     Parameters
     ----------
@@ -54,11 +60,10 @@ class DirectedGraph:
         self.coords = coords
         self.directions = directions
 
-        # CSR-style out-adjacency: edge ids grouped by tail.
         self.out_edge_ids, self.out_offsets = _group_edges(tails, self.n_vertices)
+        self.in_edge_ids, self.in_offsets = _group_edges(heads, self.n_vertices)
         self.out_degrees = np.diff(self.out_offsets)
         self._edge_lookup = None
-        self._padded = None
         self._out_lists = None
         self._head_list = None
 
@@ -104,30 +109,11 @@ class DirectedGraph:
             )
         return hits[0]
 
-    def padded_out_tables(self):
-        """(edge-id table, head table) padded to the largest out-degree.
-
-        Padding repeats the vertex's last out-edge.  The walk kernel never
-        selects it: its thresholds are +inf from each vertex's last slot on.
-        """
-        if self._padded is None:
-            dmax = int(self.out_degrees.max())
-            pad_eid = np.empty((self.n_vertices, dmax), dtype=np.int64)
-            for v in range(self.n_vertices):
-                ids = self.out_edges(v)
-                if len(ids) == 0:
-                    raise ValueError(f"vertex {v} has out-degree 0")
-                pad_eid[v, :len(ids)] = ids
-                pad_eid[v, len(ids):] = ids[-1]
-            self._padded = (pad_eid, self.heads[pad_eid])
-        return self._padded
-
     def is_strongly_connected(self) -> bool:
         """Whether every vertex reaches every other: a search from vertex 0
         along the edges and one against them both reach every vertex."""
-        in_edge_ids, in_offsets = _group_edges(self.heads, self.n_vertices)
         return (_reaches_all(self.out_offsets, self.heads[self.out_edge_ids])
-                and _reaches_all(in_offsets, self.tails[in_edge_ids]))
+                and _reaches_all(self.in_offsets, self.tails[self.in_edge_ids]))
 
     def validate(self):
         """Raise unless every vertex has out-degree >= 1."""
@@ -206,6 +192,9 @@ class LatticeSpec:
                 "weight vector must be 2d positive finite reals "
                 f"(alpha_1,beta_1,...,alpha_d,beta_d), got {w}"
             )
+        if not math.isfinite(sum(w)):
+            # walks divide by the row total, and Beta draws by alpha_1 + beta_1
+            raise PreconditionError(f"weight vector must have a finite sum, got {w}")
         object.__setattr__(self, "weights", w)
 
     @property

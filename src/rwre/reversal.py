@@ -60,19 +60,18 @@ def _reversed_probabilities(g: DirectedGraph, probs: np.ndarray, pi: np.ndarray)
     tail and head read on `g`; leading batch axes of `probs` and `pi` (one per
     environment) are kept.
 
-    The reversed row of a vertex is its in-edges on `g`.  Rows sum to 1
-    exactly when pi is stationary, so a row off by more than 1e-9 (or NaN)
-    reports pi as non-stationary.  Each row is summed from 0.0 over its
-    in-edges in ascending id order, one in-edge slot at a time.
+    The reversed row of a vertex is its in-edges on `g`, read from
+    `g.in_edge_ids` and `g.in_offsets`.  Rows sum to 1 exactly when pi is
+    stationary, so a row off by more than 1e-9 (or NaN) reports pi as
+    non-stationary.  Each row is summed from 0.0 over its in-edges in
+    ascending id order, one in-edge slot at a time.
     """
     vals = probs * pi[..., g.tails] / pi[..., g.heads]
-    in_eid = np.argsort(g.heads, kind="stable")  # grouped by head, ascending id in a group
-    in_deg = np.bincount(g.heads, minlength=g.n_vertices)
-    first = np.cumsum(in_deg) - in_deg
+    in_deg = np.diff(g.in_offsets)
     sums = np.zeros(pi.shape)
     for j in range(int(in_deg.max())):
         verts = np.flatnonzero(in_deg > j)
-        slot = vals.take(in_eid[first[verts] + j], axis=-1)
+        slot = vals.take(g.in_edge_ids[g.in_offsets[verts] + j], axis=-1)
         if verts.size == g.n_vertices:
             sums += slot
         else:

@@ -57,6 +57,14 @@ def two_state_chain():
     return g, np.array([0.5, 0.5, 0.25, 0.75])
 
 
+def shuffled_edges(g, w, seed):
+    """The graph and weights of (g, w) with their edge ids permuted, so that
+    `out_edge_ids` and `in_edge_ids` are not the identity."""
+    perm = np.random.default_rng(seed).permutation(g.n_edges)
+    shuffled = DirectedGraph(g.n_vertices, np.column_stack((g.tails[perm], g.heads[perm])))
+    return shuffled, WeightAssignment(w.values[perm], shuffled)
+
+
 def draw(gen, size):
     return size, float(gen.random())
 

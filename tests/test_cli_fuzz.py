@@ -201,7 +201,27 @@ def test_alpha_lists_exit_zero_or_two(text):
                  "--replicas", "100"])
 
 
-@pytest.mark.parametrize("text", ["inf,1", "nan,1", "1e400,1", "1e308,1e308"])
+def refused(argv) -> bool:
+    """Whether `rwre argv` exits 2 with one `error:` line and nothing else on
+    stderr."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        status = main(list(argv))
+    lines = err.getvalue().splitlines()
+    return status == 2 and len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("text", ["inf,1", "nan,1", "1e400,1", "1e308,1e308", "1.5e308,1e308"])
 def test_non_finite_alpha_exits_two(text):
-    assert exit_status(["annealed-prob", "--alpha", text, "--torus", "3", "--path", "0,1",
-                        "--replicas", "100"]) == 2
+    # each weight is finite in the last two, but their sum is not
+    for command in (["annealed-prob", "--torus", "3", "--path", "0,1", "--replicas", "100"],
+                    ["velocity", "--horizons", "10", "--replicas", "20"],
+                    ["ruin", "--L", "3"],
+                    ["transience", "--L", "2", "--replicas", "200", "--steps", "1000"],
+                    ["trap-check"]):
+        assert refused([command[0], "--alpha", text, *command[1:]]), command
+
+
+def test_trap_value_overflow_exits_two():
+    # the sum 1e308 + 1 is finite, but 2 * sum - alpha_1 - beta_1 is not
+    assert refused(["trap-check", "--alpha", "1e308,1"])

@@ -31,6 +31,7 @@ from rwre import (
 from rwre.experiments import _SCALAR_TAIL, _UrnWalk, _walk_until_absorbed
 from rwre.parallel import chunk_sizes
 from rwre.rng import block_uniforms
+from common import shuffled_edges
 
 
 def lat_2d(*weights):
@@ -104,9 +105,12 @@ def _lockstep_reference(g, probs, start, absorbing, gen, step_cap):
     that the two-phase `_walk_until_absorbed` must reproduce bit for bit.
     Also returns (active walkers, walkers absorbed) per step."""
     # cumulative rows padded to the largest degree, zero-filled past each
-    # degree, with picks clamped to the last real out-edge
-    pad_eid, pad_head = g.padded_out_tables()
+    # degree, with picks clamped to the last real out-edge; slot j of v is
+    # out-edge j of v, and the padding repeats v's last out-edge
     deg = g.out_degrees
+    slot = np.minimum(np.arange(deg.max()), deg[:, None] - 1)
+    pad_eid = g.out_edge_ids[g.out_offsets[:-1, None] + slot]
+    pad_head = g.heads[pad_eid]
     live = np.arange(pad_eid.shape[1]) < deg[:, None]
     cum = np.cumsum(np.where(live, probs[:, pad_eid], 0.0), axis=-1)
     size = probs.shape[0]
@@ -140,20 +144,25 @@ def _lockstep_reference(g, probs, start, absorbing, gen, step_cap):
     # d = 3: the outside vertex has degree 16 and every other vertex 6, so
     # threshold slots 5 to 14 are +inf everywhere but at the outside vertex
     ((2.0, 1.0, 1.0, 1.0, 1.0, 1.0), 4, 2, 3000, 100_000, 3, "mixed degrees"),
+    # edge ids permuted, so a vertex's out-edges are not adjacent ids and
+    # slot k of v is not edge out_offsets[v] + k
+    ((2.0, 1.0, 1.0, 1.0), 3, 3, 3000, 100_000, 4, "shuffled ids"),
 ])
 def test_walk_kernel_matches_pure_lockstep(weights, N, L, replicas, cap, seed, case):
     cg = build_cylinder_graph(CylinderSpec(N=N, L=L, lattice=LatticeSpec(weights)))
-    absorbing = np.zeros(cg.graph.n_vertices, dtype=bool)
+    g, w = cg.graph, cg.weights
+    if case == "shuffled ids":
+        g, w = shuffled_edges(g, w, seed)
+    absorbing = np.zeros(g.n_vertices, dtype=bool)
     absorbing[cg.outside] = True
     with np.errstate(invalid="ignore"):
-        probs = sample_environment_batch(cg.graph, cg.weights, RngStream(seed).generator(),
-                                         replicas)
+        probs = sample_environment_batch(g, w, RngStream(seed).generator(), replicas)
     gen, ref_gen = RngStream(seed + 100).generator(), RngStream(seed + 100).generator()
-    pos, left = _walk_until_absorbed(cg.graph, probs, cg.outside, absorbing, gen, cap)
+    pos, left = _walk_until_absorbed(g, probs, cg.outside, absorbing, gen, cap)
     # the walkers the cap stopped are those never absorbed
     capped = np.flatnonzero(left < 0)
     ref_pos, ref_left, ref_capped, trace = _lockstep_reference(
-        cg.graph, probs, cg.outside, absorbing, ref_gen, cap)
+        g, probs, cg.outside, absorbing, ref_gen, cap)
     np.testing.assert_array_equal(pos, ref_pos)
     np.testing.assert_array_equal(left, ref_left)
     np.testing.assert_array_equal(capped, ref_capped)
@@ -167,9 +176,13 @@ def test_walk_kernel_matches_pure_lockstep(weights, N, L, replicas, cap, seed, c
         assert capped.size == 0
     elif case == "nan rows":
         assert np.isnan(probs).any()
+    elif case == "mixed degrees":
+        assert capped.size == 0
+        assert sorted(set(g.out_degrees.tolist())) == [6, 16]
     else:
         assert capped.size == 0
-        assert sorted(set(cg.graph.out_degrees.tolist())) == [6, 16]
+        assert not np.array_equal(g.out_edge_ids, np.arange(g.n_edges))
+        assert not np.array_equal(g.heads[g.out_edge_ids], g.heads)
 
 
 def test_origin_exit_lower_bound():

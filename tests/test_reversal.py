@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwre import (
+    CylinderSpec,
     DirectedGraph,
     Environment,
     LatticeSpec,
@@ -15,6 +16,7 @@ from rwre import (
     Trajectory,
     WeightAssignment,
     annealed_path_probability_exact,
+    build_cylinder_graph,
     build_torus,
     check_cycle_reversal,
     enumerate_paths,
@@ -30,7 +32,7 @@ from rwre import (
 )
 from rwre.parallel import Moments, run_chunked
 from rwre.reversal import _reversed_probabilities
-from common import divergent_two_vertex, random_cycle, two_state_chain
+from common import divergent_two_vertex, random_cycle, shuffled_edges, two_state_chain
 
 
 def test_stationary_two_cycle():
@@ -195,30 +197,37 @@ def test_reverse_environment_sampled_rows_stochastic():
 
 def test_reversed_rows_off_are_listed_by_vertex():
     # a pi off by 1e-6 at one vertex, or a NaN row, must name the same
-    # vertices as summing the reversed rows with np.add.at (the reference)
-    g, w = build_torus(LatticeSpec((2.0, 1.0, 1.0, 1.0)), [3, 3])
-    probs = sample_environment_batch(g, w, RngStream(42).generator(), 64)
-    pi = stationary_batch(probs, g)
-    _reversed_probabilities(g, probs, pi)  # stationary: no error
+    # vertices as summing the reversed rows with np.add.at (the reference).
+    # Every vertex of the 3x3 torus has in-degree 4.  The augmented cylinder,
+    # its edge ids shuffled, has in-degrees 3, 4 and 6, so its later in-slots
+    # are summed at only some of the vertices.
+    cg = build_cylinder_graph(CylinderSpec(N=3, L=2, lattice=LatticeSpec((2.0, 1.0, 1.0, 1.0))))
+    graphs = (build_torus(LatticeSpec((2.0, 1.0, 1.0, 1.0)), [3, 3]),
+              shuffled_edges(cg.graph, cg.weights, 5))
+    assert sorted(set(np.diff(graphs[1][0].in_offsets).tolist())) == [3, 4, 6]
+    for g, w in graphs:
+        probs = sample_environment_batch(g, w, RngStream(42).generator(), 64)
+        pi = stationary_batch(probs, g)
+        _reversed_probabilities(g, probs, pi)  # stationary: no error
 
-    def reference_off(probs, pi):
-        vals = probs * pi[..., g.tails] / pi[..., g.heads]
-        sums = np.zeros(pi.shape)
-        np.add.at(sums, (..., g.heads), vals)
-        off = ~(np.abs(sums - 1.0) <= 1e-9)
-        return np.flatnonzero(off.reshape(-1, off.shape[-1]).any(axis=0)).tolist()
+        def reference_off(probs, pi):
+            vals = probs * pi[..., g.tails] / pi[..., g.heads]
+            sums = np.zeros(pi.shape)
+            np.add.at(sums, (..., g.heads), vals)
+            off = ~(np.abs(sums - 1.0) <= 1e-9)
+            return np.flatnonzero(off.reshape(-1, off.shape[-1]).any(axis=0)).tolist()
 
-    off_pi = pi.copy()
-    off_pi[17, 4] *= 1.0 + 1e-6
-    nan_probs = probs.copy()
-    nan_probs[30, g.out_edges(2)] = np.nan
-    for p, q in ((probs, off_pi), (nan_probs, pi), (probs[17], off_pi[17])):
-        bad = reference_off(p, q)
-        assert bad
-        with pytest.raises(PreconditionError, match=re.escape(f"at vertices {bad}")):
-            _reversed_probabilities(g, p, q)
-    assert reference_off(probs, off_pi) == sorted({4, *g.heads[g.out_edges(4)].tolist()})
-    assert reference_off(nan_probs, pi) == sorted(set(g.heads[g.out_edges(2)].tolist()))
+        off_pi = pi.copy()
+        off_pi[17, 4] *= 1.0 + 1e-6
+        nan_probs = probs.copy()
+        nan_probs[30, g.out_edges(2)] = np.nan
+        for p, q in ((probs, off_pi), (nan_probs, pi), (probs[17], off_pi[17])):
+            bad = reference_off(p, q)
+            assert bad
+            with pytest.raises(PreconditionError, match=re.escape(f"at vertices {bad}")):
+                _reversed_probabilities(g, p, q)
+        assert reference_off(probs, off_pi) == sorted({4, *g.heads[g.out_edges(4)].tolist()})
+        assert reference_off(nan_probs, pi) == sorted(set(g.heads[g.out_edges(2)].tolist()))
 
 
 def test_reverse_environment_involution():
