@@ -11,8 +11,9 @@ Per-vertex counts are departure counts (the first n-1 positions of an
 n-vertex path), the only reading under which they match the edge counts
 vertex by vertex.
 
-The formula has one batched implementation; the single-path functions run
-it on a batch of one, so batch values equal single-path values bit for bit.
+The formula has one kernel, a pure-Python loop over paths given as edge-id
+lists; the single-path and batch functions both call it, so batch values
+equal single-path values bit for bit.
 """
 
 from __future__ import annotations
@@ -31,52 +32,55 @@ from .stopping import StoppingRule
 
 
 def log_rising_factorial(a: float, n: int) -> float:
-    """log of a(a+1)...(a+n-1), the exactly rounded sum of the n logs."""
+    """log of a(a+1)...(a+n-1) as the exactly rounded sum (math.fsum) of the
+    n logs.  It keeps full relative accuracy at any weight, where a
+    log-Gamma difference cancels when a is large (at a = 1e9 and n = 2000
+    its error is 3.3e-6 in log)."""
     if n < 0:
         raise ValueError("count must be nonnegative")
-    return float(_log_rising(np.array([a], dtype=np.float64), np.array([n]))[0])
+    a = float(a)
+    return math.fsum(math.log(a + k) for k in range(n))
 
 
-def _log_rising(a: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """log a(a+1)...(a+n-1) entrywise: the exactly rounded sum (math.fsum) of
-    the n logs, for every count.  It keeps full relative accuracy at any
-    weight, where a log-Gamma difference cancels when a is large (at
-    a = 1e9 and n = 2000 its error is 3.3e-6 in log).  Each distinct (a, n)
-    pair is summed once: lattice-derived graphs have few distinct weights and
-    small counts, so a batch of paths repeats the same pairs many times.  The
-    counts of a path sum to at most twice its length, so the cost stays
-    linear in the path."""
-    pairs = list(zip(a.tolist(), n.tolist()))
-    table = {(ai, ni): math.fsum(math.log(ai + k) for k in range(ni)) for ai, ni in set(pairs)}
-    return np.array([table[pair] for pair in pairs], dtype=np.float64)
+def _log_paths(w: WeightAssignment, paths) -> list:
+    """The exact formula's kernel: log E[p] for each path of `paths`, each a
+    sequence of edge ids.
 
-
-def _log_paths(w: WeightAssignment, path: np.ndarray, eids: np.ndarray,
-               n_paths: int) -> np.ndarray:
-    """The exact formula's kernel: log E[p] for each of `n_paths` paths whose
-    steps are the edges `eids`, step i belonging to path `path[i]`.
-
-    Per-path edge and departure counts are the multiplicities of the
-    (path, edge) and (path, tail vertex) pairs, so only nonzero counts enter
-    and nothing of size n_paths x n_edges is allocated.  Each path's terms
-    are added in ascending edge (vertex) id order, starting from 0.
+    A path's edge and departure counts are tallied in dicts, so only nonzero
+    counts enter.  Its terms are added from 0.0 in ascending edge (vertex) id
+    order.  Each distinct (weight, count) pair of a call is summed once:
+    lattice-derived graphs have few distinct weights and small counts, so the
+    paths of a call repeat the same pairs many times.  The counts of a path
+    sum to twice its length, so the cost stays linear in the path.
     """
-    g = w.graph
+    tails, values, sums = w.graph.tail_list(), w.value_list(), w.vertex_sum_list()
+    table = {}
 
-    def log_rising(keys, width, base):
-        """Per path, sum of log rising factorials of base[key] by key counts."""
-        pairs, n = np.unique(path * width + keys, return_counts=True)
-        return np.bincount(pairs // width, _log_rising(base[pairs % width], n),
-                           minlength=n_paths)
+    def log_rising(base, counts):
+        """Sum of log rising factorials of base[key] by key counts."""
+        total = 0.0
+        for key in sorted(counts):
+            pair = (base[key], counts[key])
+            term = table.get(pair)
+            if term is None:
+                term = table[pair] = log_rising_factorial(*pair)
+            total += term
+        return total
 
-    return (log_rising(eids, g.n_edges, w.values)
-            - log_rising(g.tails[eids], g.n_vertices, w.vertex_sums()))
+    logs = []
+    for path in paths:
+        crossed, departed = {}, {}
+        for eid in path:
+            crossed[eid] = crossed.get(eid, 0) + 1
+            v = tails[eid]
+            departed[v] = departed.get(v, 0) + 1
+        logs.append(log_rising(values, crossed) - log_rising(sums, departed))
+    return logs
 
 
 def annealed_log_path_probability(w: WeightAssignment, traj: Trajectory) -> float:
     """log E[p(path)] under the Dirichlet law with parameters `w`."""
-    eids = np.asarray(traj.edges, dtype=np.int64)
-    return float(_log_paths(w, np.zeros(eids.size, dtype=np.int64), eids, 1)[0])
+    return _log_paths(w, [traj.edges])[0]
 
 
 def annealed_path_probability_exact(w: WeightAssignment, traj: Trajectory) -> float:
@@ -91,8 +95,8 @@ def annealed_log_paths_batch(w: WeightAssignment, edge_index_matrix: np.ndarray)
     `edge_index_matrix` is (n_paths, max_len) of edge ids with -1 padding.
     Intended for enumeration suites.
     """
-    path, col = np.nonzero(edge_index_matrix >= 0)
-    return _log_paths(w, path, edge_index_matrix[path, col], edge_index_matrix.shape[0])
+    paths = [[eid for eid in row if eid >= 0] for row in edge_index_matrix.tolist()]
+    return np.array(_log_paths(w, paths), dtype=np.float64)
 
 
 class _UrnRows(dict):
@@ -108,7 +112,9 @@ class _UrnRows(dict):
 
     def __missing__(self, v):
         w = self.w
-        row = self[v] = w.values[w.graph.out_edges(v)].tolist() + [float(w.vertex_sums()[v])]
+        values = w.value_list()
+        row = self[v] = [values[eid] for eid in w.graph.out_edge_lists()[v]]
+        row.append(w.vertex_sum_list()[v])
         return row
 
 

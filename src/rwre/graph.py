@@ -66,6 +66,7 @@ class DirectedGraph:
         self._edge_lookup = None
         self._out_lists = None
         self._head_list = None
+        self._tail_list = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -88,6 +89,12 @@ class DirectedGraph:
         if self._head_list is None:
             self._head_list = self.heads.tolist()
         return self._head_list
+
+    def tail_list(self) -> list:
+        """`tails` as a list of Python ints, shared like `out_edge_lists`."""
+        if self._tail_list is None:
+            self._tail_list = self.tails.tolist()
+        return self._tail_list
 
     def min_out_degree(self) -> int:
         return int(self.out_degrees.min())
@@ -147,7 +154,9 @@ def _reaches_all(offsets: np.ndarray, neighbours: np.ndarray) -> bool:
 
 
 class WeightAssignment:
-    """Positive weight per edge; vertex sums cached."""
+    """Positive weight per edge.  The vertex sums, the list views and the
+    reversal are each built once per object and shared, so callers must not
+    modify them (or `values`)."""
 
     def __init__(self, values, graph: DirectedGraph):
         values = np.asarray(values, dtype=np.float64)
@@ -164,11 +173,34 @@ class WeightAssignment:
             raise PreconditionError("vertex weight sums overflow")
         sums.flags.writeable = False
         self._vertex_sums = sums
+        self._value_list = None
+        self._sum_list = None
+        self._reversal = None
 
     def vertex_sums(self) -> np.ndarray:
         """Out-weight sum per vertex (accumulated in edge-id order), computed
         once; the array is read-only."""
         return self._vertex_sums
+
+    def value_list(self) -> list:
+        """`values` as a list of Python floats."""
+        if self._value_list is None:
+            self._value_list = self.values.tolist()
+        return self._value_list
+
+    def vertex_sum_list(self) -> list:
+        """`vertex_sums()` as a list of Python floats."""
+        if self._sum_list is None:
+            self._sum_list = self._vertex_sums.tolist()
+        return self._sum_list
+
+    def reversal(self) -> "WeightAssignment":
+        """`reverse_weights(self, reverse_graph(self.graph))`: the same
+        weights on the reversed graph.  Kept by this object alone; another
+        assignment on the same graph builds its own."""
+        if self._reversal is None:
+            self._reversal = reverse_weights(self, reverse_graph(self.graph))
+        return self._reversal
 
     def in_sums(self) -> np.ndarray:
         sums = np.zeros(self.graph.n_vertices)

@@ -34,13 +34,19 @@ from .annealed import (
 )
 from .environment import Environment, Trajectory, path_probability, sample_environment_batch
 from .errors import PreconditionError
-from .graph import DirectedGraph, WeightAssignment, divergence, reverse_graph, reverse_weights
+from .graph import DirectedGraph, WeightAssignment, divergence, reverse_graph
 from .parallel import Moments, run_chunked
 from .rng import RngStream
 
 REVERSED_ROW_TOL = 1e-9
 DIVERGENCE_TOL = 1e-9
 PATH_GUARD = 10_000
+
+# Bytes of the (n, n, block) transition array that `stationary_batch` fills
+# per block of environments; its first elimination step holds a temporary of
+# about the same size.  A chunk of 8192 environments on the 8x8 torus would
+# need 256 MiB.
+_SOLVE_BYTES = 1 << 25
 
 # Replicas per block of `verify_reversal_distribution`'s path products: a
 # block of 340 paths (k = 4 on a 2x2 torus) is ~1.4 MB, which stays in cache.
@@ -149,9 +155,7 @@ def check_cycle_reversal(w: WeightAssignment, cycle: Trajectory) -> CycleReversa
     require_null_divergence(w)
     cycle.check_consistent(w.graph)
     forward = annealed_path_probability_exact(w, cycle)
-    gr = reverse_graph(w.graph)
-    wr = reverse_weights(w, gr)
-    backward = annealed_path_probability_exact(wr, cycle.reversed())
+    backward = annealed_path_probability_exact(w.reversal(), cycle.reversed())
     return CycleReversalReport(forward, backward)
 
 
@@ -240,21 +244,23 @@ def stationary_batch(probs: np.ndarray, g: DirectedGraph) -> np.ndarray:
     pivot that is not finite and positive (a chain made numerically
     reducible, say by an edge of probability 0), spreads into the masses;
     a vertex that no other vertex reaches gets mass 0.
+
+    Environments are solved in blocks whose transition arrays fit
+    `_SOLVE_BYTES`.  A block holds at least two environments, since a block
+    of one sums its (k, 1) columns pairwise and rounds differently; a
+    trailing block of one joins the block before it.  So every environment
+    gets the same masses, bit for bit, as in one unblocked solve.
     """
     count, n = probs.shape[0], g.n_vertices
-    # P[i, j] is the (i, j) transition of every environment, the batch axis
-    # last so that each step below runs over contiguous memory
-    P = np.zeros((n * n, count))
-    for key, column in zip((g.tails * n + g.heads).tolist(), probs.T):
-        P[key] += column
-    P = P.reshape(n, n, count)
+    step = max(2, _SOLVE_BYTES // (8 * n * n))
+    bounds = [*range(0, count, step), count]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    keys = (g.tails * n + g.heads).tolist()
     x = np.ones((n, count))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(n - 1, 0, -1):
-            P[:k, k] /= P[k, :k].sum(axis=0)
-            P[:k, :k] += P[:k, k, None] * P[None, k, :k]
-        for k in range(1, n):
-            x[k] = (x[:k] * P[:k, k]).sum(axis=0)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            _eliminate(keys, probs[lo:hi], x[:, lo:hi])
     bad = np.flatnonzero(~np.all((x > 0.0) & (x < np.inf), axis=0))
     if bad.size:
         raise PreconditionError(
@@ -263,6 +269,24 @@ def stationary_batch(probs: np.ndarray, g: DirectedGraph) -> np.ndarray:
             f"or is numerically reducible"
         )
     return (x / x.sum(axis=0)).T
+
+
+def _eliminate(keys: list, probs: np.ndarray, x: np.ndarray):
+    """GTH on one block: the unnormalised masses of the environments `probs`
+    into `x`, (n, block) and preset to 1, with transition (i, j) of edge e
+    summed at keys[e] = i * n + j."""
+    n, count = x.shape
+    # P[i, j] is the (i, j) transition of every environment, the batch axis
+    # last so that each step below runs over contiguous memory
+    P = np.zeros((n * n, count))
+    for key, column in zip(keys, probs.T):
+        P[key] += column
+    P = P.reshape(n, n, count)
+    for k in range(n - 1, 0, -1):
+        P[:k, k] /= P[k, :k].sum(axis=0)
+        P[:k, :k] += P[:k, k, None] * P[None, k, :k]
+    for k in range(1, n):
+        x[k] = (x[:k] * P[:k, k]).sum(axis=0)
 
 
 def _reverse_chunk(g, w, parent, last, ends, gen, size):
@@ -307,8 +331,8 @@ def verify_reversal_distribution(g: DirectedGraph, w: WeightAssignment, k: int,
     require_null_divergence(w)
     if not g.is_strongly_connected():
         raise PreconditionError("reversal verification needs a strongly connected graph")
-    gr = reverse_graph(g)
-    wr = reverse_weights(w, gr)
+    wr = w.reversal()
+    gr = wr.graph
     paths = enumerate_paths(gr, root, k)
     n_paths = len(paths)
     idx = np.full((n_paths, k), -1, dtype=np.int64)

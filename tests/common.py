@@ -41,6 +41,17 @@ def random_cycle(g, rng, max_len):
                 return Trajectory(vs, eids)
 
 
+def walk_by_choices(g, start, choices):
+    """The path from `start` whose step i takes out-edge choices[i] modulo
+    the out-degree, in `out_edges` order."""
+    vs, eids = [int(start)], []
+    for c in choices:
+        out = g.out_edge_lists()[vs[-1]]
+        eids.append(out[c % len(out)])
+        vs.append(g.head_list()[eids[-1]])
+    return Trajectory(vs, eids)
+
+
 def divergent_two_vertex():
     """Two vertices with nonzero weight divergence: div = (+1, -1).
 

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwre import (
     DirectedGraph,
@@ -26,7 +29,7 @@ from rwre import (
     sample_environment,
     urn_path_probability,
 )
-from common import random_path
+from common import random_path, walk_by_choices
 
 
 def d1_torus3():
@@ -160,6 +163,78 @@ def test_exact_formula_at_large_weights(weights):
     logs = annealed_log_paths_batch(w, mat)
     assert logs[0] == pytest.approx(expected, rel=1e-12)
     assert logs[1] == pytest.approx(math.fsum(terms[:3]), rel=1e-12)
+
+
+@st.composite
+def weighted_multigraphs(draw, weights):
+    """(graph, weights) on 1-5 vertices: a cycle through every vertex in
+    random order keeps the graph strongly connected, and up to 8 extra edges
+    drawn with replacement add self-loops and parallel edges.  Edge ids are
+    in draw order, so the cycle's edges are not grouped by tail."""
+    n = draw(st.integers(1, 5))
+    order = draw(st.permutations(range(n)))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+    edges += [(order[i], order[(i + 1) % n]) for i in range(n)]
+    edges = draw(st.permutations(edges))
+    g = DirectedGraph(n, edges)
+    return g, WeightAssignment(draw(st.lists(weights, min_size=len(edges),
+                                             max_size=len(edges))), g)
+
+
+def drawn_paths(draw, g, max_paths=6, max_len=12):
+    """Paths of 0..max_len steps from drawn starts, along drawn out-edges."""
+    return [walk_by_choices(g, draw(st.integers(0, g.n_vertices - 1)),
+                            draw(st.lists(st.integers(0, 63), max_size=max_len)))
+            for _ in range(draw(st.integers(1, max_paths)))]
+
+
+real_weights = st.floats(1e-2, 1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), graph=weighted_multigraphs(real_weights))
+def test_batch_equals_its_single_paths_bit_for_bit(data, graph):
+    g, w = graph
+    paths = drawn_paths(data.draw, g)
+    mat = np.full((len(paths), 12), -1, dtype=np.int64)
+    for i, traj in enumerate(paths):
+        mat[i, :len(traj)] = traj.edges
+    logs = annealed_log_paths_batch(w, mat)
+    assert isinstance(logs, np.ndarray)
+    assert logs.tolist() == [annealed_log_path_probability(w, traj) for traj in paths]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), graph=weighted_multigraphs(real_weights))
+def test_exact_equals_the_urn_product(data, graph):
+    g, w = graph
+    for traj in drawn_paths(data.draw, g):
+        assert annealed_path_probability_exact(w, traj) == pytest.approx(
+            urn_path_probability(w, traj), rel=1e-12)
+
+
+def rational_rising(a, n):
+    """a(a+1)...(a+n-1) in exact arithmetic."""
+    return math.prod((Fraction(a) + k for k in range(n)), start=Fraction(1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), graph=weighted_multigraphs(st.integers(1, 4).map(float)))
+def test_exact_equals_the_rational_rising_factorials(data, graph):
+    g, w = graph
+    sums = [Fraction(0)] * g.n_vertices
+    for eid, weight in enumerate(w.values.tolist()):
+        sums[g.tail_list()[eid]] += Fraction(weight)
+    for traj in drawn_paths(data.draw, g, max_len=30):
+        crossed = np.bincount(traj.edges, minlength=g.n_edges).tolist()
+        departed = np.bincount(traj.vertices[:-1], minlength=g.n_vertices).tolist()
+        ref = (math.prod((rational_rising(a, n) for a, n in zip(w.values.tolist(), crossed)),
+                         start=Fraction(1))
+               / math.prod((rational_rising(s, m) for s, m in zip(sums, departed)),
+                           start=Fraction(1)))
+        log_ref = math.log(ref.numerator) - math.log(ref.denominator)
+        assert annealed_log_path_probability(w, traj) == pytest.approx(log_ref, abs=1e-12)
 
 
 def test_urn_path_probability_bookkeeping():

@@ -23,6 +23,7 @@ from rwre import (
     path_probability,
     reverse_environment,
     reverse_graph,
+    reverse_weights,
     reversed_path_ratio,
     sample_environment,
     sample_environment_batch,
@@ -30,9 +31,11 @@ from rwre import (
     stationary_distribution,
     verify_reversal_distribution,
 )
+import rwre.reversal
 from rwre.parallel import Moments, run_chunked
 from rwre.reversal import _reversed_probabilities
-from common import divergent_two_vertex, random_cycle, shuffled_edges, two_state_chain
+from common import (divergent_two_vertex, random_cycle, shuffled_edges, two_state_chain,
+                    walk_by_choices)
 
 
 def test_stationary_two_cycle():
@@ -121,6 +124,53 @@ def test_stationary_solves_a_trap_environment_to_the_reference():
     assert min(exact) < 1e-20
     assert max_rel_error(pi, exact) <= 1e-13
     assert np.array_equal(stationary_batch(probs, g)[57], pi)
+
+
+def solve_blocks(monkeypatch, envs_per_block, g, probs):
+    """`stationary_batch` under a budget of `envs_per_block` environments,
+    and the block sizes it solved."""
+    sizes = []
+    eliminate = rwre.reversal._eliminate
+
+    def spy(keys, block, x):
+        sizes.append(x.shape[1])
+        eliminate(keys, block, x)
+
+    with monkeypatch.context() as m:
+        m.setattr(rwre.reversal, "_SOLVE_BYTES", envs_per_block * 8 * g.n_vertices ** 2)
+        m.setattr(rwre.reversal, "_eliminate", spy)
+        return stationary_batch(probs, g), sizes
+
+
+def cylinder_44():
+    cg = build_cylinder_graph(CylinderSpec(4, 4, LatticeSpec((2.0, 1.0, 1.0, 1.0))))
+    return cg.graph, cg.weights
+
+
+@pytest.mark.parametrize("count", [2, 7, 1001])
+@pytest.mark.parametrize("envs_per_block", [1, 2, 3, 16])
+@pytest.mark.parametrize("case", ["torus 2x2", "trap torus 5x5", "cylinder N=L=4"])
+def test_blocked_solve_equals_the_unblocked_solve(monkeypatch, case, envs_per_block, count):
+    # a block of one environment rounds differently, so every block holds
+    # at least two, and a trailing block of one joins the block before it
+    g, w = {"torus 2x2": lambda: build_torus(LatticeSpec((2.0, 1.0, 1.0, 1.0)), [2, 2]),
+            "trap torus 5x5": lambda: build_torus(LatticeSpec((0.05, 0.02, 0.03, 0.03)), [5, 5]),
+            "cylinder N=L=4": cylinder_44}[case]()
+    probs = sample_environment_batch(g, w, RngStream(60).generator(), count)
+    whole, sizes = solve_blocks(monkeypatch, count, g, probs)
+    assert sizes == [count]
+    blocked, sizes = solve_blocks(monkeypatch, envs_per_block, g, probs)
+    step = max(2, envs_per_block)
+    assert sum(sizes) == count and sizes[:-1] == [step] * (len(sizes) - 1)
+    assert 2 <= sizes[-1] <= step + 1
+    assert blocked.tobytes() == whole.tobytes()
+
+
+def test_blocked_solve_of_one_environment(monkeypatch):
+    g, probs = two_state_chain()
+    pi, sizes = solve_blocks(monkeypatch, 1, g, probs[None, :])
+    assert sizes == [1]
+    assert pi[0] == pytest.approx([1 / 3, 2 / 3], rel=1e-15)
 
 
 @st.composite
@@ -320,6 +370,85 @@ def test_cycle_reversal_rejects_open_path():
     g, w = build_torus(LatticeSpec((2.0, 1.0)), [3])
     with pytest.raises(PreconditionError):
         check_cycle_reversal(w, Trajectory.from_vertices(g, [0, 1]))
+
+
+def fresh_backward(w, cycle):
+    """The backward side of the cycle identity on a reversal built anew."""
+    return annealed_path_probability_exact(reverse_weights(w, reverse_graph(w.graph)),
+                                           cycle.reversed())
+
+
+@pytest.mark.parametrize("graph", ["torus", "shuffled cylinder"])
+def test_cycle_reversal_backward_equals_a_fresh_reversal(graph):
+    if graph == "torus":
+        g, w = build_torus(LatticeSpec((2.0, 1.0, 1.3, 0.7)), [3, 3])
+    else:
+        cg = build_cylinder_graph(CylinderSpec(3, 2, LatticeSpec((2.0, 1.0, 1.3, 0.7))))
+        g, w = shuffled_edges(cg.graph, cg.weights, 8)
+    rng = np.random.default_rng(47)
+    for _ in range(30):
+        cyc = random_cycle(g, rng, 10)
+        assert check_cycle_reversal(w, cyc).backward == fresh_backward(w, cyc)
+    assert w.reversal() is w.reversal()
+    assert w.reversal().graph is not g
+
+
+def test_weight_assignments_on_one_graph_keep_their_own_reversal():
+    g, w = build_torus(LatticeSpec((2.0, 1.0, 1.0, 1.0)), [3, 3])
+    w1 = WeightAssignment(w.values, g)
+    w2 = WeightAssignment(3.0 * w.values, g)
+    cyc = random_cycle(g, np.random.default_rng(48), 10)
+    rep1 = check_cycle_reversal(w1, cyc)
+    rep2 = check_cycle_reversal(w2, cyc)
+    assert w1.reversal() is not w2.reversal()
+    assert np.array_equal(w2.reversal().values, 3.0 * w.values)
+    assert rep1.backward == fresh_backward(w1, cyc)
+    assert rep2.backward == fresh_backward(w2, cyc)
+    assert rep1.backward != rep2.backward
+
+
+@st.composite
+def null_divergence_multigraphs(draw):
+    """(graph, weights) on 1-5 vertices whose weights are sums of cycle
+    weights, so their divergence vanishes: a cycle through every vertex in
+    random order keeps the graph strongly connected, and up to 4 more closed
+    vertex sequences (a repeated vertex is a self-loop) are laid on it.  Each
+    step takes lane 0 or 1 of its (tail, head), so parallel edges occur, and
+    a lane that several steps take sums their cycles' weights."""
+    n = draw(st.integers(1, 5))
+    order = draw(st.permutations(range(n)))
+    cycles = [order] + draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=6),
+                                     max_size=4))
+    weights = {}
+    for cycle in cycles:
+        weight = draw(st.floats(1e-2, 1e2))
+        for i, tail in enumerate(cycle):
+            key = (tail, cycle[(i + 1) % len(cycle)], draw(st.integers(0, 1)))
+            weights[key] = weights.get(key, 0.0) + weight
+    g = DirectedGraph(n, [key[:2] for key in weights])
+    return g, WeightAssignment(list(weights.values()), g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), graph=null_divergence_multigraphs())
+def test_cycle_reversal_is_exact_under_null_divergence(data, graph):
+    # a drawn walk, closed by a shortest path back to its start
+    g, w = graph
+    start = data.draw(st.integers(0, g.n_vertices - 1))
+    walk = walk_by_choices(g, start, data.draw(st.lists(st.integers(0, 63), max_size=8)))
+    back = {walk.end: []}
+    queue = [walk.end]
+    for v in queue:
+        for eid in g.out_edge_lists()[v]:
+            head = g.head_list()[eid]
+            if head not in back:
+                back[head] = back[v] + [eid]
+                queue.append(head)
+    eids = walk.edges + back[start]
+    cyc = Trajectory([start] + [g.head_list()[eid] for eid in eids], eids)
+    rep = check_cycle_reversal(w, cyc)
+    assert rep.rel_diff <= 1e-12, (rep.forward, rep.backward)
+    assert rep.backward == fresh_backward(w, cyc)
 
 
 def test_enumerate_paths_counts_and_guard():
