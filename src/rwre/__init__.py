@@ -52,10 +52,7 @@ from .graph import (
     build_cylinder_band,
     build_cylinder_graph,
     build_torus,
-    divergence,
     read_graph,
-    reverse_graph,
-    reverse_weights,
     write_graph,
 )
 from .parallel import CHUNK_REPLICAS, run_chunked

@@ -53,7 +53,7 @@ def _log_paths(w: WeightAssignment, paths) -> list:
     paths of a call repeat the same pairs many times.  The counts of a path
     sum to twice its length, so the cost stays linear in the path.
     """
-    tails, values, sums = w.graph.tail_list(), w.value_list(), w.vertex_sum_list()
+    tails, values, sums = w.graph.tail_list, w.value_list, w.vertex_sum_list
     table = {}
 
     def log_rising(base, counts):
@@ -102,7 +102,7 @@ def annealed_log_paths_batch(w: WeightAssignment, edge_index_matrix: np.ndarray)
 class _UrnRows(dict):
     """Per vertex v, the urn row of the lattice walk (`experiments._UrnWalk`),
     built on the first lookup of v: the weights of v's out-edges in
-    `out_edge_lists` order, then `w.vertex_sums()[v]`.  Crossing the row's
+    `out_edge_lists` order, then `w.vertex_sums[v]`.  Crossing the row's
     j-th edge adds 1.0 to row[j] and to row[-1], so row[j] / row[-1] is the
     urn's step probability."""
 
@@ -112,9 +112,9 @@ class _UrnRows(dict):
 
     def __missing__(self, v):
         w = self.w
-        values = w.value_list()
-        row = self[v] = [values[eid] for eid in w.graph.out_edge_lists()[v]]
-        row.append(w.vertex_sum_list()[v])
+        values = w.value_list
+        row = self[v] = [values[eid] for eid in w.graph.out_edge_lists[v]]
+        row.append(w.vertex_sum_list[v])
         return row
 
 
@@ -125,7 +125,7 @@ def _urn_along(w: WeightAssignment, traj: Trajectory):
     follows its edges."""
     traj.check_consistent(w.graph)
     rows = _UrnRows(w)
-    out = w.graph.out_edge_lists()
+    out = w.graph.out_edge_lists
     for v, eid in zip(traj.vertices, traj.edges):
         row = rows[v]
         j = out[v].index(eid)

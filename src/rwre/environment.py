@@ -149,7 +149,7 @@ def walk_until_stopped(g: DirectedGraph, start: int, stop: StoppingRule, rng: Rn
 
     From `start`, take one uniform u per step from `block_uniforms` on
     `rng`'s generator, as lattice walks do, and follow the out-edge of the
-    current vertex v in slot `choose(v, u)` of `g.out_edge_lists()[v]`,
+    current vertex v in slot `choose(v, u)` of `g.out_edge_lists[v]`,
     until the walk hits `stop.target` or takes `stop.max_steps` steps.
     Returns (trajectory, report); hitting the cap is reported as a
     truncation, not an error.
@@ -157,8 +157,8 @@ def walk_until_stopped(g: DirectedGraph, start: int, stop: StoppingRule, rng: Rn
     v = int(start)
     if not 0 <= v < g.n_vertices:
         raise PreconditionError(f"start vertex {v} out of range 0..{g.n_vertices - 1}")
-    out = g.out_edge_lists()
-    heads = g.head_list()
+    out = g.out_edge_lists
+    heads = g.head_list
     vertices = [v]
     edge_ids = []
     reason = CAP

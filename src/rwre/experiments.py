@@ -128,7 +128,7 @@ def _threshold_columns(g: DirectedGraph, probs: np.ndarray) -> list:
     Column j is flat over (environment r, vertex v) at r * n_vertices + v and
     holds the cumulative probability of v's out-slots 0..j, summed one slot
     at a time in slot order (the adds `np.cumsum` makes), or +inf from slot
-    deg(v) - 1 on, so a uniform is never above it there.  Slot j of v is the
+    deg(v) - 1 on, so a uniform never reaches it there.  Slot j of v is the
     edge `g.out_edge_ids[g.out_offsets[v] + j]`.  Only vertices with a slot
     left are summed, so a column that is +inf at most vertices (past the
     degree of all but a few) costs little more than its fill.  Columns are
@@ -162,15 +162,16 @@ def _walk_until_absorbed(g: DirectedGraph, probs: np.ndarray, start: int,
 
     Every step draws `gen.random(n)` for the n still-active walkers, in
     walker order, and a walker at vertex v takes out-slot k, the number of
-    v's threshold columns (`_threshold_columns`) that its uniform exceeds:
-    the first out-edge whose cumulative probability is at least the uniform,
-    the last out-edge if none is, edge 0 on a NaN row.  Slot k of v is edge
-    `g.out_edge_ids[g.out_offsets[v] + k]`.  While more than `_SCALAR_TAIL`
+    v's threshold columns (`_threshold_columns`) at or below its uniform:
+    the first out-edge whose cumulative probability exceeds the uniform, as
+    in `quenched_walk`, the last out-edge if none does, edge 0 on a NaN row,
+    so an edge of probability 0 is never taken, even at a uniform of 0.0.
+    Slot k of v is edge `g.out_edge_ids[g.out_offsets[v] + k]`.  While more than `_SCALAR_TAIL`
     walkers are active a step is a few one-dimensional numpy passes over the
     active walkers' vertices and row offsets, and the next vertex is read
     from `g.heads[g.out_edge_ids]` at that slot; the stragglers left after
     that finish in a plain Python loop over the same thresholds and the
-    graph's `out_edge_lists()` and `head_list()`, which draws the same
+    graph's `out_edge_lists` and `head_list`, which draws the same
     uniforms and picks the same edges, so the phase split never changes a
     result or the generator's final state.  The step cap counts across both
     phases.
@@ -192,7 +193,7 @@ def _walk_until_absorbed(g: DirectedGraph, probs: np.ndarray, start: int,
         cell = offset + here
         k = g.out_offsets.take(here)  # plus the slot taken: an index into `heads`
         for column in columns:
-            k += u > column.take(cell)
+            k += u >= column.take(cell)
         nxt = heads.take(k)
         done = absorbing.take(nxt)
         if done.any():
@@ -213,7 +214,7 @@ def _walk_until_absorbed(g: DirectedGraph, probs: np.ndarray, start: int,
     rows = np.stack(rows, axis=-1).tolist()
     walkers = active.tolist()
     here = here.tolist()
-    out, heads = g.out_edge_lists(), g.head_list()
+    out, heads = g.out_edge_lists, g.head_list
     stops = absorbing.tolist()
     for _ in range(step_cap - steps):
         if not walkers:
@@ -223,7 +224,7 @@ def _walk_until_absorbed(g: DirectedGraph, probs: np.ndarray, start: int,
             v = here[j]
             row = rows[j][v]
             k = 0
-            while u > row[k]:
+            while u >= row[k]:
                 k += 1
             nxt = heads[out[v][k]]
             if stops[nxt]:

@@ -1,17 +1,21 @@
 """Finite directed multigraphs with positive edge weights.
 
 Vertices are dense integers; parallel edges and self-loops are allowed (a
-transverse period of 1 or 2 creates them).  Graphs are immutable after
-construction and safe to share across workers.  Reversal swaps every edge's
-tail and head while keeping edge ids, so the pairing between an edge and its
-reversal is the identity on ids.
+transverse period of 1 or 2 creates them).  Graphs and weight assignments
+are immutable after construction and safe to share across workers.  Every
+view derived from one (list forms, the edge lookup, the divergence, the
+reversal) is a `functools.cached_property`: built on first access, then
+shared, so callers must not modify it.  Reversal swaps every edge's tail and
+head while keeping edge ids, so the pairing between an edge and its reversal
+is the identity on ids.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,10 +67,6 @@ class DirectedGraph:
         self.out_edge_ids, self.out_offsets = _group_edges(tails, self.n_vertices)
         self.in_edge_ids, self.in_offsets = _group_edges(heads, self.n_vertices)
         self.out_degrees = np.diff(self.out_offsets)
-        self._edge_lookup = None
-        self._out_lists = None
-        self._head_list = None
-        self._tail_list = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -74,38 +74,11 @@ class DirectedGraph:
         """Edge ids leaving v, in increasing id order."""
         return self.out_edge_ids[self.out_offsets[v]:self.out_offsets[v + 1]]
 
-    def out_edge_lists(self) -> list:
-        """Per vertex, the list of `out_edges(v)` as Python ints.  Built on
-        the first call and shared by later ones, so callers must not modify
-        it."""
-        if self._out_lists is None:
-            ids = self.out_edge_ids.tolist()
-            offsets = self.out_offsets.tolist()
-            self._out_lists = [ids[offsets[v]:offsets[v + 1]] for v in range(self.n_vertices)]
-        return self._out_lists
-
-    def head_list(self) -> list:
-        """`heads` as a list of Python ints, shared like `out_edge_lists`."""
-        if self._head_list is None:
-            self._head_list = self.heads.tolist()
-        return self._head_list
-
-    def tail_list(self) -> list:
-        """`tails` as a list of Python ints, shared like `out_edge_lists`."""
-        if self._tail_list is None:
-            self._tail_list = self.tails.tolist()
-        return self._tail_list
-
     def min_out_degree(self) -> int:
         return int(self.out_degrees.min())
 
     def find_edge(self, tail: VertexId, head: VertexId) -> int:
         """Unique edge id tail->head; raises if absent or ambiguous (parallel edges)."""
-        if self._edge_lookup is None:
-            lookup = {}
-            for eid in range(self.n_edges):
-                lookup.setdefault((int(self.tails[eid]), int(self.heads[eid])), []).append(eid)
-            self._edge_lookup = lookup
         hits = self._edge_lookup.get((tail, head))
         if not hits:
             raise ValueError(f"no edge {tail}->{head}")
@@ -127,6 +100,43 @@ class DirectedGraph:
         if self.min_out_degree() < 1:
             bad = np.flatnonzero(self.out_degrees == 0)
             raise ValueError(f"vertices with out-degree 0: {bad.tolist()}")
+
+    # -- derived views, each built on first access and shared ----------------
+
+    @functools.cached_property
+    def out_edge_lists(self) -> list:
+        """Per vertex, the list of `out_edges(v)` as Python ints."""
+        ids = self.out_edge_ids.tolist()
+        offsets = self.out_offsets.tolist()
+        return [ids[offsets[v]:offsets[v + 1]] for v in range(self.n_vertices)]
+
+    @functools.cached_property
+    def head_list(self) -> list:
+        """`heads` as a list of Python ints."""
+        return self.heads.tolist()
+
+    @functools.cached_property
+    def tail_list(self) -> list:
+        """`tails` as a list of Python ints."""
+        return self.tails.tolist()
+
+    @functools.cached_property
+    def _edge_lookup(self) -> dict:
+        """Edge ids by (tail, head), in increasing id order."""
+        lookup = {}
+        for eid, pair in enumerate(zip(self.tail_list, self.head_list)):
+            lookup.setdefault(pair, []).append(eid)
+        return lookup
+
+    @functools.cached_property
+    def reversal(self) -> "DirectedGraph":
+        """Every edge's tail and head swapped, directions negated; vertex set,
+        coordinates and edge ids unchanged."""
+        directions = self.directions
+        if directions is not None:
+            directions = [(axis, -sign) for axis, sign in directions]
+        return DirectedGraph(self.n_vertices, np.column_stack((self.heads, self.tails)),
+                             coords=self.coords, directions=directions)
 
 
 def _group_edges(ends: np.ndarray, n_vertices: int):
@@ -154,9 +164,10 @@ def _reaches_all(offsets: np.ndarray, neighbours: np.ndarray) -> bool:
 
 
 class WeightAssignment:
-    """Positive weight per edge.  The vertex sums, the list views and the
-    reversal are each built once per object and shared, so callers must not
-    modify them (or `values`)."""
+    """Positive weight per edge, and the out-weight sum per vertex
+    (`vertex_sums`, accumulated in edge-id order and read-only), computed
+    eagerly so that an overflow is refused here.  Callers must not modify
+    `values`."""
 
     def __init__(self, values, graph: DirectedGraph):
         values = np.asarray(values, dtype=np.float64)
@@ -172,40 +183,34 @@ class WeightAssignment:
         if not np.all(np.isfinite(sums)):
             raise PreconditionError("vertex weight sums overflow")
         sums.flags.writeable = False
-        self._vertex_sums = sums
-        self._value_list = None
-        self._sum_list = None
-        self._reversal = None
+        self.vertex_sums = sums
 
-    def vertex_sums(self) -> np.ndarray:
-        """Out-weight sum per vertex (accumulated in edge-id order), computed
-        once; the array is read-only."""
-        return self._vertex_sums
-
+    @functools.cached_property
     def value_list(self) -> list:
         """`values` as a list of Python floats."""
-        if self._value_list is None:
-            self._value_list = self.values.tolist()
-        return self._value_list
+        return self.values.tolist()
 
+    @functools.cached_property
     def vertex_sum_list(self) -> list:
-        """`vertex_sums()` as a list of Python floats."""
-        if self._sum_list is None:
-            self._sum_list = self._vertex_sums.tolist()
-        return self._sum_list
+        """`vertex_sums` as a list of Python floats."""
+        return self.vertex_sums.tolist()
 
+    @functools.cached_property
+    def divergence(self) -> np.ndarray:
+        """Out-weight sum minus in-weight sum per vertex, read-only; sums to
+        zero over vertices."""
+        in_sums = np.zeros(self.graph.n_vertices)
+        np.add.at(in_sums, self.graph.heads, self.values)
+        div = self.vertex_sums - in_sums
+        div.flags.writeable = False
+        return div
+
+    @functools.cached_property
     def reversal(self) -> "WeightAssignment":
-        """`reverse_weights(self, reverse_graph(self.graph))`: the same
-        weights on the reversed graph.  Kept by this object alone; another
-        assignment on the same graph builds its own."""
-        if self._reversal is None:
-            self._reversal = reverse_weights(self, reverse_graph(self.graph))
-        return self._reversal
-
-    def in_sums(self) -> np.ndarray:
-        sums = np.zeros(self.graph.n_vertices)
-        np.add.at(sums, self.graph.heads, self.values)
-        return sums
+        """The same weights on `graph.reversal`: each edge keeps its weight
+        under the id pairing.  Kept by this object alone; another assignment
+        on the same graph builds its own on the shared reversed graph."""
+        return WeightAssignment(self.values.copy(), self.graph.reversal)
 
 
 @dataclass(frozen=True)
@@ -406,31 +411,6 @@ def build_cylinder_band(spec: CylinderSpec) -> BandGraph:
         outs[v] = [(v, 1.0, (1, +1))]
     g, w = _wire(coords, outs)
     return BandGraph(g, w, n_trans, np.arange(n_trans), np.arange(n - n_trans, n))
-
-
-def reverse_graph(g: DirectedGraph) -> DirectedGraph:
-    """Swap every edge's tail and head; vertex set and edge ids unchanged."""
-    rev_directions = None
-    if g.directions is not None:
-        rev_directions = [(axis, -sign) for axis, sign in g.directions]
-    return DirectedGraph(
-        g.n_vertices,
-        np.column_stack((g.heads, g.tails)),
-        coords=g.coords,
-        directions=rev_directions,
-    )
-
-
-def reverse_weights(w: WeightAssignment, reversed_graph: DirectedGraph) -> WeightAssignment:
-    """Weights on the reversed graph: each edge keeps its weight under the id pairing."""
-    if reversed_graph.n_edges != w.graph.n_edges:
-        raise ValueError("reversed graph must pair edges with the original")
-    return WeightAssignment(w.values.copy(), reversed_graph)
-
-
-def divergence(w: WeightAssignment) -> np.ndarray:
-    """Out-weight sum minus in-weight sum per vertex; sums to zero over vertices."""
-    return w.vertex_sums() - w.in_sums()
 
 
 # -- text serialization -------------------------------------------------

@@ -11,6 +11,10 @@ is the statement verified here, by comparing Monte Carlo averages of
 reversed-path probabilities against the exact annealed formula on the
 reversed graph.
 
+The reversed graph and weights and the weight divergence are cached views
+of the forward objects (`DirectedGraph.reversal`, `WeightAssignment.reversal`
+and `WeightAssignment.divergence`), built once and shared by every call.
+
 The stationary solve and the reversed-chain probabilities each have one
 batched implementation, which single environments use as a batch of one.
 The solve never subtracts, so stationary masses keep full relative accuracy
@@ -34,7 +38,7 @@ from .annealed import (
 )
 from .environment import Environment, Trajectory, path_probability, sample_environment_batch
 from .errors import PreconditionError
-from .graph import DirectedGraph, WeightAssignment, divergence, reverse_graph
+from .graph import DirectedGraph, WeightAssignment
 from .parallel import Moments, run_chunked
 from .rng import RngStream
 
@@ -92,11 +96,11 @@ def _reversed_probabilities(g: DirectedGraph, probs: np.ndarray, pi: np.ndarray)
 
 
 def reverse_environment(env: Environment, pi: np.ndarray) -> Environment:
-    """Environment of the reversed chain on the reversed graph.  Each edge
+    """Environment of the reversed chain on `env.graph.reversal`.  Each edge
     keeps its id; PreconditionError when pi is not stationary (see
     `_reversed_probabilities`)."""
     g = env.graph
-    return Environment(reverse_graph(g), _reversed_probabilities(g, env.probabilities, pi),
+    return Environment(g.reversal, _reversed_probabilities(g, env.probabilities, pi),
                        validate=False)
 
 
@@ -137,8 +141,7 @@ class CycleReversalReport:
 
 
 def require_null_divergence(w: WeightAssignment, tol: float = DIVERGENCE_TOL):
-    div = divergence(w)
-    bad = np.flatnonzero(np.abs(div) > tol)
+    bad = np.flatnonzero(np.abs(w.divergence) > tol)
     if bad.size:
         raise PreconditionError(
             f"weights have nonzero divergence at vertices {bad.tolist()}"
@@ -155,7 +158,7 @@ def check_cycle_reversal(w: WeightAssignment, cycle: Trajectory) -> CycleReversa
     require_null_divergence(w)
     cycle.check_consistent(w.graph)
     forward = annealed_path_probability_exact(w, cycle)
-    backward = annealed_path_probability_exact(w.reversal(), cycle.reversed())
+    backward = annealed_path_probability_exact(w.reversal, cycle.reversed())
     return CycleReversalReport(forward, backward)
 
 
@@ -331,7 +334,7 @@ def verify_reversal_distribution(g: DirectedGraph, w: WeightAssignment, k: int,
     require_null_divergence(w)
     if not g.is_strongly_connected():
         raise PreconditionError("reversal verification needs a strongly connected graph")
-    wr = w.reversal()
+    wr = w.reversal
     gr = wr.graph
     paths = enumerate_paths(gr, root, k)
     n_paths = len(paths)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import PreconditionError
+
 _FIRST_BLOCK = 64
 _UNIFORM_BLOCK = 1024
 
@@ -28,7 +30,7 @@ class RngStream:
 
     def __post_init__(self):
         if self.seed < 0 or self.stream < 0:
-            raise ValueError("seed and stream index must be nonnegative")
+            raise PreconditionError("seed and stream index must be nonnegative")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator for this stream; repeated calls restart the stream."""

@@ -46,9 +46,9 @@ def walk_by_choices(g, start, choices):
     the out-degree, in `out_edges` order."""
     vs, eids = [int(start)], []
     for c in choices:
-        out = g.out_edge_lists()[vs[-1]]
+        out = g.out_edge_lists[vs[-1]]
         eids.append(out[c % len(out)])
-        vs.append(g.head_list()[eids[-1]])
+        vs.append(g.head_list[eids[-1]])
     return Trajectory(vs, eids)
 
 

@@ -27,8 +27,6 @@ from rwre import (
     cylinder_exit_from_origin,
     lattice_transience,
     reinforced_trace_frequency,
-    reverse_graph,
-    reverse_weights,
     ruin_exit_probability,
     trap_condition,
     verify_reversal_distribution,
@@ -58,7 +56,7 @@ def test_01_cycle_reversal_exactness(capsys):
     gd, wd = divergent_two_vertex()
     cyc = Trajectory.from_vertices(gd, [0, 1, 0])
     lhs = annealed_path_probability_exact(wd, cyc)
-    wrd = reverse_weights(wd, reverse_graph(gd))
+    wrd = wd.reversal
     rhs = annealed_path_probability_exact(wrd, cyc.reversed())
     control = abs(lhs - rhs)
     with pytest.raises(Exception):

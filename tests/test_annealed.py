@@ -149,7 +149,7 @@ def test_exact_formula_at_large_weights(weights):
     # formula must keep full relative accuracy, on its own and in a batch
     g, w = build_torus(LatticeSpec(weights), [3])
     traj = Trajectory.from_vertices(g, [0, 1, 2, 0, 1, 0, 2, 1])
-    sums = w.vertex_sums()
+    sums = w.vertex_sums
     crossed = np.zeros(g.n_edges)
     departed = np.zeros(g.n_vertices)
     terms = []
@@ -225,7 +225,7 @@ def test_exact_equals_the_rational_rising_factorials(data, graph):
     g, w = graph
     sums = [Fraction(0)] * g.n_vertices
     for eid, weight in enumerate(w.values.tolist()):
-        sums[g.tail_list()[eid]] += Fraction(weight)
+        sums[g.tail_list[eid]] += Fraction(weight)
     for traj in drawn_paths(data.draw, g, max_len=30):
         crossed = np.bincount(traj.edges, minlength=g.n_edges).tolist()
         departed = np.bincount(traj.vertices[:-1], minlength=g.n_vertices).tolist()

@@ -1,8 +1,8 @@
 """Fuzzing of the command line's input parsers.
 
-Whatever a graph file, `--path` literal or `--alpha` list holds, `rwre` must
-exit with status 0 (the input was valid) or 2 (an error message), never 1 (an
-internal error) or an uncaught exception.  Environment dumps have no
+Whatever a graph file, `--path` literal, `--alpha` list, `--seed` or
+`RWRE_SEED` holds, `rwre` must exit with status 0 (the input was valid) or 2
+(an error message), never 1 (an internal error) or an uncaught exception.  Environment dumps have no
 subcommand that reads them, so `read_environment` is held to the same
 contract directly: it may only raise the errors that `main` maps to 2.
 
@@ -178,6 +178,24 @@ def test_path_literals_exit_zero_or_two(text, origin):
 def test_reverse_check_roots_exit_zero_or_two(root):
     exit_status(["reverse-check", "--alpha", "2,1,1,1", "--torus", "2,2", "--k", "1",
                  "--replicas", "100", f"--root={root}"])
+
+
+SEEDED_COMMANDS = [
+    ["ruin", "--alpha", "2,1", "--replicas", "200"],
+    ["reverse-check", "--alpha", "2,1,1,1", "--torus", "2,2", "--k", "1", "--replicas", "100"],
+    ["sample-env", "--alpha", "2,1", "--L", "2"],
+    ["annealed-prob", "--alpha", "2,1", "--torus", "3", "--path", "0,1", "--replicas", "100"],
+]
+
+
+@FUZZ
+@given(seed=numbers, env_seed=numbers)
+def test_seeds_exit_zero_or_two(seed, env_seed):
+    with pytest.MonkeyPatch.context() as m:
+        m.setenv("RWRE_SEED", env_seed)
+        for cmd in SEEDED_COMMANDS:
+            exit_status([*cmd, f"--seed={seed}"])
+            exit_status(cmd)
 
 
 @pytest.mark.parametrize("text", ["x", "e", "e-1", "e999", "9", "0,5", "+3", "-0"])

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import rwre.environment
 from rwre import (
     CylinderSpec,
+    DirectedGraph,
+    Environment,
     ExperimentResult,
     LatticeSpec,
     PreconditionError,
@@ -123,7 +126,7 @@ def _lockstep_reference(g, probs, start, absorbing, gen, step_cap):
             break
         u = gen.random(active.size)
         here = pos[active]
-        k = np.sum(u[:, None] > cum[active, here], axis=1)
+        k = np.sum(u[:, None] >= cum[active, here], axis=1)
         nxt = pad_head[here, np.minimum(k, deg[here] - 1)]
         pos[active] = nxt
         done = absorbing[nxt]
@@ -183,6 +186,42 @@ def test_walk_kernel_matches_pure_lockstep(weights, N, L, replicas, cap, seed, c
         assert capped.size == 0
         assert not np.array_equal(g.out_edge_ids, np.arange(g.n_edges))
         assert not np.array_equal(g.heads[g.out_edge_ids], g.heads)
+
+
+class _FixedUniforms:
+    """Generator stand-in whose every `random(n)` returns n copies of u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        return np.full(n, self.u)
+
+
+@pytest.mark.parametrize("walkers", [_SCALAR_TAIL + 12, 3])
+@pytest.mark.parametrize("row, u, edge", [
+    ((0.0, 1.0), 0.0, 1),  # a uniform of 0.0 never crosses an edge of probability 0
+    ((0.5, 0.5), 0.5, 1),  # a uniform equal to a cumulative sum moves past that slot
+    ((0.5, 0.5), 0.25, 0),
+    ((np.nan, np.nan), 0.5, 0),  # a NaN row takes edge 0
+])
+def test_walk_kernel_takes_first_slot_whose_cumulative_exceeds_u(walkers, row, u, edge):
+    # vertex 0 sends edge 0 to vertex 1 and edge 1 to vertex 2, both absorbing;
+    # the first parametrization runs the lockstep phase, the second the scalar tail
+    g = DirectedGraph(3, [(0, 1), (0, 2), (1, 1), (2, 2)])
+    probs = np.tile([*row, 1.0, 1.0], (walkers, 1))
+    absorbing = np.array([False, True, True])
+    pos, left = _walk_until_absorbed(g, probs, 0, absorbing, _FixedUniforms(u), 5)
+    assert pos.tolist() == [g.head_list[edge]] * walkers
+    assert left.tolist() == [0] * walkers
+    # quenched_walk, which the tie rule is shared with, agrees on finite rows
+    if not np.isnan(row[0]):
+        env = Environment(g, probs[0], validate=False)
+        stop = StoppingRule(target=g.head_list[edge], max_steps=1)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(rwre.environment, "block_uniforms", lambda gen: itertools.repeat(u))
+            traj, _ = quenched_walk(env, 0, stop, RngStream(0))
+        assert traj.edges == [edge]
 
 
 def test_origin_exit_lower_bound():

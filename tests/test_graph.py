@@ -16,10 +16,7 @@ from rwre import (
     build_cylinder_band,
     build_cylinder_graph,
     build_torus,
-    divergence,
     read_graph,
-    reverse_graph,
-    reverse_weights,
     write_graph,
 )
 
@@ -28,18 +25,18 @@ def test_torus_d1_counts():
     g, w = build_torus(LatticeSpec((2.0, 1.0)), [4])
     assert g.n_vertices == 4
     assert g.n_edges == 8
-    assert np.allclose(w.vertex_sums(), 3.0)
+    assert np.allclose(w.vertex_sums, 3.0)
 
 
 def test_torus_d2_symmetric_divergence():
     g, w = build_torus(LatticeSpec((1.0, 1.0, 1.0, 1.0)), [3, 3])
-    assert np.allclose(divergence(w), 0.0)
+    assert np.allclose(w.divergence, 0.0)
 
 
 def test_torus_d2_vertex_sums():
     g, w = build_torus(LatticeSpec((2.0, 1.0, 1.0, 1.0)), [3, 3])
-    assert np.allclose(w.vertex_sums(), 5.0)
-    assert np.allclose(divergence(w), 0.0)
+    assert np.allclose(w.vertex_sums, 5.0)
+    assert np.allclose(w.divergence, 0.0)
 
 
 def test_torus_period_one_self_loops():
@@ -70,8 +67,8 @@ def test_lattice_spec_validation():
 def test_cylinder_delta_weights_minimal():
     cg = build_cylinder_graph(CylinderSpec(1, 1, LatticeSpec((2.0, 1.0, 1.0, 1.0))))
     w = cg.weights
-    out_delta = w.vertex_sums()[cg.outside]
-    in_delta = w.in_sums()[cg.outside]
+    out_delta = w.vertex_sums[cg.outside]
+    in_delta = w.reversal.vertex_sums[cg.outside]
     assert out_delta == pytest.approx(2.0)
     assert in_delta == pytest.approx(2.0)
 
@@ -79,7 +76,7 @@ def test_cylinder_delta_weights_minimal():
 def test_cylinder_null_divergence():
     cg = build_cylinder_graph(CylinderSpec(4, 4, LatticeSpec((2.0, 1.0, 1.0, 1.0))))
     assert cg.graph.n_vertices == 21
-    assert np.max(np.abs(divergence(cg.weights))) < 1e-12
+    assert np.max(np.abs(cg.weights.divergence)) < 1e-12
     assert cg.graph.is_strongly_connected()
 
 
@@ -92,9 +89,9 @@ def test_cylinder_divergence_sweep():
     for N in (1, 2, 3):
         for L in (1, 2, 5):
             cg = build_cylinder_graph(CylinderSpec(N, L, LatticeSpec((3.0, 2.0, 0.5, 1.5))))
-            assert np.max(np.abs(divergence(cg.weights))) < 1e-12
+            assert np.max(np.abs(cg.weights.divergence)) < 1e-12
             assert cg.graph.min_out_degree() >= 1
-            assert np.all(cg.weights.vertex_sums() > 0)
+            assert np.all(cg.weights.vertex_sums > 0)
 
 
 def test_cylinder_d1_rejects_transverse_period():
@@ -108,21 +105,24 @@ def test_cylinder_d1_rejects_transverse_period():
 
 def test_reverse_graph_involution():
     g, w = build_torus(LatticeSpec((2.0, 1.0, 1.0, 1.0)), [3, 2])
-    gg = reverse_graph(reverse_graph(g))
+    gg = g.reversal.reversal
     assert np.array_equal(gg.tails, g.tails)
     assert np.array_equal(gg.heads, g.heads)
+    assert gg.directions == g.directions
+    assert g.reversal.directions == [(axis, -sign) for axis, sign in g.directions]
+    assert g.reversal is g.reversal
 
 
 def test_reverse_two_cycle():
     g = DirectedGraph(2, [(0, 1), (1, 0)])
-    gr = reverse_graph(g)
+    gr = g.reversal
     assert gr.tails.tolist() == [1, 0]
     assert gr.heads.tolist() == [0, 1]
 
 
 def test_reverse_cylinder_delta_edges():
     cg = build_cylinder_graph(CylinderSpec(3, 2, LatticeSpec((2.0, 1.0, 1.0, 1.0))))
-    gr = reverse_graph(cg.graph)
+    gr = cg.graph.reversal
     # reversed, the outside vertex sends edges to both faces: its original
     # in-edges came from the left face (leftward) and the right face
     out = gr.out_edges(cg.outside)
@@ -133,36 +133,35 @@ def test_reverse_cylinder_delta_edges():
 
 def test_reverse_weights_torus_sums():
     g, w = build_torus(LatticeSpec((2.0, 1.0, 1.0, 1.0)), [3, 3])
-    wr = reverse_weights(w, reverse_graph(g))
-    assert np.allclose(wr.vertex_sums(), w.vertex_sums())
+    wr = w.reversal
+    assert np.allclose(wr.vertex_sums, w.vertex_sums)
 
 
 def test_reverse_weights_cylinder_delta():
     cg = build_cylinder_graph(CylinderSpec(4, 2, LatticeSpec((2.0, 1.0, 1.0, 1.0))))
-    wr = reverse_weights(cg.weights, reverse_graph(cg.graph))
+    wr = cg.weights.reversal
     # reversed out-weight at the outside vertex is the original in-weight:
     # N*beta_1 + N*(alpha_1-beta_1) = N*alpha_1
-    assert wr.vertex_sums()[cg.outside] == pytest.approx(4 * 2.0)
+    assert wr.vertex_sums[cg.outside] == pytest.approx(4 * 2.0)
 
 
 def test_reverse_weights_self_loops_unchanged():
     g = DirectedGraph(1, [(0, 0), (0, 0)])
     w = WeightAssignment([0.7, 1.3], g)
-    wr = reverse_weights(w, reverse_graph(g))
+    wr = w.reversal
     assert np.array_equal(wr.values, w.values)
 
 
 def test_reverse_weights_double_reverse_identity():
     g, w = build_torus(LatticeSpec((2.0, 1.0)), [4])
-    gr = reverse_graph(g)
-    wrr = reverse_weights(reverse_weights(w, gr), reverse_graph(gr))
+    wrr = w.reversal.reversal
     assert np.array_equal(wrr.values, w.values)
 
 
 def test_divergence_hand_example():
     g = DirectedGraph(2, [(0, 1), (1, 0)])
     w = WeightAssignment([2.0, 1.0], g)
-    div = divergence(w)
+    div = w.divergence
     assert div.tolist() == [1.0, -1.0]
     assert div.sum() == 0.0
 
@@ -177,7 +176,26 @@ def test_divergence_sums_to_zero():
                 edges.append((v, int(rng.integers(n))))
         g = DirectedGraph(n, edges)
         w = WeightAssignment(rng.uniform(0.1, 3.0, size=len(edges)), g)
-        assert divergence(w).sum() == pytest.approx(0.0, abs=1e-12)
+        assert w.divergence.sum() == pytest.approx(0.0, abs=1e-12)
+
+
+def test_divergence_is_computed_once_and_read_only():
+    g = DirectedGraph(2, [(0, 1), (1, 0)])
+    w = WeightAssignment([2.0, 1.0], g)
+    assert w.divergence is w.divergence
+    with pytest.raises(ValueError):
+        w.divergence[0] = 0.0
+    assert w.divergence.tolist() == [1.0, -1.0]
+
+
+def test_weight_assignments_share_the_graph_reversal():
+    g, w = build_torus(LatticeSpec((2.0, 1.0, 1.0, 1.0)), [3, 3])
+    w1 = WeightAssignment(w.values, g)
+    w2 = WeightAssignment(3.0 * w.values, g)
+    assert w1.reversal.graph is g.reversal
+    assert w2.reversal.graph is g.reversal
+    assert w1.reversal is not w2.reversal
+    assert w1.reversal.values is not w1.values
 
 
 def test_weights_must_be_positive():
@@ -188,8 +206,8 @@ def test_weights_must_be_positive():
 
 def test_vertex_sums_are_computed_once_and_read_only():
     g, w = build_torus(LatticeSpec((2.0, 1.0, 0.7, 0.3)), [3, 2])
-    sums = w.vertex_sums()
-    assert sums is w.vertex_sums()
+    sums = w.vertex_sums
+    assert sums is w.vertex_sums
     assert sums.tolist() == [2.0 + 1.0 + 0.7 + 0.3] * g.n_vertices
     with pytest.raises(ValueError):
         sums[0] = 1.0
@@ -197,10 +215,10 @@ def test_vertex_sums_are_computed_once_and_read_only():
 
 def test_python_adjacency_is_built_once():
     g, _ = build_torus(LatticeSpec((2.0, 1.0)), [3])
-    assert g.out_edge_lists() is g.out_edge_lists()
-    assert g.out_edge_lists() == [g.out_edges(v).tolist() for v in range(g.n_vertices)]
-    assert g.head_list() is g.head_list()
-    assert g.head_list() == g.heads.tolist()
+    assert g.out_edge_lists is g.out_edge_lists
+    assert g.out_edge_lists == [g.out_edges(v).tolist() for v in range(g.n_vertices)]
+    assert g.head_list is g.head_list
+    assert g.head_list == g.heads.tolist()
 
 
 def test_out_degree_zero_rejected():

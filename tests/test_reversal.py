@@ -22,8 +22,6 @@ from rwre import (
     enumerate_paths,
     path_probability,
     reverse_environment,
-    reverse_graph,
-    reverse_weights,
     reversed_path_ratio,
     sample_environment,
     sample_environment_batch,
@@ -234,9 +232,18 @@ def test_reverse_environment_detailed_balance():
     rev.validate(1e-10)
 
 
+def test_reverse_environment_reads_the_graph_reversal():
+    g, w = build_torus(LatticeSpec((2.0, 1.0, 1.0, 1.0)), [3, 3])
+    env = sample_environment(g, w, RngStream(41))
+    pi = stationary_distribution(env)
+    first, second = reverse_environment(env, pi), reverse_environment(env, pi)
+    assert first.graph is g.reversal
+    assert second.graph is first.graph
+
+
 def test_reverse_environment_sampled_rows_stochastic():
     g, w = build_torus(LatticeSpec((2.0, 1.0, 1.0, 1.0)), [3, 3])
-    gr = reverse_graph(g)
+    gr = g.reversal
     gen = RngStream(40).generator()
     probs = sample_environment_batch(g, w, gen, 1000)
     vals = _reversed_probabilities(g, probs, stationary_batch(probs, g))
@@ -373,8 +380,11 @@ def test_cycle_reversal_rejects_open_path():
 
 
 def fresh_backward(w, cycle):
-    """The backward side of the cycle identity on a reversal built anew."""
-    return annealed_path_probability_exact(reverse_weights(w, reverse_graph(w.graph)),
+    """The backward side of the cycle identity on a reversal built anew, with
+    tails and heads swapped by hand."""
+    g = w.graph
+    gr = DirectedGraph(g.n_vertices, np.column_stack((g.heads, g.tails)))
+    return annealed_path_probability_exact(WeightAssignment(w.values.copy(), gr),
                                            cycle.reversed())
 
 
@@ -389,8 +399,8 @@ def test_cycle_reversal_backward_equals_a_fresh_reversal(graph):
     for _ in range(30):
         cyc = random_cycle(g, rng, 10)
         assert check_cycle_reversal(w, cyc).backward == fresh_backward(w, cyc)
-    assert w.reversal() is w.reversal()
-    assert w.reversal().graph is not g
+    assert w.reversal is w.reversal
+    assert w.reversal.graph is not g
 
 
 def test_weight_assignments_on_one_graph_keep_their_own_reversal():
@@ -400,8 +410,8 @@ def test_weight_assignments_on_one_graph_keep_their_own_reversal():
     cyc = random_cycle(g, np.random.default_rng(48), 10)
     rep1 = check_cycle_reversal(w1, cyc)
     rep2 = check_cycle_reversal(w2, cyc)
-    assert w1.reversal() is not w2.reversal()
-    assert np.array_equal(w2.reversal().values, 3.0 * w.values)
+    assert w1.reversal is not w2.reversal
+    assert np.array_equal(w2.reversal.values, 3.0 * w.values)
     assert rep1.backward == fresh_backward(w1, cyc)
     assert rep2.backward == fresh_backward(w2, cyc)
     assert rep1.backward != rep2.backward
@@ -439,13 +449,13 @@ def test_cycle_reversal_is_exact_under_null_divergence(data, graph):
     back = {walk.end: []}
     queue = [walk.end]
     for v in queue:
-        for eid in g.out_edge_lists()[v]:
-            head = g.head_list()[eid]
+        for eid in g.out_edge_lists[v]:
+            head = g.head_list[eid]
             if head not in back:
                 back[head] = back[v] + [eid]
                 queue.append(head)
     eids = walk.edges + back[start]
-    cyc = Trajectory([start] + [g.head_list()[eid] for eid in eids], eids)
+    cyc = Trajectory([start] + [g.head_list[eid] for eid in eids], eids)
     rep = check_cycle_reversal(w, cyc)
     assert rep.rel_diff <= 1e-12, (rep.forward, rep.backward)
     assert rep.backward == fresh_backward(w, cyc)
@@ -468,9 +478,8 @@ def test_reversal_distribution_policy_passes():
     assert rep.replicas == 20_000
     assert rep.policy_ok(), rep.summary()
     # the exact column is the annealed value under the reversed weights
-    gr = reverse_graph(g)
-    from rwre import reverse_weights
-    wr = reverse_weights(w, gr)
+    wr = w.reversal
+    gr = wr.graph
     first = enumerate_paths(gr, 0, 1)[0]
     vs = [int(gr.tails[first[0]]), int(gr.heads[first[0]])]
     expected = annealed_path_probability_exact(wr, Trajectory(vs, list(first)))
@@ -541,7 +550,7 @@ def _gathered_reversal_moments(g, w, k, replicas, rng):
     """Mean and SE per path in the earlier full-gather form: one
     (chunk, n_paths, k) gather of reversed probabilities, padded with 1.0
     and multiplied along its last axis."""
-    paths = enumerate_paths(reverse_graph(g), 0, k)
+    paths = enumerate_paths(g.reversal, 0, k)
     idx = np.full((len(paths), k), -1, dtype=np.int64)
     for i, p in enumerate(paths):
         idx[i, : len(p)] = p
@@ -570,7 +579,7 @@ def _unblocked_reversal_moments(g, w, k, replicas, rng):
     """Mean and SE per path built whole: each chunk's (replica, path)
     products in one Fortran-ordered matrix, filled one path at a time from
     its parent's column, and reduced by the two-pass formula."""
-    paths = enumerate_paths(reverse_graph(g), 0, k)
+    paths = enumerate_paths(g.reversal, 0, k)
     position = {p: i for i, p in enumerate(paths)}
     parents = [position.get(p[:-1], -1) for p in paths]
 
