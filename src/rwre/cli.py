@@ -8,9 +8,10 @@ never changes the output, only the wall time.  Timing is therefore opt-in
 (--timing); without it the wall_time_s field is null so that reruns are
 byte-identical.
 
-The weight vector --alpha is ordered (alpha_1, beta_1, alpha_2, beta_2, ...):
-alpha_i weighs the +e_i step and beta_i the -e_i step.  Transposing a pair
-silently flips the transience direction, so keep the order straight.
+The weight vector --alpha is ordered (alpha_1, beta_1, alpha_2, beta_2, ...),
+and its length alone sets the dimension d: alpha_i weighs the +e_i step and
+beta_i the -e_i step.  Transposing a pair silently flips the transience
+direction, so keep the order straight.
 `LatticeSpec` rejects weights that are not positive and finite.
 
 The record subcommands (cylinder-delta, cylinder-exit, transience, velocity,
@@ -24,8 +25,8 @@ grid --N, --horizons, --torus) are parsed once, by argparse, whose parser
 is built once per process.
 
 Exit status: 0 on success, 2 on precondition or usage errors (including
-malformed inputs and files that cannot be read or written), 1 on internal
-errors.
+malformed inputs and files that cannot be read or written) and when memory
+runs out, 1 on internal errors.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .environment import sample_environment, write_environment
 from .errors import GraphFormatError, PreconditionError
 from .experiments import (
     DEFAULT_STEP_CAP,
+    RECORD_COLUMNS,
     cylinder_delta_exit,
     cylinder_exit_from_origin,
     lattice_transience,
@@ -71,11 +73,6 @@ GRID_GUARD = 10_000
 # Share of a record's replicas that may be undecided before the record
 # handlers warn on stderr: the bound acceptance 08 holds walks to.
 TRUNCATION_WARN_FRAC = 0.02
-
-RECORD_COLUMNS = [
-    "experiment", "params", "estimate", "se", "replicas",
-    "truncated", "undecided", "seed", "wall_time_s",
-]
 
 
 def _parse_weights(text: str) -> LatticeSpec:
@@ -124,12 +121,7 @@ def _resolve_seed(args) -> int:
 def _lattice(args) -> LatticeSpec:
     if not getattr(args, "alpha", None):
         raise PreconditionError("--alpha is required here")
-    lat = _parse_weights(args.alpha)
-    if getattr(args, "d", None) is not None and lat.dimension != args.d:
-        raise PreconditionError(
-            f"--alpha has {lat.dimension} axes but --d says {args.d}"
-        )
-    return lat
+    return _parse_weights(args.alpha)
 
 
 def _load_graph(args, allow_cylinder: bool = False):
@@ -392,8 +384,6 @@ RECORD_FORMATS = ("json", "csv")
 
 def _add_weights(p, help=WEIGHTS_HELP):
     p.add_argument("--alpha", default=None, help=help)
-    p.add_argument("--d", type=int, default=None,
-                   help="dimension check against --alpha (optional)")
 
 
 def _add_lattice(p):
@@ -554,6 +544,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (PreconditionError, GraphFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)

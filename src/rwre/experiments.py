@@ -55,6 +55,7 @@ from .parallel import Moments, run_chunked
 from .rng import RngStream, block_uniforms
 
 __all__ = [
+    "RECORD_COLUMNS",
     "ExperimentResult",
     "cylinder_delta_exit",
     "cylinder_exit_from_origin",
@@ -74,6 +75,12 @@ DEFAULT_STEP_CAP = 100_000
 # for a plain Python loop.  Of 0, 16, 24, 48, 96 and 192, 48 ran the cylinder
 # benchmark's calls fastest.
 _SCALAR_TAIL = 48
+
+# The keys of `ExperimentResult.to_record`, in order; also the CSV header.
+RECORD_COLUMNS = [
+    "experiment", "params", "estimate", "se", "replicas",
+    "truncated", "undecided", "seed", "wall_time_s",
+]
 
 
 @dataclass
@@ -97,22 +104,15 @@ class ExperimentResult:
     wall_time_s: Optional[float] = None
 
     def __post_init__(self):
-        if self.truncated > self.replicas:
-            raise ValueError("truncated count exceeds replica count")
+        if not 0 <= self.undecided <= self.truncated <= self.replicas:
+            raise ValueError(
+                f"need 0 <= undecided <= truncated <= replicas, got {self.undecided}, "
+                f"{self.truncated}, {self.replicas}")
 
     def to_record(self) -> dict:
-        """Serializable record with frozen key order."""
-        return {
-            "experiment": self.experiment,
-            "params": self.params,
-            "estimate": self.estimate,
-            "se": self.standard_error,
-            "replicas": self.replicas,
-            "truncated": self.truncated,
-            "undecided": self.undecided,
-            "seed": self.seed,
-            "wall_time_s": self.wall_time_s,
-        }
+        """Serializable record, keyed by RECORD_COLUMNS in that order."""
+        return {col: getattr(self, "standard_error" if col == "se" else col)
+                for col in RECORD_COLUMNS}
 
 
 def expected_exit_probability(lattice: LatticeSpec) -> float:
@@ -497,27 +497,29 @@ def velocity_probe(lattice: LatticeSpec, horizons, replicas: int, rng: RngStream
     ) for j, n in enumerate(horizons)]
 
 
-def quenched_ruin_probability(right_probs) -> float:
-    """One-dimensional quenched probability of hitting L before -1 from 0.
+def _ruin(p: np.ndarray) -> np.ndarray:
+    """The classical ruin formula on each row of `p`, the rightward step
+    probabilities at sites 0..L-1: 1 / sum_{j=0..L} prod_{i<j} rho_i with
+    rho_i = (1 - p_i)/p_i."""
+    rho = (1.0 - p) / p
+    return 1.0 / (1.0 + np.cumprod(rho, axis=1).sum(axis=1))
 
-    `right_probs` lists the rightward step probability at sites 0..L-1; the
-    classical ruin formula gives 1 / sum_{j=0..L} prod_{i<j} rho_i with
-    rho_i = (1 - p_i)/p_i.
-    """
+
+def quenched_ruin_probability(right_probs) -> float:
+    """One-dimensional quenched probability of hitting L before -1 from 0:
+    `_ruin` on a batch of one, `right_probs` listing the rightward step
+    probability at sites 0..L-1."""
     p = np.asarray(right_probs, dtype=np.float64)
     if p.ndim != 1 or p.size < 1:
         raise PreconditionError("need the rightward probability at sites 0..L-1")
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise PreconditionError("rightward probabilities must lie strictly in (0, 1)")
-    rho = (1.0 - p) / p
-    return float(1.0 / (1.0 + np.cumprod(rho).sum()))
+    return float(_ruin(p[None, :])[0])
 
 
 def _ruin_chunk(a1, b1, L, gen, size):
     """`ruin_exit_probability` on one chunk of `size` replicas drawn from `gen`."""
-    p = gen.beta(a1, b1, size=(size, L))
-    rho = (1.0 - p) / p
-    return Moments.of(1.0 / (1.0 + np.cumprod(rho, axis=1).sum(axis=1)))
+    return Moments.of(_ruin(gen.beta(a1, b1, size=(size, L))))
 
 
 def ruin_exit_probability(lattice: LatticeSpec, L: int, replicas: int, rng: RngStream,

@@ -44,6 +44,9 @@ from .rng import RngStream
 
 REVERSED_ROW_TOL = 1e-9
 DIVERGENCE_TOL = 1e-9
+# Relative gap at which the two sides of the cycle identity, and a reversed
+# path probability and its stationary-ratio form, still count as equal.
+IDENTITY_REL_TOL = 1e-10
 PATH_GUARD = 10_000
 
 # Bytes of the (n, n, block) transition array that `stationary_batch` fills
@@ -109,7 +112,7 @@ def reversed_path_ratio(env: Environment, pi: np.ndarray, traj: Trajectory) -> f
 
     Computed directly on the reversed environment and checked against the
     stationary-ratio identity: it must equal (pi_start / pi_end) times the
-    forward path probability to 1e-10 relative.
+    forward path probability to IDENTITY_REL_TOL relative.
     """
     traj.check_consistent(env.graph)
     rev = reverse_environment(env, pi)
@@ -117,7 +120,7 @@ def reversed_path_ratio(env: Environment, pi: np.ndarray, traj: Trajectory) -> f
     forward = path_probability(env, traj)
     expected = (pi[traj.start] / pi[traj.end]) * forward
     scale = max(abs(backward), abs(expected), 1e-300)
-    if abs(backward - expected) / scale > 1e-10:
+    if abs(backward - expected) / scale > IDENTITY_REL_TOL:
         raise AssertionError(
             f"reversed path probability {backward!r} != ratio form {expected!r}"
         )
@@ -136,12 +139,12 @@ class CycleReversalReport:
         scale = max(abs(self.forward), abs(self.backward), 1e-300)
         return abs(self.forward - self.backward) / scale
 
-    def ok(self, tol: float = 1e-10) -> bool:
-        return self.rel_diff <= tol
+    def ok(self) -> bool:
+        return self.rel_diff <= IDENTITY_REL_TOL
 
 
-def require_null_divergence(w: WeightAssignment, tol: float = DIVERGENCE_TOL):
-    bad = np.flatnonzero(np.abs(w.divergence) > tol)
+def require_null_divergence(w: WeightAssignment):
+    bad = np.flatnonzero(np.abs(w.divergence) > DIVERGENCE_TOL)
     if bad.size:
         raise PreconditionError(
             f"weights have nonzero divergence at vertices {bad.tolist()}"
@@ -162,8 +165,7 @@ def check_cycle_reversal(w: WeightAssignment, cycle: Trajectory) -> CycleReversa
     return CycleReversalReport(forward, backward)
 
 
-def enumerate_paths(g: DirectedGraph, root: int, max_len: int,
-                    guard: int = PATH_GUARD) -> list:
+def enumerate_paths(g: DirectedGraph, root: int, max_len: int) -> list:
     """All edge-id paths from `root` of length 1..max_len, in generation order."""
     paths = []
     frontier = [((), int(root))]
@@ -173,9 +175,9 @@ def enumerate_paths(g: DirectedGraph, root: int, max_len: int,
             for eid in g.out_edges(v):
                 path = prefix + (int(eid),)
                 paths.append(path)
-                if len(paths) > guard:
+                if len(paths) > PATH_GUARD:
                     raise PreconditionError(
-                        f"path enumeration exceeds the {guard}-path guard"
+                        f"path enumeration exceeds the {PATH_GUARD}-path guard"
                     )
                 nxt.append((path, int(g.heads[eid])))
         frontier = nxt

@@ -95,8 +95,25 @@ def test_non_positive_non_finite_or_odd_weights_rejected(capsys, weights):
 
 
 def test_dimension_check(capsys):
-    code, out, err = run_cli(capsys, "trap-check", "--alpha", "0.1,0.1", "--d", "2")
-    assert code == 2 and "axes" in err
+    # the dimension is read from --alpha alone; --d is no flag
+    with pytest.raises(SystemExit) as exc:
+        main(["trap-check", "--alpha", "0.1,0.1", "--d", "2"])
+    assert exc.value.code == 2 and "--d" in capsys.readouterr().err
+
+
+_NUMPY_OOM = "Unable to allocate 988. MiB for an array with shape (8192, 15808)"
+
+
+@pytest.mark.parametrize("message, shown", [
+    (_NUMPY_OOM, _NUMPY_OOM),
+    ("", "an allocation failed"),
+], ids=["numpy", "no-message"])
+def test_out_of_memory_exits_two(capsys, monkeypatch, message, shown):
+    def exhausted(args, lat, rng):
+        raise MemoryError(message)
+    monkeypatch.setitem(RECORD_EXPERIMENTS, "cylinder-delta", exhausted)
+    code, out, err = run_cli(capsys, "cylinder-delta", "--alpha", "2,1,1,1", "--replicas", "10")
+    assert (code, out, err) == (2, "", f"error: out of memory: {shown}\n")
 
 
 def test_trap_check_payload(capsys):

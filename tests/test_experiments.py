@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import rwre.environment
 from rwre import (
@@ -31,7 +34,7 @@ from rwre import (
     trap_condition,
     velocity_probe,
 )
-from rwre.experiments import _SCALAR_TAIL, _UrnWalk, _walk_until_absorbed
+from rwre.experiments import _SCALAR_TAIL, _UrnWalk, _ruin, _walk_until_absorbed
 from rwre.parallel import chunk_sizes
 from rwre.rng import block_uniforms
 from common import shuffled_edges
@@ -58,6 +61,14 @@ def test_experiment_result_record_order():
         ExperimentResult("demo", {}, 0.5, 0.01, replicas=4, truncated=5)
 
 
+@pytest.mark.parametrize("truncated, undecided", [(1, 5), (0, 1), (3, -1), (-1, -1)])
+def test_experiment_result_undecided_within_truncated(truncated, undecided):
+    # undecided replicas are a subset of the truncated ones
+    with pytest.raises(ValueError):
+        ExperimentResult("x", {}, 0.5, 0.1, 10, truncated=truncated, undecided=undecided)
+    ExperimentResult("x", {}, 0.5, 0.1, 10, truncated=10, undecided=10)
+
+
 def test_delta_exit_matches_exact_expectation():
     spec = CylinderSpec(N=2, L=2, lattice=lat_2d(2.0, 1.0, 1.0, 1.0))
     res = cylinder_delta_exit(spec, 4000, RngStream(60))
@@ -65,6 +76,13 @@ def test_delta_exit_matches_exact_expectation():
     assert abs(res.estimate - 0.5) <= 3 * res.standard_error
     assert res.experiment == "cylinder-delta"
     assert res.seed == 60
+
+
+def test_delta_exit_matches_exact_expectation_in_three_dimensions():
+    spec = CylinderSpec(N=2, L=2, lattice=lat_2d(2.0, 1.0, 1.0, 1.0, 1.0, 1.0))
+    res = cylinder_delta_exit(spec, 40_000, RngStream(86))
+    assert res.truncated == 0
+    assert abs(res.estimate - 0.5) <= 3 * res.standard_error
 
 
 def test_delta_exit_other_weights_and_shape():
@@ -504,6 +522,15 @@ def test_quenched_ruin_matches_linear_solve():
                 A[i, i - 1] = -(1.0 - p[i])
         h = np.linalg.solve(A, b)
         assert quenched_ruin_probability(p) == pytest.approx(h[0], rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 120)),
+              elements=st.floats(0.01, 0.99)))
+def test_quenched_ruin_is_a_row_of_the_batch(p):
+    batch = _ruin(p)
+    for i, row in enumerate(p):
+        assert quenched_ruin_probability(row) == batch[i]
 
 
 def test_quenched_ruin_validation():
