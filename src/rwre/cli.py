@@ -539,7 +539,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse drops the value of `--opt=--` as if it were the "--" separator
+    # and stores an empty list, which no command reads as a value
+    for arg in argv:
+        if arg.startswith("--") and arg.endswith("=--"):
+            parser.error(f"argument {arg[:-3]}: expected one argument")
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (PreconditionError, GraphFormatError, OSError) as exc:

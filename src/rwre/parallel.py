@@ -29,10 +29,10 @@ which has no sum-of-squares cancellation, and may differ from a
 sum-of-squares formula in the last bits.
 
 Within a chunk, `Moments.of` reduces a Fortran-ordered matrix (one
-contiguous column per quantity, as `reverse-check` builds its path
-products) a few columns at a time, so its temporaries stay in cache, and
-any other layout whole, because only in Fortran order does a column block
-keep numpy's order of adds.
+contiguous column per quantity, as `reverse-check` builds the path products
+of each sibling group) a few columns at a time, so its temporaries stay in
+cache, and any other layout whole, because only in Fortran order does a
+column block keep numpy's order of adds.
 """
 
 from __future__ import annotations

@@ -55,10 +55,6 @@ PATH_GUARD = 10_000
 # need 256 MiB.
 _SOLVE_BYTES = 1 << 25
 
-# Replicas per block of `verify_reversal_distribution`'s path products: a
-# block of 340 paths (k = 4 on a 2x2 torus) is ~1.4 MB, which stays in cache.
-_REPLICA_BLOCK = 512
-
 
 def stationary_distribution(env: Environment) -> np.ndarray:
     """Unique invariant probability of the environment's chain: the
@@ -294,24 +290,56 @@ def _eliminate(keys: list, probs: np.ndarray, x: np.ndarray):
         x[k] = (x[:k] * P[:k, k]).sum(axis=0)
 
 
-def _reverse_chunk(g, w, parent, last, ends, gen, size):
-    """`verify_reversal_distribution` on one chunk of `size` replicas drawn from `gen`."""
+def _sibling_plan(gr: DirectedGraph, paths: list, root: int, k: int) -> list:
+    """Depth-first plan of the sibling groups of `paths` (`enumerate_paths`
+    on `gr` from `root` to length k): one (depth, row, lo, hi, first) entry
+    per path shorter than k, the empty one included, for its children.
+
+    The children read the reversed out-slots lo:hi of the path's last vertex
+    and sit at first:first + hi - lo in generation order; `row` is the
+    path's own row in its group (-1 for the empty path).  Every group comes
+    after its parent's and before the parent's next sibling's, so a walk of
+    the plan keeps one group per depth.  The walk uses an explicit stack,
+    since a path may be longer than the interpreter's recursion limit.
+    """
+    position = {p: i for i, p in enumerate(paths)}
+    offsets, slots, heads = gr.out_offsets.tolist(), gr.out_edge_ids.tolist(), gr.head_list
+    plan = []
+    stack = [((), int(root), -1)]
+    while stack:
+        path, v, row = stack.pop()
+        lo, hi = offsets[v], offsets[v + 1]
+        first = position[path + (slots[lo],)]
+        plan.append((len(path) + 1, row, lo, hi, first))
+        if len(path) + 1 < k:
+            stack.extend((paths[first + j], heads[slots[lo + j]], j)
+                         for j in reversed(range(hi - lo)))
+    return plan
+
+
+def _reverse_chunk(g, w, plan, n_paths, gen, size):
+    """`verify_reversal_distribution` on one chunk of `size` replicas drawn
+    from `gen`: the moments of every path's reversed-chain probability.
+
+    Each sibling group is built from its parent's product, one row per path
+    and one column per replica, and reduced at once, so a chunk holds one
+    group per depth rather than every path's products.  `block.T` is the
+    Fortran-ordered (replica, path) matrix, whose columns Moments sums
+    pairwise, each down one contiguous column, exactly as it would sum them
+    as columns of the whole (replica, path) matrix.
+    """
     probs = sample_environment_batch(g, w, gen, size)
-    rev = _reversed_probabilities(g, probs, stationary_batch(probs, g)).T.copy()
-    # One row per path and one column per replica, so that `vals.T` is
-    # the Fortran-ordered (replica, path) matrix: Moments sums each
-    # path's replicas pairwise down one contiguous column (a row-major
-    # matrix is summed row by row, which rounds differently).  Products
-    # are built one block of replicas at a time, so each depth reads its
-    # parents while they are still in cache; every value is the same
-    # product of the same factors.
-    vals = np.empty((parent.size, size))
-    for r0 in range(0, size, _REPLICA_BLOCK):
-        block, factors = vals[:, r0:r0 + _REPLICA_BLOCK], rev[:, r0:r0 + _REPLICA_BLOCK]
-        block[: ends[0]] = factors[last[: ends[0]]]
-        for lo, hi in zip(ends[:-1], ends[1:]):
-            np.multiply(block[parent[lo:hi]], factors[last[lo:hi]], out=block[lo:hi])
-    return Moments.of(vals.T)
+    rev = _reversed_probabilities(g, probs, stationary_batch(probs, g))
+    factors = rev.T.take(g.reversal.out_edge_ids, axis=0)
+    total, m2 = np.empty(n_paths), np.empty(n_paths)
+    blocks = {}
+    for depth, row, lo, hi, first in plan:
+        block = factors[lo:hi] if depth == 1 else factors[lo:hi] * blocks[depth - 1][row]
+        blocks[depth] = block
+        moments = Moments.of(block.T)
+        total[first:first + hi - lo] = moments.total
+        m2[first:first + hi - lo] = moments.m2
+    return Moments(size, total, m2)
 
 
 def verify_reversal_distribution(g: DirectedGraph, w: WeightAssignment, k: int,
@@ -343,24 +371,19 @@ def verify_reversal_distribution(g: DirectedGraph, w: WeightAssignment, k: int,
     idx = np.full((n_paths, k), -1, dtype=np.int64)
     for i, p in enumerate(paths):
         idx[i, : len(p)] = p
-    # Each path is its parent (itself less the last step) times one reversed
-    # edge probability.  Generation order lists paths depth by depth, each
-    # after its parent, so depth d is the column range ends[d-2]:ends[d-1].
-    position = {p: i for i, p in enumerate(paths)}
-    parent = np.array([position.get(p[:-1], -1) for p in paths], dtype=np.int64)
-    depth = np.array([len(p) for p in paths])
-    last = idx[np.arange(n_paths), depth - 1]
-    ends = np.searchsorted(depth, np.arange(1, k + 1), side="right")
-
     exact = np.exp(annealed_log_paths_batch(wr, idx))
 
-    run_chunk = functools.partial(_reverse_chunk, g, w, parent, last, ends)
+    plan = _sibling_plan(gr, paths, root, k)
+    run_chunk = functools.partial(_reverse_chunk, g, w, plan, n_paths)
     vals = sum(run_chunked(run_chunk, replicas, rng, workers), Moments())
     mc, se = vals.mean, vals.standard_error
     diff = mc - exact
+    # a path whose probability is the same in every environment has se 0:
+    # it passes when mc meets the exact value to the formula's rounding
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, diff / np.where(se > 0, se, 1.0),
-                     np.where(np.abs(diff) < 1e-15, 0.0, np.inf))
+                     np.where(np.abs(diff) <= IDENTITY_REL_TOL * np.abs(exact), 0.0,
+                              np.copysign(np.inf, diff)))
 
     literals = []
     for p in paths:

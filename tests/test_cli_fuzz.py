@@ -203,6 +203,15 @@ def test_bad_path_literals_exit_two(text):
     assert exit_status(["annealed-prob", *TORUS, "--path", text]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["annealed-prob", *TORUS, "--path=--"],
+    ["reverse-check", *TORUS, "--k", "1", "--seed=--"],
+    ["reverse-check", *TORUS, "--k", "1", "--replicas=--"],
+])
+def test_option_value_of_two_dashes_exits_two(argv):
+    assert exit_status(argv) == 2
+
+
 @st.composite
 def alpha_lists(draw):
     """Two to six positive weights with up to two replaced by fuzzed tokens."""

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,7 @@ from rwre import (
 )
 import rwre.reversal
 from rwre.parallel import Moments, run_chunked
-from rwre.reversal import _reversed_probabilities
+from rwre.reversal import _reverse_chunk, _reversed_probabilities, _sibling_plan
 from common import (divergent_two_vertex, random_cycle, shuffled_edges, two_state_chain,
                     walk_by_choices)
 
@@ -544,6 +545,12 @@ def test_enumerate_paths_lists_every_path_after_its_parent():
             assert position[p[:-1]] < i
     depths = [len(p) for p in paths]
     assert depths == sorted(depths)
+    # the children of a path are contiguous, in out-slot order, so that the
+    # reversal check reduces each sibling group as one block
+    for p in [()] + [p for p in paths if len(p) < 3]:
+        v = g.head_list[p[-1]] if p else 0
+        at = [position[p + (eid,)] for eid in g.out_edge_lists[v]]
+        assert at == list(range(at[0], at[0] + len(at)))
 
 
 def _gathered_reversal_moments(g, w, k, replicas, rng):
@@ -598,11 +605,92 @@ def _unblocked_reversal_moments(g, w, k, replicas, rng):
 
 @pytest.mark.parametrize("replicas", [1000, 8192 + 17])
 def test_blocked_reversal_products_match_the_unblocked_build(replicas):
-    # products are built in blocks of replicas and reduced in blocks of
-    # columns; 1000 replicas, the 17 of a second chunk and 340 paths each
-    # end on a partial block
+    # products are built and reduced one sibling group at a time; the 17
+    # replicas of a second chunk make a chunk of their own
     g, w = build_torus(LatticeSpec((2.0, 1.0, 1.0, 1.0)), [2, 2])
     rep = verify_reversal_distribution(g, w, 4, replicas, RngStream(59))
     mc, se = _unblocked_reversal_moments(g, w, 4, replicas, RngStream(59))
     assert rep.mc.tobytes() == mc.tobytes()
     assert rep.se.tobytes() == se.tobytes()
+
+
+def _mixed_degree_graph():
+    """Null divergence with out-degrees 2, 1, 1: 0->1, 0->2, 1->0, 2->0 with
+    w10 = w01 and w20 = w02."""
+    g = DirectedGraph(3, [(0, 1), (0, 2), (1, 0), (2, 0)])
+    return g, WeightAssignment([2.0, 0.5, 2.0, 0.5], g)
+
+
+def _torus_2x2():
+    return build_torus(LatticeSpec((2.0, 1.0, 1.0, 1.0)), [2, 2])
+
+
+def _left_to_right_chunk(g, w, paths, gen, size):
+    """Moments of one chunk's reversed path probabilities, each path's
+    column built left to right from the reversed probabilities and the
+    Fortran-ordered (replica, path) matrix reduced whole."""
+    probs = sample_environment_batch(g, w, gen, size)
+    rev = _reversed_probabilities(g, probs, stationary_batch(probs, g))
+    vals = np.empty((size, len(paths)), order="F")
+    for i, p in enumerate(paths):
+        column = rev[:, p[0]]
+        for eid in p[1:]:
+            column = column * rev[:, eid]
+        vals[:, i] = column
+    return Moments.of(vals)
+
+
+@pytest.mark.parametrize("build, root, k, size", [
+    (_torus_2x2, 0, 4, 8192),
+    (lambda: shuffled_edges(*_torus_2x2(), seed=3), 1, 4, 8192),
+    (_mixed_degree_graph, 0, 6, 8192),
+    (_mixed_degree_graph, 1, 5, 1000),
+    (_torus_2x2, 0, 3, 1000),
+])
+def test_sibling_group_kernel_matches_left_to_right_products(build, root, k, size):
+    g, w = build()
+    paths = enumerate_paths(g.reversal, root, k)
+    plan = _sibling_plan(g.reversal, paths, root, k)
+    got = _reverse_chunk(g, w, plan, len(paths), RngStream(60).generator(), size)
+    ref = _left_to_right_chunk(g, w, paths, RngStream(60).generator(), size)
+    assert got.n == ref.n == size
+    assert got.total.tobytes() == ref.total.tobytes()
+    assert got.m2.tobytes() == ref.m2.tobytes()
+
+
+def test_reversal_distribution_memory_is_bounded_per_chunk():
+    # a chunk holds one sibling group per depth, not a (path, replica)
+    # matrix: that would be 1364 x 8192 float64, 89 MB, at k = 5
+    g, w = _torus_2x2()
+    tracemalloc.start()
+    try:
+        verify_reversal_distribution(g, w, 5, 8192, RngStream(61))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
+
+
+def test_reversal_distribution_long_deterministic_cycle():
+    # every reversed path probability is exactly 1, so se is 0 and the exact
+    # formula's relative rounding, which grows with path length, decides;
+    # 1200 steps is deeper than the interpreter's recursion limit
+    g = DirectedGraph(3, [(0, 1), (1, 2), (2, 0)])
+    w = WeightAssignment([1.0, 1.0, 1.0], g)
+    rep = verify_reversal_distribution(g, w, 1200, 200, RngStream(62))
+    assert len(rep.literals) == 1200
+    assert np.all(rep.mc == 1.0) and np.all(rep.se == 0.0)
+    assert np.all(rep.z == 0.0)
+    assert rep.policy_ok(), rep.summary()
+
+
+@pytest.mark.parametrize("shift, expected", [(1e-6, -np.inf), (-1e-6, np.inf)])
+def test_reversal_distribution_zero_se_gap_keeps_its_sign(monkeypatch, shift, expected):
+    real = rwre.reversal.annealed_log_paths_batch
+    monkeypatch.setattr(rwre.reversal, "annealed_log_paths_batch",
+                        lambda wr, idx: real(wr, idx) + shift)
+    g = DirectedGraph(3, [(0, 1), (1, 2), (2, 0)])
+    w = WeightAssignment([1.0, 1.0, 1.0], g)
+    rep = verify_reversal_distribution(g, w, 3, 200, RngStream(63))
+    assert np.all(rep.z == expected)
+    assert not rep.policy_ok()
