@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import os
+import platform
 import select
 import subprocess
 import sys
@@ -265,6 +266,35 @@ def test_workers_inherit_no_pipe_and_stop_with_their_caller():
     for p in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(p, 0)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="malloc's thresholds are fixed on glibc only")
+def test_warm_calls_reuse_the_memory_freed_before_them():
+    # A fresh interpreter, in which no earlier test has freed a block large
+    # enough to raise malloc's thresholds.  With glibc's defaults, each
+    # call below faulted in over 1000 fresh pages: its heap was trimmed
+    # when the call before it ended.
+    script = textwrap.dedent("""
+        import resource
+        import rwre
+        torus = rwre.build_torus(rwre.LatticeSpec((2.0, 1.0, 1.0, 1.0)), [2, 2])
+        g, w = rwre.build_torus(rwre.LatticeSpec((0.1, 0.1)), [50])
+        path = rwre.Trajectory.from_vertices(g, range(11))
+        calls = [lambda s: rwre.verify_reversal_distribution(*torus, 4, 16384, rwre.RngStream(s)),
+                 lambda s: rwre.annealed_path_probability_mc(g, w, path, 20000, rwre.RngStream(s))]
+        for call in calls:
+            faults = []
+            for seed in range(4):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                call(seed)
+                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            print(min(faults[2:]))
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=60, check=True).stdout.split()
+    assert [int(f) < 100 for f in out] == [True, True], out
 
 
 def pool(parts):
