@@ -44,14 +44,15 @@ def log_rising_factorial(a: float, n: int) -> float:
 
 def _log_paths(w: WeightAssignment, paths) -> list:
     """The exact formula's kernel: log E[p] for each path of `paths`, each a
-    sequence of edge ids.
+    sequence of edge ids; a negative id raises ValueError.
 
-    A path's edge and departure counts are tallied in dicts, so only nonzero
-    counts enter.  Its terms are added from 0.0 in ascending edge (vertex) id
-    order.  Each distinct (weight, count) pair of a call is summed once:
-    lattice-derived graphs have few distinct weights and small counts, so the
-    paths of a call repeat the same pairs many times.  The counts of a path
-    sum to twice its length, so the cost stays linear in the path.
+    A path's edge counts are tallied in a dict, and its departure counts from
+    them, so only nonzero counts enter.  Its terms are added from 0.0 in
+    ascending edge (vertex) id order.  Each distinct (weight, count) pair of
+    a call is summed once: lattice-derived graphs have few distinct weights
+    and small counts, so the paths of a call repeat the same pairs many
+    times.  The counts of a path sum to twice its length, so the cost stays
+    linear in the path.
     """
     tails, values, sums = w.graph.tail_list, w.value_list, w.vertex_sum_list
     table = {}
@@ -72,8 +73,11 @@ def _log_paths(w: WeightAssignment, paths) -> list:
         crossed, departed = {}, {}
         for eid in path:
             crossed[eid] = crossed.get(eid, 0) + 1
+        if crossed and min(crossed) < 0:
+            raise ValueError(f"negative edge id {min(crossed)} in a path")
+        for eid, count in crossed.items():
             v = tails[eid]
-            departed[v] = departed.get(v, 0) + 1
+            departed[v] = departed.get(v, 0) + count
         logs.append(log_rising(values, crossed) - log_rising(sums, departed))
     return logs
 
@@ -89,13 +93,10 @@ def annealed_path_probability_exact(w: WeightAssignment, traj: Trajectory) -> fl
     return math.exp(annealed_log_path_probability(w, traj))
 
 
-def annealed_log_paths_batch(w: WeightAssignment, edge_index_matrix: np.ndarray) -> np.ndarray:
-    """Exact log-probabilities of many paths, equal to the single-path values.
-
-    `edge_index_matrix` is (n_paths, max_len) of edge ids with -1 padding.
-    Intended for enumeration suites.
-    """
-    paths = [[eid for eid in row if eid >= 0] for row in edge_index_matrix.tolist()]
+def annealed_log_paths_batch(w: WeightAssignment, paths) -> np.ndarray:
+    """Exact log-probabilities of many paths, each a sequence of edge ids,
+    equal to the single-path values bit for bit.  Intended for enumeration
+    suites; a negative edge id raises ValueError."""
     return np.array(_log_paths(w, paths), dtype=np.float64)
 
 

@@ -28,12 +28,6 @@ plain ordered fold of chunk sums; standard errors come from the pooled M2,
 which has no sum-of-squares cancellation, and may differ from a
 sum-of-squares formula in the last bits.
 
-Within a chunk, `Moments.of` reduces a Fortran-ordered matrix (one
-contiguous column per quantity, as `reverse-check` builds the path products
-of each sibling group) a few columns at a time, so its temporaries stay in
-cache, and any other layout whole, because only in Fortran order does a
-column block keep numpy's order of adds.
-
 On glibc, importing this module (as the caller and every worker do) fixes
 malloc's thresholds so that memory a chunk frees is kept for the next
 chunk (`_keep_freed_memory`).
@@ -60,10 +54,6 @@ from .errors import PreconditionError
 # Fixed chunk granularity.  Do not derive this from the worker count or
 # results would depend on it.
 CHUNK_REPLICAS = 8192
-
-# Columns per block of `Moments.of` on a Fortran-ordered matrix: 8 columns
-# of a full chunk are 512 KB.
-_COLUMN_BLOCK = 8
 
 # A worker reads the caller's sys.path, so it imports the same rwre and the
 # same modules of the chunk functions, then serves tasks until EOF.
@@ -359,13 +349,6 @@ _POOL = _Pool()
 atexit.register(_POOL.close)
 
 
-def _sum_squared_deviations(values: np.ndarray, mean) -> np.ndarray:
-    """Column sums of (values - mean)**2, squared in place in one temporary."""
-    dev = values - mean
-    np.square(dev, out=dev)
-    return dev.sum(axis=0)
-
-
 @dataclass(frozen=True, eq=False)
 class Moments:
     """Replica count `n`, sum `total` and sum of squared deviations from the
@@ -384,28 +367,17 @@ class Moments:
         gives scalar columns).
 
         The result is bit-identical to `total = values.sum(axis=0)` and
-        `np.square(values - total / n).sum(axis=0)`.  A Fortran-ordered
-        matrix is reduced `_COLUMN_BLOCK` columns at a time, squaring the
-        deviations in place, so the temporaries stay in cache rather than
-        being two copies of the whole chunk; numpy sums each contiguous
-        column pairwise whether or not it is a block of a wider matrix.
-        Any other layout is reduced whole: numpy sums a C-ordered matrix
-        row by row, and a one-column block of it would be summed pairwise
-        instead, which rounds differently.
+        `np.square(values - total / n).sum(axis=0)`, the deviations squared
+        in place.
         """
         values = np.asarray(values, dtype=np.float64)
         n = values.shape[0]
-        if values.ndim != 2 or not values.flags.f_contiguous or n == 0:
-            total = values.sum(axis=0)
-            return cls(n, total, _sum_squared_deviations(values, total / n) if n else total)
-        total = np.empty(values.shape[1])
-        m2 = np.empty(values.shape[1])
-        for lo in range(0, values.shape[1], _COLUMN_BLOCK):
-            block = values[:, lo:lo + _COLUMN_BLOCK]
-            total[lo:lo + _COLUMN_BLOCK] = block.sum(axis=0)
-            m2[lo:lo + _COLUMN_BLOCK] = _sum_squared_deviations(
-                block, total[lo:lo + _COLUMN_BLOCK] / n)
-        return cls(n, total, m2)
+        total = values.sum(axis=0)
+        if n == 0:
+            return cls(n, total, total)
+        dev = values - total / n
+        np.square(dev, out=dev)
+        return cls(n, total, dev.sum(axis=0))
 
     def __add__(self, other: "Moments") -> "Moments":
         if other.n == 0:

@@ -162,22 +162,37 @@ def check_cycle_reversal(w: WeightAssignment, cycle: Trajectory) -> CycleReversa
 
 
 def enumerate_paths(g: DirectedGraph, root: int, max_len: int) -> list:
-    """All edge-id paths from `root` of length 1..max_len, in generation order."""
-    paths = []
-    frontier = [((), int(root))]
+    """All edge-id paths from `root` of length 1..max_len, as a tree in
+    generation order: path i is a (parent, eid) pair, path `parent` (-1 for
+    the empty path) followed by edge eid.  Paths come by length, and the
+    children of a path are contiguous, in out-slot order."""
+    out, heads = g.out_edge_lists, g.head_list
+    tree = []
+    frontier = [(-1, int(root))]
     for _ in range(max_len):
         nxt = []
-        for prefix, v in frontier:
-            for eid in g.out_edges(v):
-                path = prefix + (int(eid),)
-                paths.append(path)
-                if len(paths) > PATH_GUARD:
+        for parent, v in frontier:
+            for eid in out[v]:
+                if len(tree) == PATH_GUARD:
                     raise PreconditionError(
                         f"path enumeration exceeds the {PATH_GUARD}-path guard"
                     )
-                nxt.append((path, int(g.heads[eid])))
+                nxt.append((len(tree), heads[eid]))
+                tree.append((parent, eid))
         frontier = nxt
-    return paths
+    return tree
+
+
+def _path_edges(tree: list):
+    """The edge ids of each path of `tree` (`enumerate_paths`), in order,
+    each rebuilt from the parent pointers when it is reached."""
+    for i in range(len(tree)):
+        edges = []
+        while i >= 0:
+            i, eid = tree[i]
+            edges.append(eid)
+        edges.reverse()
+        yield edges
 
 
 @dataclass
@@ -290,8 +305,8 @@ def _eliminate(keys: list, probs: np.ndarray, x: np.ndarray):
         x[k] = (x[:k] * P[:k, k]).sum(axis=0)
 
 
-def _sibling_plan(gr: DirectedGraph, paths: list, root: int, k: int) -> list:
-    """Depth-first plan of the sibling groups of `paths` (`enumerate_paths`
+def _sibling_plan(gr: DirectedGraph, tree: list, root: int, k: int) -> list:
+    """Depth-first plan of the sibling groups of `tree` (`enumerate_paths`
     on `gr` from `root` to length k): one (depth, row, lo, hi, first) entry
     per path shorter than k, the empty one included, for its children.
 
@@ -302,17 +317,20 @@ def _sibling_plan(gr: DirectedGraph, paths: list, root: int, k: int) -> list:
     the plan keeps one group per depth.  The walk uses an explicit stack,
     since a path may be longer than the interpreter's recursion limit.
     """
-    position = {p: i for i, p in enumerate(paths)}
-    offsets, slots, heads = gr.out_offsets.tolist(), gr.out_edge_ids.tolist(), gr.head_list
+    # firsts[i + 1] is the first child of path i, firsts[0] that of the empty path
+    firsts = [0] * (len(tree) + 1)
+    for i in reversed(range(len(tree))):
+        firsts[tree[i][0] + 1] = i
+    offsets, heads = gr.out_offsets.tolist(), gr.head_list
     plan = []
-    stack = [((), int(root), -1)]
+    stack = [(-1, int(root), 1, -1)]
     while stack:
-        path, v, row = stack.pop()
+        path, v, depth, row = stack.pop()
         lo, hi = offsets[v], offsets[v + 1]
-        first = position[path + (slots[lo],)]
-        plan.append((len(path) + 1, row, lo, hi, first))
-        if len(path) + 1 < k:
-            stack.extend((paths[first + j], heads[slots[lo + j]], j)
+        first = firsts[path + 1]
+        plan.append((depth, row, lo, hi, first))
+        if depth < k:
+            stack.extend((first + j, heads[tree[first + j][1]], depth + 1, j)
                          for j in reversed(range(hi - lo)))
     return plan
 
@@ -323,10 +341,8 @@ def _reverse_chunk(g, w, plan, n_paths, gen, size):
 
     Each sibling group is built from its parent's product, one row per path
     and one column per replica, and reduced at once, so a chunk holds one
-    group per depth rather than every path's products.  `block.T` is the
-    Fortran-ordered (replica, path) matrix, whose columns Moments sums
-    pairwise, each down one contiguous column, exactly as it would sum them
-    as columns of the whole (replica, path) matrix.
+    group per depth rather than every path's products.  Moments sums each
+    row of the group pairwise, down the contiguous columns of `block.T`.
     """
     probs = sample_environment_batch(g, w, gen, size)
     rev = _reversed_probabilities(g, probs, stationary_batch(probs, g))
@@ -366,15 +382,11 @@ def verify_reversal_distribution(g: DirectedGraph, w: WeightAssignment, k: int,
         raise PreconditionError("reversal verification needs a strongly connected graph")
     wr = w.reversal
     gr = wr.graph
-    paths = enumerate_paths(gr, root, k)
-    n_paths = len(paths)
-    idx = np.full((n_paths, k), -1, dtype=np.int64)
-    for i, p in enumerate(paths):
-        idx[i, : len(p)] = p
-    exact = np.exp(annealed_log_paths_batch(wr, idx))
+    tree = enumerate_paths(gr, root, k)
+    exact = np.exp(annealed_log_paths_batch(wr, _path_edges(tree)))
 
-    plan = _sibling_plan(gr, paths, root, k)
-    run_chunk = functools.partial(_reverse_chunk, g, w, plan, n_paths)
+    plan = _sibling_plan(gr, tree, root, k)
+    run_chunk = functools.partial(_reverse_chunk, g, w, plan, len(tree))
     vals = sum(run_chunked(run_chunk, replicas, rng, workers), Moments())
     mc, se = vals.mean, vals.standard_error
     diff = mc - exact
@@ -385,10 +397,9 @@ def verify_reversal_distribution(g: DirectedGraph, w: WeightAssignment, k: int,
                      np.where(np.abs(diff) <= IDENTITY_REL_TOL * np.abs(exact), 0.0,
                               np.copysign(np.inf, diff)))
 
+    heads = gr.head_list
     literals = []
-    for p in paths:
-        vs = [int(root)]
-        for eid in p:
-            vs.append(int(gr.heads[eid]))
-        literals.append(format_path_literal(gr, Trajectory(vs, list(p))))
+    for edges in _path_edges(tree):
+        vs = [int(root)] + [heads[eid] for eid in edges]
+        literals.append(format_path_literal(gr, Trajectory(vs, edges)))
     return ReversalReport(literals, exact, mc, se, z, replicas)

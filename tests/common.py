@@ -52,6 +52,15 @@ def walk_by_choices(g, start, choices):
     return Trajectory(vs, eids)
 
 
+def tree_edge_lists(tree):
+    """The edge ids of every path of an `enumerate_paths` tree, as lists in
+    the tree's order; a parent precedes its children."""
+    paths = []
+    for parent, eid in tree:
+        paths.append((paths[parent] if parent >= 0 else []) + [eid])
+    return paths
+
+
 def divergent_two_vertex():
     """Two vertices with nonzero weight divergence: div = (+1, -1).
 

@@ -32,6 +32,9 @@ from rwre import (
     verify_reversal_distribution,
 )
 from rwre.cli import main as cli_main
+from rwre.experiments import _UrnWalk
+from rwre.parallel import Moments
+from rwre.rng import block_uniforms
 from common import divergent_two_vertex, random_cycle
 
 
@@ -232,3 +235,34 @@ def test_10_worker_count_determinism(capsys, tmp_path):
     report(capsys, "10 worker-count determinism", ok,
            f"byte-identical across workers 1 vs 4: "
            f"{', '.join(f'{k}={v}' for k, v in outputs.items())}, {dt:.1f}s")
+
+
+def test_11_two_dimensional_transience_is_almost_sure(capsys):
+    # in d=2 transience to +e1 is almost sure (the Zerner-Merkl 0-1 law), so
+    # P(T_5 < T_-M) rises to 1 with M; weak drift keeps the small M low.
+    # One stream serves every M in turn, and a walk still inside the band at
+    # the cap counts as a failure
+    t0 = time.perf_counter()
+    level, walks, cap = 5, 2000, 10**5
+    uniforms = block_uniforms(RngStream(4201).generator())
+    walk = _UrnWalk(LatticeSpec((1.1, 1.0, 1.0, 1.0)), uniforms, cap)
+    floors = (1, 4, 16, 64)
+    estimates, ses, undecided = [], [], 0
+    for M in floors:
+        hits = np.empty(walks)
+        for i in range(walks):
+            walk.restart()
+            walk.run(cap, -M, level)
+            hits[i] = walk.x1 >= level
+            undecided += -M < walk.x1 < level
+        m = Moments.of(hits)
+        estimates.append(float(m.mean))
+        ses.append(float(m.standard_error))
+    rising_ok = all(b >= a - 3 * math.hypot(sa, sb) for a, b, sa, sb in
+                    zip(estimates, estimates[1:], ses, ses[1:]))
+    dt = time.perf_counter() - t0
+    ok = rising_ok and estimates[-1] >= 0.98
+    report(capsys, "11 almost-sure transience in d=2", ok,
+           ", ".join(f"P(T_5 < T_-{M}) {e:.4f} +- {se:.4f}"
+                     for M, e, se in zip(floors, estimates, ses))
+           + f"; rising within 3 se, >= 0.98 at M=64, undecided {undecided}, {dt:.1f}s")

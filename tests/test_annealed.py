@@ -29,7 +29,7 @@ from rwre import (
     sample_environment,
     urn_path_probability,
 )
-from common import random_path, walk_by_choices
+from common import random_path, tree_edge_lists, walk_by_choices
 
 
 def d1_torus3():
@@ -105,7 +105,7 @@ def test_exact_matches_urn_product_all_short_paths():
         build_torus(LatticeSpec((2.0, 1.0, 1.0, 1.0)), [3, 3]),
     ]
     for (g, w), max_len in zip(cases, (6, 4)):
-        paths = enumerate_paths(g, 0, max_len)
+        paths = tree_edge_lists(enumerate_paths(g, 0, max_len))
         assert len(paths) > 100
         for eids in paths:
             traj = traj_from_edges(g, eids)
@@ -116,12 +116,8 @@ def test_exact_matches_urn_product_all_short_paths():
 
 def test_batch_log_probabilities_match_urn_product():
     g, w = build_torus(LatticeSpec((2.0, 1.0, 1.0, 1.0)), [3, 3])
-    paths = enumerate_paths(g, 0, 3)
-    max_len = max(len(p) for p in paths)
-    mat = np.full((len(paths), max_len), -1, dtype=np.int64)
-    for i, p in enumerate(paths):
-        mat[i, :len(p)] = p
-    logs = annealed_log_paths_batch(w, mat)
+    paths = tree_edge_lists(enumerate_paths(g, 0, 3))
+    logs = annealed_log_paths_batch(w, paths)
     for i, p in enumerate(paths):
         expected = math.log(urn_path_probability(w, traj_from_edges(g, p)))
         assert logs[i] == pytest.approx(expected, abs=1e-12)
@@ -129,14 +125,11 @@ def test_batch_log_probabilities_match_urn_product():
 
 def test_batch_log_probabilities_every_short_torus_path():
     # all 340 paths of length 1..4 from a vertex of the 2x2 torus, plus an
-    # empty (all-padding) row, against the urn product path by path
+    # empty path, against the urn product path by path
     g, w = build_torus(LatticeSpec((2.0, 0.5, 1.3, 0.7)), [2, 2])
-    paths = enumerate_paths(g, 0, 4)
+    paths = tree_edge_lists(enumerate_paths(g, 0, 4))
     assert len(paths) == 340
-    mat = np.full((len(paths) + 1, 4), -1, dtype=np.int64)
-    for i, p in enumerate(paths):
-        mat[i, :len(p)] = p
-    logs = annealed_log_paths_batch(w, mat)
+    logs = annealed_log_paths_batch(w, paths + [[]])
     for i, p in enumerate(paths):
         expected = math.log(urn_path_probability(w, traj_from_edges(g, p)))
         assert logs[i] == pytest.approx(expected, rel=1e-12)
@@ -159,8 +152,7 @@ def test_exact_formula_at_large_weights(weights):
         departed[v] += 1
     expected = math.fsum(terms)
     assert annealed_log_path_probability(w, traj) == pytest.approx(expected, rel=1e-12)
-    mat = np.array([traj.edges, traj.edges[:3] + [-1] * 4])
-    logs = annealed_log_paths_batch(w, mat)
+    logs = annealed_log_paths_batch(w, [traj.edges, traj.edges[:3]])
     assert logs[0] == pytest.approx(expected, rel=1e-12)
     assert logs[1] == pytest.approx(math.fsum(terms[:3]), rel=1e-12)
 
@@ -197,10 +189,7 @@ real_weights = st.floats(1e-2, 1e3)
 def test_batch_equals_its_single_paths_bit_for_bit(data, graph):
     g, w = graph
     paths = drawn_paths(data.draw, g)
-    mat = np.full((len(paths), 12), -1, dtype=np.int64)
-    for i, traj in enumerate(paths):
-        mat[i, :len(traj)] = traj.edges
-    logs = annealed_log_paths_batch(w, mat)
+    logs = annealed_log_paths_batch(w, [traj.edges for traj in paths])
     assert isinstance(logs, np.ndarray)
     assert logs.tolist() == [annealed_log_path_probability(w, traj) for traj in paths]
 

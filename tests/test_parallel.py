@@ -324,9 +324,7 @@ def test_moments_columns_pool_independently():
 @pytest.mark.parametrize("width", [1, 7, 8, 9, 340])
 @pytest.mark.parametrize("n", [1, 3, 8192])
 def test_moments_of_is_the_two_pass_formula_bit_for_bit(n, width, order):
-    # Fortran-ordered input is reduced in column blocks and C-ordered input
-    # whole; either way every bit equals the plain two-pass formula.  The
-    # (8192, 9) C case is the one that a column block would change.
+    # in either memory order every bit equals the plain two-pass formula
     rng = np.random.default_rng(n * 1000 + width)
     values = np.asarray(rng.lognormal(0.0, 3.0, (n, width)), order=order)
     total = values.sum(axis=0)

@@ -16,6 +16,7 @@ from rwre import (
     RngStream,
     Trajectory,
     WeightAssignment,
+    annealed_log_paths_batch,
     annealed_path_probability_exact,
     build_cylinder_graph,
     build_torus,
@@ -33,8 +34,8 @@ from rwre import (
 import rwre.reversal
 from rwre.parallel import Moments, run_chunked
 from rwre.reversal import _reverse_chunk, _reversed_probabilities, _sibling_plan
-from common import (divergent_two_vertex, random_cycle, shuffled_edges, two_state_chain,
-                    walk_by_choices)
+from common import (divergent_two_vertex, random_cycle, shuffled_edges, tree_edge_lists,
+                    two_state_chain, walk_by_choices)
 
 
 def test_stationary_two_cycle():
@@ -464,12 +465,37 @@ def test_cycle_reversal_is_exact_under_null_divergence(data, graph):
 
 def test_enumerate_paths_counts_and_guard():
     g, _ = build_torus(LatticeSpec((2.0, 1.0)), [4])
-    paths = enumerate_paths(g, 0, 4)
+    paths = tree_edge_lists(enumerate_paths(g, 0, 4))
     assert len(paths) == 2 + 4 + 8 + 16
     assert all(len(p) >= 1 for p in paths)
     g2, _ = build_torus(LatticeSpec((2.0, 1.0, 1.0, 1.0)), [3, 3])
     with pytest.raises(PreconditionError, match="guard"):
         enumerate_paths(g2, 0, 7)
+
+
+def test_path_guard_trips_before_long_paths_are_stored():
+    # the directed 3-cycle has one path per length, so k = 20000 trips the
+    # guard at path 10001; the tree holds one (parent, edge) pair per path,
+    # where full edge tuples up to the guard would take about 400 MB
+    g = DirectedGraph(3, [(0, 1), (1, 2), (2, 0)])
+    w = WeightAssignment([1.0, 1.0, 1.0], g)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="10000-path guard"):
+            verify_reversal_distribution(g, w, 20_000, 200, RngStream(64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+
+
+def test_exact_batch_rejects_a_padding_id():
+    # a -1-padded edge matrix would otherwise read edge -1 as the last edge
+    g, w = build_torus(LatticeSpec((2.0, 1.0)), [3])
+    with pytest.raises(ValueError, match="negative edge id -1"):
+        annealed_log_paths_batch(w, [[0, -1]])
+    with pytest.raises(ValueError, match="negative edge id -1"):
+        annealed_log_paths_batch(w, np.array([[0, 2], [1, -1]]))
 
 
 def test_reversal_distribution_policy_passes():
@@ -481,7 +507,7 @@ def test_reversal_distribution_policy_passes():
     # the exact column is the annealed value under the reversed weights
     wr = w.reversal
     gr = wr.graph
-    first = enumerate_paths(gr, 0, 1)[0]
+    first = tree_edge_lists(enumerate_paths(gr, 0, 1))[0]
     vs = [int(gr.tails[first[0]]), int(gr.heads[first[0]])]
     expected = annealed_path_probability_exact(wr, Trajectory(vs, list(first)))
     assert rep.exact[0] == pytest.approx(expected, rel=1e-12)
@@ -537,7 +563,9 @@ def test_reversal_distribution_worker_determinism():
 def test_enumerate_paths_lists_every_path_after_its_parent():
     # the reversal check builds each path's product from its parent's
     g, _ = build_torus(LatticeSpec((2.0, 1.0, 1.0, 1.0)), [3, 3])
-    paths = enumerate_paths(g, 0, 3)
+    tree = enumerate_paths(g, 0, 3)
+    assert all(-1 <= parent < i for i, (parent, _) in enumerate(tree))
+    paths = [tuple(p) for p in tree_edge_lists(tree)]
     position = {p: i for i, p in enumerate(paths)}
     assert len(position) == len(paths)
     for i, p in enumerate(paths):
@@ -557,7 +585,7 @@ def _gathered_reversal_moments(g, w, k, replicas, rng):
     """Mean and SE per path in the earlier full-gather form: one
     (chunk, n_paths, k) gather of reversed probabilities, padded with 1.0
     and multiplied along its last axis."""
-    paths = enumerate_paths(g.reversal, 0, k)
+    paths = tree_edge_lists(enumerate_paths(g.reversal, 0, k))
     idx = np.full((len(paths), k), -1, dtype=np.int64)
     for i, p in enumerate(paths):
         idx[i, : len(p)] = p
@@ -586,16 +614,14 @@ def _unblocked_reversal_moments(g, w, k, replicas, rng):
     """Mean and SE per path built whole: each chunk's (replica, path)
     products in one Fortran-ordered matrix, filled one path at a time from
     its parent's column, and reduced by the two-pass formula."""
-    paths = enumerate_paths(g.reversal, 0, k)
-    position = {p: i for i, p in enumerate(paths)}
-    parents = [position.get(p[:-1], -1) for p in paths]
+    tree = enumerate_paths(g.reversal, 0, k)
 
     def run_chunk(gen, size):
         probs = sample_environment_batch(g, w, gen, size)
         rev = _reversed_probabilities(g, probs, stationary_batch(probs, g))
-        vals = np.empty((size, len(paths)), order="F")
-        for i, (p, parent) in enumerate(zip(paths, parents)):
-            vals[:, i] = rev[:, p[-1]] if parent < 0 else vals[:, parent] * rev[:, p[-1]]
+        vals = np.empty((size, len(tree)), order="F")
+        for i, (parent, eid) in enumerate(tree):
+            vals[:, i] = rev[:, eid] if parent < 0 else vals[:, parent] * rev[:, eid]
         total = vals.sum(axis=0)
         return Moments(size, total, np.square(vals - total / size).sum(axis=0))
 
@@ -649,10 +675,10 @@ def _left_to_right_chunk(g, w, paths, gen, size):
 ])
 def test_sibling_group_kernel_matches_left_to_right_products(build, root, k, size):
     g, w = build()
-    paths = enumerate_paths(g.reversal, root, k)
-    plan = _sibling_plan(g.reversal, paths, root, k)
-    got = _reverse_chunk(g, w, plan, len(paths), RngStream(60).generator(), size)
-    ref = _left_to_right_chunk(g, w, paths, RngStream(60).generator(), size)
+    tree = enumerate_paths(g.reversal, root, k)
+    plan = _sibling_plan(g.reversal, tree, root, k)
+    got = _reverse_chunk(g, w, plan, len(tree), RngStream(60).generator(), size)
+    ref = _left_to_right_chunk(g, w, tree_edge_lists(tree), RngStream(60).generator(), size)
     assert got.n == ref.n == size
     assert got.total.tobytes() == ref.total.tobytes()
     assert got.m2.tobytes() == ref.m2.tobytes()
