@@ -284,11 +284,10 @@ def _parse_path_tokens(g: DirectedGraph, tokens: list, origin: int) -> Trajector
 
 
 def format_path_literal(g: DirectedGraph, traj: Trajectory) -> str:
-    """Vertex-id literal when unambiguous, else edge-id literal."""
-    try:
-        rt = Trajectory.from_vertices(g, traj.vertices)
-        if rt.edges == list(traj.edges):
-            return ",".join(str(v) for v in traj.vertices)
-    except ValueError:
-        pass
-    return ",".join(f"e{eid}" for eid in traj.edges)
+    """Vertex-id literal when unambiguous, else edge-id literal.  `traj`
+    must follow its edges; its vertices determine them unless one of them
+    has a parallel twin."""
+    twin = g.has_parallel_twin
+    if any(twin[eid] for eid in traj.edges):
+        return ",".join(f"e{eid}" for eid in traj.edges)
+    return ",".join(map(str, traj.vertices))

@@ -9,15 +9,21 @@ whose large-L limit bounds the directional-transience probability from below.
 
 Finite-graph walks run vectorized across replicas in lockstep with an
 active-set that shrinks as walks get absorbed.  A chunk's environments are
-read as threshold columns, one flat array per out-slot but the last, holding
-each row's cumulative probability up to that slot (+inf past the vertex's
-last out-edge), so a lockstep step is a few one-dimensional gathers and
-compares over the active walkers.  A lockstep step still costs a fixed numpy
-call overhead however few walkers remain, and most lockstep steps of a
-cylinder chunk move only a few stragglers, so once the active set is small
-the remaining walkers finish in a plain Python loop.  That loop draws the
-same uniforms in the same walker order and picks the same edge from the same
-thresholds, so records are byte-identical to an all-lockstep run.
+read as threshold columns, one array per out-slot but the last, holding each
+row's cumulative probability up to that slot (+inf past the vertex's last
+out-edge), so a lockstep step is a few one-dimensional gathers and compares
+over the active walkers.  Environments are sampled about 1 MiB at a time,
+and each block is folded into the columns and then dropped, so a chunk never
+holds its whole (replicas x edges) probability matrix.  An absorbing start
+vertex is read only on step one, so when it has the most out-edges (the
+delta experiment's outside vertex has N^(d-1), every other vertex 2d) it
+gets a cumulative table of its own and adds no column.  A lockstep step
+still costs a fixed numpy call overhead however few walkers remain, and
+most lockstep steps of a cylinder chunk move only a few stragglers, so once
+the active set is small the remaining walkers finish in a plain Python
+loop.  That loop draws the same uniforms in the same walker order and picks
+the same edge from the same thresholds, so records are byte-identical to an
+all-lockstep run.
 
 Every lattice output is an annealed quantity, so lattice walks never sample
 an environment: they run as the oriented-edge linearly reinforced walk, whose
@@ -38,7 +44,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -75,6 +81,10 @@ DEFAULT_STEP_CAP = 100_000
 # for a plain Python loop.  Of 0, 16, 24, 48, 96 and 192, 48 ran the cylinder
 # benchmark's calls fastest.
 _SCALAR_TAIL = 48
+
+# Bytes of probabilities that a cylinder chunk samples at a time before
+# folding them into its threshold columns (`_sample_thresholds`).
+_BLOCK_BYTES = 1 << 20
 
 # The keys of `ExperimentResult.to_record`, in order; also the CSV header.
 RECORD_COLUMNS = [
@@ -121,66 +131,121 @@ def expected_exit_probability(lattice: LatticeSpec) -> float:
     return 1.0 - lattice.beta(1) / lattice.alpha(1)
 
 
-def _threshold_columns(g: DirectedGraph, probs: np.ndarray) -> list:
-    """The D - 1 threshold columns of the environment rows `probs` (one row
-    per environment, one probability per edge), D the largest out-degree.
+class _Thresholds(NamedTuple):
+    """A chunk's environments as `_walk_until_absorbed` reads them.
 
-    Column j is flat over (environment r, vertex v) at r * n_vertices + v and
-    holds the cumulative probability of v's out-slots 0..j, summed one slot
-    at a time in slot order (the adds `np.cumsum` makes), or +inf from slot
-    deg(v) - 1 on, so a uniform never reaches it there.  Slot j of v is the
-    edge `g.out_edge_ids[g.out_offsets[v] + j]`.  Only vertices with a slot
-    left are summed, so a column that is +inf at most vertices (past the
-    degree of all but a few) costs little more than its fill.  Columns are
-    gathered with `take` and `compress`, which keep the running sums
-    C-ordered, so a column that needs no +inf is a view of them.
+    `columns[j]` is a (size, n_vertices) array whose row r holds, at vertex
+    v, the cumulative probability of v's out-slots 0..j in environment r,
+    summed one slot at a time in slot order (the adds `np.cumsum` makes), or
+    +inf from slot deg(v) - 1 on, so a uniform never reaches it there.  Slot
+    j of v is the edge `g.out_edge_ids[g.out_offsets[v] + j]`.  There is one
+    column per out-slot but the last of the largest out-degree, except when
+    the walk's start is absorbing and has more out-edges than any other
+    vertex: a walk stands there only before its first step, so the columns
+    stop at the largest degree among the other vertices, and `first` holds
+    the start's own (size, deg(start) - 1) cumulative rows for step one.
+    `first` is None otherwise.
+    """
+
+    columns: list
+    first: Optional[np.ndarray]
+    size: int
+
+
+def _fold_thresholds(g: DirectedGraph, blocks, size: int, start: int,
+                     absorbing: np.ndarray) -> _Thresholds:
+    """The `_Thresholds` of `size` environment rows, given as consecutive
+    blocks of (rows, n_edges) probabilities, for walks from `start`.
+
+    Which vertices each column sums (those with a slot left) and their edge
+    ids are worked out once; each block is then summed into its rows of the
+    columns and dropped.  Only a column where some vertex has no slot left is
+    filled with +inf first.  The start's cells hold its partial sums even
+    when it has a table.
     """
     deg = g.out_degrees
-    size, n_vertices = probs.shape[0], g.n_vertices
-    verts = np.flatnonzero(deg > 1)  # the vertices whose slot j is not their last
-    cum = probs.take(g.out_edge_ids[g.out_offsets[verts]], axis=1)
-    columns = []
-    for j in range(int(deg.max()) - 1):
+    n_vertices = g.n_vertices
+    others = np.delete(deg, start).max(initial=0)  # the largest other degree
+    tabled = bool(absorbing[start]) and deg[start] > others
+    # per column: which of the previous column's vertices keep a slot (None:
+    # all), their slot-j edges, and the vertices summed (None: every vertex)
+    plan = []
+    verts = np.flatnonzero(deg > 1)
+    for j in range(int(others if tabled else deg.max()) - 1):
+        keep = None
         if j:
             keep = deg[verts] > j + 1
-            if not keep.all():
-                verts, cum = verts[keep], cum.compress(keep, axis=1)
-            cum = cum + probs.take(g.out_edge_ids[g.out_offsets[verts] + j], axis=1)
-        if verts.size == n_vertices:
-            columns.append(cum.ravel())
-        else:
-            column = np.full((size, n_vertices), np.inf)
-            column[:, verts] = cum
-            columns.append(column.ravel())
-    return columns
+            if keep.all():
+                keep = None
+            else:
+                verts = verts[keep]
+        plan.append((keep, g.out_edge_ids[g.out_offsets[verts] + j],
+                     None if verts.size == n_vertices else verts))
+    columns = [np.empty((size, n_vertices)) if summed is None
+               else np.full((size, n_vertices), np.inf) for _, _, summed in plan]
+    first = np.empty((size, deg[start] - 1)) if tabled else None
+    rows = slice(0, 0)
+    for probs in blocks:
+        rows = slice(rows.stop, rows.stop + probs.shape[0])
+        cum = None
+        for (keep, eids, summed), column in zip(plan, columns):
+            if cum is None:
+                cum = probs.take(eids, axis=1)
+            else:
+                if keep is not None:
+                    cum = cum.compress(keep, axis=1)
+                cum = cum + probs.take(eids, axis=1)
+            if summed is None:
+                column[rows] = cum
+            else:
+                column[rows, summed] = cum
+        if tabled:
+            np.cumsum(probs.take(g.out_edges(start)[:-1], axis=1), axis=1, out=first[rows])
+        del probs, cum  # before the next block is drawn
+    return _Thresholds(columns, first, size)
 
 
-def _walk_until_absorbed(g: DirectedGraph, probs: np.ndarray, start: int,
+def _sample_thresholds(g: DirectedGraph, w, gen: np.random.Generator, size: int,
+                       start: int, absorbing: np.ndarray) -> _Thresholds:
+    """`_fold_thresholds` of `size` environments drawn from `gen` with
+    `sample_environment_batch`, `_BLOCK_BYTES` of probabilities at a time:
+    Philox draws split over several calls equal those of one call, so this
+    leaves the thresholds and `gen` as one call for all `size` would."""
+    block = max(1, _BLOCK_BYTES // (8 * g.n_edges))
+    blocks = (sample_environment_batch(g, w, gen, min(block, size - lo))
+              for lo in range(0, size, block))
+    return _fold_thresholds(g, blocks, size, start, absorbing)
+
+
+def _walk_until_absorbed(g: DirectedGraph, thresholds: _Thresholds, start: int,
                          absorbing: np.ndarray, gen: np.random.Generator, step_cap: int):
-    """Walk one replica per environment row of `probs` from `start` until it
-    steps onto a vertex where `absorbing` is True, or `step_cap` steps pass.
+    """Walk one replica per environment row of `thresholds` from `start`
+    until it steps onto a vertex where `absorbing` is True, or `step_cap`
+    steps pass.
 
     Every step draws `gen.random(n)` for the n still-active walkers, in
     walker order, and a walker at vertex v takes out-slot k, the number of
-    v's threshold columns (`_threshold_columns`) at or below its uniform:
-    the first out-edge whose cumulative probability exceeds the uniform, as
-    in `quenched_walk`, the last out-edge if none does, edge 0 on a NaN row,
-    so an edge of probability 0 is never taken, even at a uniform of 0.0.
-    Slot k of v is edge `g.out_edge_ids[g.out_offsets[v] + k]`.  While more than `_SCALAR_TAIL`
-    walkers are active a step is a few one-dimensional numpy passes over the
-    active walkers' vertices and row offsets, and the next vertex is read
-    from `g.heads[g.out_edge_ids]` at that slot; the stragglers left after
-    that finish in a plain Python loop over the same thresholds and the
-    graph's `out_edge_lists` and `head_list`, which draws the same
-    uniforms and picks the same edges, so the phase split never changes a
-    result or the generator's final state.  The step cap counts across both
-    phases.
+    v's thresholds at or below its uniform: the first out-edge whose
+    cumulative probability exceeds the uniform, as in `quenched_walk`, the
+    last out-edge if none does, edge 0 on a NaN row, so an edge of
+    probability 0 is never taken, even at a uniform of 0.0.  Slot k of v is
+    edge `g.out_edge_ids[g.out_offsets[v] + k]`.  Where `thresholds` has a
+    start table, step one reads every walker's slot from it, in numpy at any
+    walker count; no later step stands on `start`.  While more than
+    `_SCALAR_TAIL` walkers are active a step is a few one-dimensional numpy
+    passes over the active walkers' vertices and row offsets, and the next
+    vertex is read from `g.heads[g.out_edge_ids]` at that slot; the
+    stragglers left after that finish in a plain Python loop over the same
+    thresholds and the graph's `out_edge_lists` and `head_list`, which draws
+    the same uniforms and picks the same edges, so the phase split never
+    changes a result or the generator's final state.  The step cap counts
+    across all phases.
 
     Returns each walker's final vertex and the vertex it left on its
     absorbing step, -1 where the step cap stopped it first.
     """
-    columns = _threshold_columns(g, probs)
-    size, n_vertices = probs.shape[0], g.n_vertices
+    columns, first, size = thresholds
+    n_vertices = g.n_vertices
     heads = g.heads.take(g.out_edge_ids)  # the head of each out-slot
     pos = np.full(size, start, dtype=np.int64)
     left = np.full(size, -1, dtype=np.int64)
@@ -188,12 +253,17 @@ def _walk_until_absorbed(g: DirectedGraph, probs: np.ndarray, start: int,
     offset = active * n_vertices
     here = pos.copy()
     steps = 0
-    while steps < step_cap and active.size > _SCALAR_TAIL:
+    lead = first is not None  # step one reads the start table
+    while steps < step_cap and (lead or active.size > _SCALAR_TAIL):
         u = gen.random(active.size)
-        cell = offset + here
-        k = g.out_offsets.take(here)  # plus the slot taken: an index into `heads`
-        for column in columns:
-            k += u >= column.take(cell)
+        if lead:
+            k = g.out_offsets[start] + np.count_nonzero(u[:, None] >= first, axis=1)
+            lead = False
+        else:
+            cell = offset + here  # flat (row, vertex) index into each column
+            k = g.out_offsets.take(here)  # plus the slot taken: an index into `heads`
+            for column in columns:
+                k += u >= column.take(cell)
         nxt = heads.take(k)
         done = absorbing.take(nxt)
         if done.any():
@@ -209,7 +279,7 @@ def _walk_until_absorbed(g: DirectedGraph, probs: np.ndarray, start: int,
         return pos, left
 
     # each straggler's rows: its thresholds at every vertex, closed by +inf
-    rows = [column.reshape(size, n_vertices)[active] for column in columns]
+    rows = [column[active] for column in columns]
     rows.append(np.full((active.size, n_vertices), np.inf))
     rows = np.stack(rows, axis=-1).tolist()
     walkers = active.tolist()
@@ -243,8 +313,9 @@ def _walk_until_absorbed(g: DirectedGraph, probs: np.ndarray, start: int,
 
 def _delta_chunk(cg, absorbing, right_mask, step_cap, gen, size):
     """`cylinder_delta_exit` on one chunk of `size` replicas drawn from `gen`."""
-    probs = sample_environment_batch(cg.graph, cg.weights, gen, size)
-    _, left = _walk_until_absorbed(cg.graph, probs, cg.outside, absorbing, gen, step_cap)
+    g = cg.graph
+    thresholds = _sample_thresholds(g, cg.weights, gen, size, cg.outside, absorbing)
+    _, left = _walk_until_absorbed(g, thresholds, cg.outside, absorbing, gen, step_cap)
     return Moments.of(right_mask[left[left >= 0]])
 
 
@@ -282,8 +353,9 @@ def cylinder_delta_exit(spec: CylinderSpec, replicas: int, rng: RngStream,
 
 def _band_chunk(band, absorbing, right_mask, step_cap, gen, size):
     """`cylinder_exit_from_origin` on one chunk of `size` replicas drawn from `gen`."""
-    probs = sample_environment_batch(band.graph, band.weights, gen, size)
-    pos, left = _walk_until_absorbed(band.graph, probs, band.origin, absorbing, gen, step_cap)
+    g = band.graph
+    thresholds = _sample_thresholds(g, band.weights, gen, size, band.origin, absorbing)
+    pos, left = _walk_until_absorbed(g, thresholds, band.origin, absorbing, gen, step_cap)
     return Moments.of(right_mask[pos]), int(np.count_nonzero(left < 0))
 
 

@@ -3,11 +3,12 @@
 Vertices are dense integers; parallel edges and self-loops are allowed (a
 transverse period of 1 or 2 creates them).  Graphs and weight assignments
 are immutable after construction and safe to share across workers.  Every
-view derived from one (list forms, the edge lookup, the divergence, the
-reversal) is a `functools.cached_property`: built on first access, then
-shared, so callers must not modify it.  Reversal swaps every edge's tail and
-head while keeping edge ids, so the pairing between an edge and its reversal
-is the identity on ids.
+view derived from one (list forms, the edge lookup and which edges have a
+parallel twin, the divergence, the reversal) is a
+`functools.cached_property`: built on first access, then shared, so callers
+must not modify it.  Reversal swaps every edge's tail and head while keeping
+edge ids, so the pairing between an edge and its reversal is the identity on
+ids.
 """
 
 from __future__ import annotations
@@ -127,6 +128,17 @@ class DirectedGraph:
         for eid, pair in enumerate(zip(self.tail_list, self.head_list)):
             lookup.setdefault(pair, []).append(eid)
         return lookup
+
+    @functools.cached_property
+    def has_parallel_twin(self) -> tuple:
+        """Per edge id, whether another edge shares its tail and head, so
+        that a step along it is not determined by its two vertices."""
+        twin = [False] * self.n_edges
+        for hits in self._edge_lookup.values():
+            if len(hits) > 1:
+                for eid in hits:
+                    twin[eid] = True
+        return tuple(twin)
 
     @functools.cached_property
     def reversal(self) -> "DirectedGraph":

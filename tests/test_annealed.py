@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwre import (
+    CylinderSpec,
     DirectedGraph,
     LatticeSpec,
     PreconditionError,
@@ -18,6 +19,7 @@ from rwre import (
     annealed_log_paths_batch,
     annealed_path_probability_exact,
     annealed_path_probability_mc,
+    build_cylinder_band,
     build_torus,
     enumerate_paths,
     format_path_literal,
@@ -382,6 +384,30 @@ def test_path_literal_edge_ids_for_multigraph():
     assert lit.startswith("e")
     back = parse_path_literal(g, lit)
     assert back.edges == traj.edges and back.vertices == traj.vertices
+
+
+@pytest.mark.parametrize("name", ["3x3 torus", "2x2 torus", "N=1 band"])
+def test_path_literal_form_matches_a_per_step_check(name):
+    # the literal form is read from each edge's parallel-twin flag; it must
+    # be the one that resolving every step would choose
+    lattice = LatticeSpec((2.0, 1.0, 1.0, 1.0))
+    if name == "N=1 band":
+        # every transverse edge is a self-loop, two per vertex
+        g = build_cylinder_band(CylinderSpec(N=1, L=3, lattice=lattice)).graph
+    else:
+        g, _ = build_torus(lattice, [3, 3] if name == "3x3 torus" else [2, 2])
+    assert any(g.has_parallel_twin) == (name != "3x3 torus")
+    rng = np.random.default_rng(68)
+    for length in (0, 1, 2, 5):
+        for _ in range(20):
+            traj = random_path(g, rng, length)
+            try:
+                vertex_form = Trajectory.from_vertices(g, traj.vertices).edges == traj.edges
+            except ValueError:
+                vertex_form = False
+            expected = (",".join(map(str, traj.vertices)) if vertex_form
+                        else ",".join(f"e{eid}" for eid in traj.edges))
+            assert format_path_literal(g, traj) == expected
 
 
 def test_path_literal_empty():
