@@ -9,21 +9,20 @@ whose large-L limit bounds the directional-transience probability from below.
 
 Finite-graph walks run vectorized across replicas in lockstep with an
 active-set that shrinks as walks get absorbed.  A chunk's environments are
-read as threshold columns, one array per out-slot but the last, holding each
-row's cumulative probability up to that slot (+inf past the vertex's last
-out-edge), so a lockstep step is a few one-dimensional gathers and compares
-over the active walkers.  Environments are sampled about 1 MiB at a time,
-and each block is folded into the columns and then dropped, so a chunk never
-holds its whole (replicas x edges) probability matrix.  An absorbing start
-vertex is read only on step one, so when it has the most out-edges (the
-delta experiment's outside vertex has N^(d-1), every other vertex 2d) it
-gets a cumulative table of its own and adds no column.  A lockstep step
-still costs a fixed numpy call overhead however few walkers remain, and
-most lockstep steps of a cylinder chunk move only a few stragglers, so once
-the active set is small the remaining walkers finish in a plain Python
-loop.  That loop draws the same uniforms in the same walker order and picks
-the same edge from the same thresholds, so records are byte-identical to an
-all-lockstep run.
+read from one packed table whose row holds, vertex by vertex, the cumulative
+probabilities of each vertex's out-slots but its last; a walker at v finds
+its out-edge with deg(v) - 1 compares, each moving it one column on while
+its uniform is at or above the cumulative there.  Environments are sampled
+about 1 MiB at a time, and each block is folded into the table and then
+dropped, so a chunk never holds its whole (replicas x edges) probability
+matrix.  Every vertex a walk goes on from has the same out-degree (both
+cylinder builders give each 2d), so a lockstep step makes one count of
+compares for all its walkers.  A lockstep step still costs a fixed numpy
+call overhead however few walkers remain, and most lockstep steps of a
+cylinder chunk move only a few stragglers, so once the active set is small
+the remaining walkers finish in a plain Python loop.  That loop draws the
+same uniforms in the same walker order and picks the same edge from the
+same table, so records are byte-identical to an all-lockstep run.
 
 Every lattice output is an annealed quantity, so lattice walks never sample
 an environment: they run as the oriented-edge linearly reinforced walk, whose
@@ -44,7 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -83,7 +82,7 @@ DEFAULT_STEP_CAP = 100_000
 _SCALAR_TAIL = 48
 
 # Bytes of probabilities that a cylinder chunk samples at a time before
-# folding them into its threshold columns (`_sample_thresholds`).
+# folding them into its cumulative table (`_sample_table`).
 _BLOCK_BYTES = 1 << 20
 
 # The keys of `ExperimentResult.to_record`, in order; also the CSV header.
@@ -131,172 +130,127 @@ def expected_exit_probability(lattice: LatticeSpec) -> float:
     return 1.0 - lattice.beta(1) / lattice.alpha(1)
 
 
-class _Thresholds(NamedTuple):
-    """A chunk's environments as `_walk_until_absorbed` reads them.
+def _fold_table(g: DirectedGraph, blocks, size: int) -> np.ndarray:
+    """The (size, n_edges - n_vertices) cumulative table of `size`
+    environment rows, given as consecutive blocks of (rows, n_edges)
+    probabilities.
 
-    `columns[j]` is a (size, n_vertices) array whose row r holds, at vertex
-    v, the cumulative probability of v's out-slots 0..j in environment r,
-    summed one slot at a time in slot order (the adds `np.cumsum` makes), or
-    +inf from slot deg(v) - 1 on, so a uniform never reaches it there.  Slot
-    j of v is the edge `g.out_edge_ids[g.out_offsets[v] + j]`.  There is one
-    column per out-slot but the last of the largest out-degree, except when
-    the walk's start is absorbing and has more out-edges than any other
-    vertex: a walk stands there only before its first step, so the columns
-    stop at the largest degree among the other vertices, and `first` holds
-    the start's own (size, deg(start) - 1) cumulative rows for step one.
-    `first` is None otherwise.
+    Row r holds, vertex by vertex, the cumulative probabilities of v's
+    out-slots 0..deg(v) - 2 in environment r, summed one slot at a time in
+    slot order (the adds `np.cumsum` makes); v's last slot is not stored.
+    Slot j of v is the edge `g.out_edge_ids[g.out_offsets[v] + j]` and sits
+    in column `g.out_offsets[v] - v + j`.  Each block is gathered into its
+    rows of the table, summed there and dropped.
     """
-
-    columns: list
-    first: Optional[np.ndarray]
-    size: int
-
-
-def _fold_thresholds(g: DirectedGraph, blocks, size: int, start: int,
-                     absorbing: np.ndarray) -> _Thresholds:
-    """The `_Thresholds` of `size` environment rows, given as consecutive
-    blocks of (rows, n_edges) probabilities, for walks from `start`.
-
-    Which vertices each column sums (those with a slot left) and their edge
-    ids are worked out once; each block is then summed into its rows of the
-    columns and dropped.  Only a column where some vertex has no slot left is
-    filled with +inf first.  The start's cells hold its partial sums even
-    when it has a table.
-    """
-    deg = g.out_degrees
-    n_vertices = g.n_vertices
-    others = np.delete(deg, start).max(initial=0)  # the largest other degree
-    tabled = bool(absorbing[start]) and deg[start] > others
-    # per column: which of the previous column's vertices keep a slot (None:
-    # all), their slot-j edges, and the vertices summed (None: every vertex)
-    plan = []
-    verts = np.flatnonzero(deg > 1)
-    for j in range(int(others if tabled else deg.max()) - 1):
-        keep = None
-        if j:
-            keep = deg[verts] > j + 1
-            if keep.all():
-                keep = None
-            else:
-                verts = verts[keep]
-        plan.append((keep, g.out_edge_ids[g.out_offsets[verts] + j],
-                     None if verts.size == n_vertices else verts))
-    columns = [np.empty((size, n_vertices)) if summed is None
-               else np.full((size, n_vertices), np.inf) for _, _, summed in plan]
-    first = np.empty((size, deg[start] - 1)) if tabled else None
-    rows = slice(0, 0)
+    stored = np.ones(g.n_edges, dtype=bool)  # every out-slot but each vertex's last
+    stored[g.out_offsets[1:] - 1] = False
+    eids = g.out_edge_ids[stored]
+    slot = (np.arange(g.n_edges) - np.repeat(g.out_offsets[:-1], g.out_degrees))[stored]
+    # per slot j = 1, 2, ...: the columns holding it, each the sum of its
+    # probability and the column before
+    later = [np.flatnonzero(slot == j) for j in range(1, int(slot.max(initial=0)) + 1)]
+    table = np.empty((size, eids.size))
+    lo = 0
     for probs in blocks:
-        rows = slice(rows.stop, rows.stop + probs.shape[0])
-        cum = None
-        for (keep, eids, summed), column in zip(plan, columns):
-            if cum is None:
-                cum = probs.take(eids, axis=1)
-            else:
-                if keep is not None:
-                    cum = cum.compress(keep, axis=1)
-                cum = cum + probs.take(eids, axis=1)
-            if summed is None:
-                column[rows] = cum
-            else:
-                column[rows, summed] = cum
-        if tabled:
-            np.cumsum(probs.take(g.out_edges(start)[:-1], axis=1), axis=1, out=first[rows])
-        del probs, cum  # before the next block is drawn
-    return _Thresholds(columns, first, size)
+        cum = table[lo:lo + probs.shape[0]]
+        lo += probs.shape[0]
+        # the ids are in range; any mode but "raise" writes `out` unbuffered
+        probs.take(eids, axis=1, out=cum, mode="clip")
+        del probs  # before the next block is drawn
+        for cols in later:
+            cum[:, cols] += cum[:, cols - 1]
+    return table
 
 
-def _sample_thresholds(g: DirectedGraph, w, gen: np.random.Generator, size: int,
-                       start: int, absorbing: np.ndarray) -> _Thresholds:
-    """`_fold_thresholds` of `size` environments drawn from `gen` with
+def _sample_table(g: DirectedGraph, w, gen: np.random.Generator, size: int) -> np.ndarray:
+    """`_fold_table` of `size` environments drawn from `gen` with
     `sample_environment_batch`, `_BLOCK_BYTES` of probabilities at a time:
     Philox draws split over several calls equal those of one call, so this
-    leaves the thresholds and `gen` as one call for all `size` would."""
+    leaves the table and `gen` as one call for all `size` would."""
     block = max(1, _BLOCK_BYTES // (8 * g.n_edges))
     blocks = (sample_environment_batch(g, w, gen, min(block, size - lo))
               for lo in range(0, size, block))
-    return _fold_thresholds(g, blocks, size, start, absorbing)
+    return _fold_table(g, blocks, size)
 
 
-def _walk_until_absorbed(g: DirectedGraph, thresholds: _Thresholds, start: int,
+def _walk_until_absorbed(g: DirectedGraph, table: np.ndarray, start: int,
                          absorbing: np.ndarray, gen: np.random.Generator, step_cap: int):
-    """Walk one replica per environment row of `thresholds` from `start`
+    """Walk one replica per row of the `_fold_table` `table` from `start`
     until it steps onto a vertex where `absorbing` is True, or `step_cap`
-    steps pass.
+    steps pass.  Every vertex that is not absorbing must have the same
+    out-degree (ValueError otherwise), as on both cylinder builders.
 
     Every step draws `gen.random(n)` for the n still-active walkers, in
-    walker order, and a walker at vertex v takes out-slot k, the number of
-    v's thresholds at or below its uniform: the first out-edge whose
-    cumulative probability exceeds the uniform, as in `quenched_walk`, the
-    last out-edge if none does, edge 0 on a NaN row, so an edge of
-    probability 0 is never taken, even at a uniform of 0.0.  Slot k of v is
-    edge `g.out_edge_ids[g.out_offsets[v] + k]`.  Where `thresholds` has a
-    start table, step one reads every walker's slot from it, in numpy at any
-    walker count; no later step stands on `start`.  While more than
-    `_SCALAR_TAIL` walkers are active a step is a few one-dimensional numpy
-    passes over the active walkers' vertices and row offsets, and the next
-    vertex is read from `g.heads[g.out_edge_ids]` at that slot; the
-    stragglers left after that finish in a plain Python loop over the same
-    thresholds and the graph's `out_edge_lists` and `head_list`, which draws
-    the same uniforms and picks the same edges, so the phase split never
-    changes a result or the generator's final state.  The step cap counts
-    across all phases.
+    walker order.  A walker at v starts at v's first column and moves one
+    column on at each of deg(v) - 1 compares of its uniform against the
+    cumulative there: it takes the first out-slot whose cumulative exceeds
+    the uniform, as in `quenched_walk`, the last out-slot if none does, and
+    slot 0 on a NaN row, so an edge of probability 0 is never taken, even at
+    a uniform of 0.0.  The column it stops in, minus its row's start, plus
+    v, is its index into `g.out_edge_ids`.  While more than `_SCALAR_TAIL`
+    walkers are active a step is a few one-dimensional numpy passes over
+    their cells, as many compares as the out-degree they share: all of them
+    stand at `start` on step one and on vertices that are not absorbing
+    after it.  The stragglers left after that finish in a plain Python loop
+    over their rows of the table as lists, which draws the same uniforms and
+    picks the same edges, so the phase split never changes a result or the
+    generator's final state.  The step cap counts across both phases.
 
     Returns each walker's final vertex and the vertex it left on its
     absorbing step, -1 where the step cap stopped it first.
     """
-    columns, first, size = thresholds
-    n_vertices = g.n_vertices
+    if np.unique(g.out_degrees[~absorbing]).size > 1:
+        raise ValueError("vertices that are not absorbing differ in out-degree")
+    degs = g.out_degrees.tolist()
+    size, width = table.shape
+    flat = table.ravel()
+    first = g.out_offsets[:-1] - np.arange(g.n_vertices)  # the column of v's slot 0
     heads = g.heads.take(g.out_edge_ids)  # the head of each out-slot
     pos = np.full(size, start, dtype=np.int64)
     left = np.full(size, -1, dtype=np.int64)
     active = np.arange(size)
-    offset = active * n_vertices
+    base = active * width  # each walker's row in `flat`
     here = pos.copy()
     steps = 0
-    lead = first is not None  # step one reads the start table
-    while steps < step_cap and (lead or active.size > _SCALAR_TAIL):
+    while steps < step_cap and active.size > _SCALAR_TAIL:
         u = gen.random(active.size)
-        if lead:
-            k = g.out_offsets[start] + np.count_nonzero(u[:, None] >= first, axis=1)
-            lead = False
-        else:
-            cell = offset + here  # flat (row, vertex) index into each column
-            k = g.out_offsets.take(here)  # plus the slot taken: an index into `heads`
-            for column in columns:
-                k += u >= column.take(cell)
-        nxt = heads.take(k)
+        cell = base + first.take(here)
+        for _ in range(degs[here[0]] - 1):  # every active walker's out-degree
+            cell += u >= flat.take(cell)
+        cell -= base
+        cell += here  # the index into `g.out_edge_ids`
+        nxt = heads.take(cell)
         done = absorbing.take(nxt)
         if done.any():
             gone = active[done]
             pos[gone] = nxt[done]
             left[gone] = here[done]
             kept = ~done
-            active, offset, nxt = active[kept], offset[kept], nxt[kept]
+            active, base, nxt = active[kept], base[kept], nxt[kept]
         here = nxt
         steps += 1
     pos[active] = here
     if steps == step_cap or active.size == 0:
         return pos, left
 
-    # each straggler's rows: its thresholds at every vertex, closed by +inf
-    rows = [column[active] for column in columns]
-    rows.append(np.full((active.size, n_vertices), np.inf))
-    rows = np.stack(rows, axis=-1).tolist()
+    rows = table[active].tolist()
     walkers = active.tolist()
     here = here.tolist()
-    out, heads = g.out_edge_lists, g.head_list
+    first, heads = first.tolist(), heads.tolist()
     stops = absorbing.tolist()
     for _ in range(step_cap - steps):
         if not walkers:
             break
+        reach = degs[here[0]] - 1
         kept = []
         for j, u in enumerate(gen.random(len(walkers)).tolist()):
             v = here[j]
-            row = rows[j][v]
-            k = 0
-            while u >= row[k]:
-                k += 1
-            nxt = heads[out[v][k]]
+            row = rows[j]
+            c = first[v]
+            end = c + reach
+            while c < end and u >= row[c]:
+                c += 1
+            nxt = heads[c + v]
             if stops[nxt]:
                 pos[walkers[j]] = nxt
                 left[walkers[j]] = v
@@ -314,8 +268,8 @@ def _walk_until_absorbed(g: DirectedGraph, thresholds: _Thresholds, start: int,
 def _delta_chunk(cg, absorbing, right_mask, step_cap, gen, size):
     """`cylinder_delta_exit` on one chunk of `size` replicas drawn from `gen`."""
     g = cg.graph
-    thresholds = _sample_thresholds(g, cg.weights, gen, size, cg.outside, absorbing)
-    _, left = _walk_until_absorbed(g, thresholds, cg.outside, absorbing, gen, step_cap)
+    table = _sample_table(g, cg.weights, gen, size)
+    _, left = _walk_until_absorbed(g, table, cg.outside, absorbing, gen, step_cap)
     return Moments.of(right_mask[left[left >= 0]])
 
 
@@ -354,8 +308,8 @@ def cylinder_delta_exit(spec: CylinderSpec, replicas: int, rng: RngStream,
 def _band_chunk(band, absorbing, right_mask, step_cap, gen, size):
     """`cylinder_exit_from_origin` on one chunk of `size` replicas drawn from `gen`."""
     g = band.graph
-    thresholds = _sample_thresholds(g, band.weights, gen, size, band.origin, absorbing)
-    pos, left = _walk_until_absorbed(g, thresholds, band.origin, absorbing, gen, step_cap)
+    table = _sample_table(g, band.weights, gen, size)
+    pos, left = _walk_until_absorbed(g, table, band.origin, absorbing, gen, step_cap)
     return Moments.of(right_mask[pos]), int(np.count_nonzero(left < 0))
 
 

@@ -38,9 +38,9 @@ from rwre import (
 from rwre.experiments import (
     _SCALAR_TAIL,
     _UrnWalk,
-    _fold_thresholds,
+    _fold_table,
     _ruin,
-    _sample_thresholds,
+    _sample_table,
     _walk_until_absorbed,
 )
 from rwre.parallel import CHUNK_REPLICAS, chunk_sizes
@@ -171,7 +171,7 @@ def _lockstep_reference(g, probs, start, absorbing, gen, step_cap):
     # fewer walkers than the switch size: scalar from the first step, NaN rows
     ((0.002, 0.001, 0.001, 0.001), 2, 4, 40, 200, 2, "nan rows"),
     # d = 3: the outside vertex has degree 16 and every other vertex 6, so
-    # threshold slots 5 to 14 are +inf everywhere but at the outside vertex
+    # step one makes 15 compares and every later step 5
     ((2.0, 1.0, 1.0, 1.0, 1.0, 1.0), 4, 2, 3000, 100_000, 3, "mixed degrees"),
     # edge ids permuted, so a vertex's out-edges are not adjacent ids and
     # slot k of v is not edge out_offsets[v] + k
@@ -187,8 +187,8 @@ def test_walk_kernel_matches_pure_lockstep(weights, N, L, replicas, cap, seed, c
     with np.errstate(invalid="ignore"):
         probs = sample_environment_batch(g, w, RngStream(seed).generator(), replicas)
     gen, ref_gen = RngStream(seed + 100).generator(), RngStream(seed + 100).generator()
-    thresholds = _fold_thresholds(g, [probs], replicas, cg.outside, absorbing)
-    pos, left = _walk_until_absorbed(g, thresholds, cg.outside, absorbing, gen, cap)
+    table = _fold_table(g, [probs], replicas)
+    pos, left = _walk_until_absorbed(g, table, cg.outside, absorbing, gen, cap)
     # the walkers the cap stopped are those never absorbed
     capped = np.flatnonzero(left < 0)
     ref_pos, ref_left, ref_capped, trace = _lockstep_reference(
@@ -209,8 +209,6 @@ def test_walk_kernel_matches_pure_lockstep(weights, N, L, replicas, cap, seed, c
     elif case == "mixed degrees":
         assert capped.size == 0
         assert sorted(set(g.out_degrees.tolist())) == [6, 16]
-        # the outside vertex's slots 5 to 14 live in its own start table
-        assert len(thresholds.columns) == 5 and thresholds.first.shape == (replicas, 15)
     else:
         assert capped.size == 0
         assert not np.array_equal(g.out_edge_ids, np.arange(g.n_edges))
@@ -231,6 +229,7 @@ class _FixedUniforms:
     pytest.param(_SCALAR_TAIL + 12, False, id=str(_SCALAR_TAIL + 12)),
     pytest.param(3, False, id="3"),
     pytest.param(_SCALAR_TAIL + 12, True, id="start-table"),
+    pytest.param(3, True, id="start-table-3"),
 ])
 @pytest.mark.parametrize("row, u, edge", [
     ((0.0, 1.0), 0.0, 1),  # a uniform of 0.0 never crosses an edge of probability 0
@@ -241,17 +240,14 @@ class _FixedUniforms:
 def test_walk_kernel_takes_first_slot_whose_cumulative_exceeds_u(walkers, absorbing_start,
                                                                  row, u, edge):
     # vertex 0 sends edge 0 to vertex 1 and edge 1 to vertex 2, both absorbing;
-    # the first parametrization runs the lockstep phase, the second the scalar
-    # tail; the third makes vertex 0 an absorbing start with more out-edges
-    # than any other vertex, so step one reads its own table and no column is
-    # built
+    # 60 walkers run the lockstep phase, 3 the scalar tail; the start-table
+    # cases make vertex 0 an absorbing start, whose cells a walk reads only on
+    # step one
     g = DirectedGraph(3, [(0, 1), (0, 2), (1, 1), (2, 2)])
     probs = np.tile([*row, 1.0, 1.0], (walkers, 1))
     absorbing = np.array([absorbing_start, True, True])
-    thresholds = _fold_thresholds(g, [probs], walkers, 0, absorbing)
-    if absorbing_start:
-        assert thresholds.columns == [] and thresholds.first.shape == (walkers, 1)
-    pos, left = _walk_until_absorbed(g, thresholds, 0, absorbing, _FixedUniforms(u), 5)
+    table = _fold_table(g, [probs], walkers)
+    pos, left = _walk_until_absorbed(g, table, 0, absorbing, _FixedUniforms(u), 5)
     assert pos.tolist() == [g.head_list[edge]] * walkers
     assert left.tolist() == [0] * walkers
     # quenched_walk, which the tie rule is shared with, agrees on finite rows
@@ -264,27 +260,27 @@ def test_walk_kernel_takes_first_slot_whose_cumulative_exceeds_u(walkers, absorb
         assert traj.edges == [edge]
 
 
-def _threshold_columns(g, probs):
-    """Every threshold column of a chunk at once, from its whole (size,
+@pytest.mark.parametrize("walkers", [_SCALAR_TAIL + 12, 3])
+def test_walk_kernel_requires_one_out_degree_where_walks_go_on(walkers):
+    # vertex 0 has two out-edges and vertex 1 one, so a walk may go on from
+    # vertices of different out-degrees unless vertex 1 absorbs
+    g = DirectedGraph(3, [(0, 1), (0, 2), (1, 2), (2, 2)])
+    table = _fold_table(g, [np.full((walkers, 4), 0.5)], walkers)
+    absorbing = np.array([False, False, True])
+    with pytest.raises(ValueError, match="differ in out-degree"):
+        _walk_until_absorbed(g, table, 0, absorbing, RngStream(0).generator(), 5)
+    absorbing[1] = True
+    pos, left = _walk_until_absorbed(g, table, 0, absorbing, _FixedUniforms(0.75), 5)
+    assert pos.tolist() == [2] * walkers and left.tolist() == [0] * walkers
+
+
+def _packed_table(g, probs):
+    """The cumulative table of a chunk at once, from its whole (size,
     n_edges) probability matrix: the one-shot fold that blocked building
-    must equal value for value.  Column j is flat over (environment r,
-    vertex v) at r * n_vertices + v, with v's cumulative probability up to
-    out-slot j, or +inf from slot deg(v) - 1 on."""
-    deg = g.out_degrees
-    size, n_vertices = probs.shape[0], g.n_vertices
-    verts = np.flatnonzero(deg > 1)
-    cum = probs.take(g.out_edge_ids[g.out_offsets[verts]], axis=1)
-    columns = []
-    for j in range(int(deg.max()) - 1):
-        if j:
-            keep = deg[verts] > j + 1
-            if not keep.all():
-                verts, cum = verts[keep], cum.compress(keep, axis=1)
-            cum = cum + probs.take(g.out_edge_ids[g.out_offsets[verts] + j], axis=1)
-        column = np.full((size, n_vertices), np.inf)
-        column[:, verts] = cum
-        columns.append(column.ravel())
-    return columns
+    must equal value for value.  Vertex by vertex, `np.cumsum` of the
+    probabilities of its out-slots but the last."""
+    return np.concatenate([np.cumsum(probs.take(g.out_edges(v)[:-1], axis=1), axis=1)
+                           for v in range(g.n_vertices)], axis=1)
 
 
 @pytest.mark.parametrize("weights, N, L, size, block, seed, case", [
@@ -295,7 +291,7 @@ def _threshold_columns(g, probs):
     # the band of the cylinder-exit benchmark at the default block size,
     # whose last block is short
     ((2.0, 1.0, 1.0, 1.0), 4, 8, 3000, None, 5, "ragged blocks"),
-    # d = 3: the outside vertex (degree 16) gets its own start table
+    # d = 3: the start (outside) vertex stores 15 slots, every other vertex 5
     ((2.0, 1.0, 1.0, 1.0, 1.0, 1.0), 4, 2, 100, 7, 3, "start table"),
 ])
 def test_blocked_thresholds_equal_one_shot_columns(monkeypatch, weights, N, L, size, block,
@@ -303,43 +299,34 @@ def test_blocked_thresholds_equal_one_shot_columns(monkeypatch, weights, N, L, s
     spec = CylinderSpec(N=N, L=L, lattice=LatticeSpec(weights))
     if case == "ragged blocks":
         band = build_cylinder_band(spec)
-        g, w, start = band.graph, band.weights, band.origin
-        absorbing = np.zeros(g.n_vertices, dtype=bool)
-        absorbing[band.left_absorbing] = absorbing[band.right_absorbing] = True
+        g, w = band.graph, band.weights
         block = rwre.experiments._BLOCK_BYTES // (8 * g.n_edges)
     else:
         cg = build_cylinder_graph(spec)
-        g, w, start = cg.graph, cg.weights, cg.outside
+        g, w = cg.graph, cg.weights
         if case == "shuffled ids":
             g, w = shuffled_edges(g, w, seed)
-        absorbing = np.zeros(g.n_vertices, dtype=bool)
-        absorbing[start] = True
         monkeypatch.setattr(rwre.experiments, "_BLOCK_BYTES", 8 * g.n_edges * block)
     assert size > block and size % block
     gen, ref_gen = RngStream(seed).generator(), RngStream(seed).generator()
     with np.errstate(invalid="ignore"):
-        got = _sample_thresholds(g, w, gen, size, start, absorbing)
+        got = _sample_table(g, w, gen, size)
         probs = sample_environment_batch(g, w, ref_gen, size)
-    ref = _threshold_columns(g, probs)
-    assert got.size == size
-    assert len(got.columns) == (5 if case == "start table" else len(ref))
-    for column, expected in zip(got.columns, ref):
-        np.testing.assert_array_equal(column.ravel().view(np.int64), expected.view(np.int64))
+    ref = _packed_table(g, probs)
+    assert got.shape == ref.shape == (size, g.n_edges - g.n_vertices)
+    np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
     np.testing.assert_equal(gen.bit_generator.state, ref_gen.bit_generator.state)
     if case == "start table":
-        table = np.stack([c.reshape(size, -1)[:, start] for c in ref[:15]], axis=1)
-        np.testing.assert_array_equal(got.first.view(np.int64), table.view(np.int64))
-    else:
-        assert got.first is None
+        assert g.out_degrees[cg.outside] == 16
     if case == "nan rows":
         assert np.isnan(probs).any()
 
 
 def test_band_chunk_holds_one_block_of_environments():
     # one 8192-replica chunk on the N=4, L=8 band (40 vertices, 136 edges):
-    # its three threshold columns take 7.9 MB and one block of environments
-    # about 1 MB more, while also holding all 8192 environments at once
-    # peaks at 20.5 MB
+    # its (8192, 96) cumulative table takes 6.3 MB and one block of
+    # environments about 1 MB more (9.4 MB peak), while sampling all 8192
+    # environments in one block peaks at 27.5 MB
     band = build_cylinder_band(CylinderSpec(N=4, L=8, lattice=lat_2d(2.0, 1.0, 1.0, 1.0)))
     right = np.zeros(band.graph.n_vertices, dtype=bool)
     right[band.right_absorbing] = True
