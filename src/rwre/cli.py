@@ -25,8 +25,9 @@ grid --N, --horizons, --torus) are parsed once, by argparse, whose parser
 is built once per process.
 
 Exit status: 0 on success, 2 on precondition or usage errors (including
-malformed inputs and files that cannot be read or written) and when memory
-runs out, 1 on internal errors.
+malformed inputs and files that cannot be read or written), when memory
+runs out and when a record's estimate or se is not finite (nothing is
+written then), 1 on internal errors.
 """
 
 from __future__ import annotations
@@ -179,6 +180,20 @@ def _emit_results(results, args):
         _emit(_records_csv(records), args)
     else:
         _emit_json(records[0] if len(records) == 1 else records, args)
+
+
+def _refuse_non_finite(results):
+    """Raise PreconditionError naming the first result whose estimate or
+    standard error is not finite: JSON has no NaN and CSV would get a bare
+    `nan`, so such a record is refused before anything is written."""
+    for r in results:
+        if not (math.isfinite(r.estimate) and math.isfinite(r.standard_error)):
+            point = ", ".join(f"{k}={v}" for k, v in r.params.items() if k != "alpha")
+            hint = (f"; all {r.replicas} replicas are undecided, raise --steps"
+                    if r.undecided == r.replicas else "")
+            raise PreconditionError(
+                f"the {r.experiment} record ({point}) has estimate {r.estimate} and "
+                f"se {r.standard_error}, which are not finite{hint}")
 
 
 def _warn_truncation(results):
@@ -338,6 +353,7 @@ def _cmd_records(args) -> int:
         dt = time.perf_counter() - t0
         for r in results:
             r.wall_time_s = dt
+    _refuse_non_finite(results)
     _emit_results(results, args)
     _warn_truncation(results)
     return 0
@@ -370,6 +386,7 @@ def run_grid(args) -> int:
     for i, (n, l) in enumerate(points):
         point = argparse.Namespace(**{**vars(args), "N": n, "L": [l] if transience else l})
         results += run(point, lat, RngStream(seed ^ i))
+    _refuse_non_finite(results)
     _emit(_records_csv([r.to_record() for r in results]), args)
     _warn_truncation(results)
     return 0
@@ -477,21 +494,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p, ("text", "json"))
     p.set_defaults(func=_cmd_reverse_check)
 
-    p = sub.add_parser("cylinder-delta",
-                       help="right-face return probability of the augmented cylinder")
-    _add_weights(p)
-    _add_lattice(p)
-    _add_run(p, replicas=100_000)
-    _add_output(p, RECORD_FORMATS)
-    p.set_defaults(func=_cmd_records)
-
-    p = sub.add_parser("cylinder-exit",
-                       help="probability of exiting the plain cylinder to the right")
-    _add_weights(p)
-    _add_lattice(p)
-    _add_run(p, replicas=100_000)
-    _add_output(p, RECORD_FORMATS)
-    p.set_defaults(func=_cmd_records)
+    for name, help in (
+            ("cylinder-delta", "right-face return probability of the augmented cylinder"),
+            ("cylinder-exit", "probability of exiting the plain cylinder to the right")):
+        p = sub.add_parser(name, help=help)
+        _add_weights(p)
+        _add_lattice(p)
+        _add_run(p, replicas=100_000)
+        _add_output(p, RECORD_FORMATS)
+        p.set_defaults(func=_cmd_records)
 
     p = sub.add_parser("transience", help="lattice estimate of P(T_L < D) per level L")
     _add_weights(p)

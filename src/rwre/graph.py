@@ -14,6 +14,7 @@ ids.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -320,8 +321,7 @@ def _transverse_torus(lattice: LatticeSpec, periods: list, first_axis: int):
     +e_axis then -e_axis, axis by axis.  This is the edge order of the torus
     and, from axis 2 on, of both cylinder builders.  No periods give the
     one-point torus."""
-    trans = [tuple(np.unravel_index(i, periods)) if len(periods) != 1 else (i,)
-             for i in range(math.prod(periods))]
+    trans = list(itertools.product(*map(range, periods)))
     index = {t: i for i, t in enumerate(trans)}
     wiring = []
     for t in trans:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -263,6 +264,25 @@ def test_sample_env_nan_rows_exit_two(capsys):
     assert code == 2
     assert "rows do not sum to 1 at vertices [49]" in err
     assert "nan" not in out
+
+
+@pytest.mark.parametrize("argv, warns", [
+    # no walk returns within one step, so no walk is decided
+    (["cylinder-delta", "--alpha", "2,1", "--L", "1", "--replicas", "1", "--steps", "1"], False),
+    # Beta draws underflow to 0 and 1, and the ruin formula multiplies inf by 0
+    (["ruin", "--alpha", "0.001,0.0005", "--L", "4", "--replicas", "2000"], True),
+    (["grid", "cylinder-delta", "--alpha", "2,1,1,1", "--N", "1", "--L", "1,2",
+      "--replicas", "3", "--steps", "1"], False),
+])
+def test_non_finite_record_exits_two_before_writing(capsys, argv, warns):
+    # bare NaN is not JSON and CSV would get `nan`: the record is refused,
+    # by name, and nothing reaches stdout
+    with pytest.warns(RuntimeWarning) if warns else contextlib.nullcontext():
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and "record (" in errors[0], err
 
 
 def test_cylinder_delta_json_record(capsys):

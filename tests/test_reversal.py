@@ -513,6 +513,17 @@ def test_reversal_distribution_policy_passes():
     assert rep.exact[0] == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("weights", [(2.0, 1.0, 1.0, 1.0), (0.2, 0.1, 0.1, 0.1)])
+def test_reversal_distribution_on_the_augmented_cylinder(weights):
+    # the augmented cylinder has null divergence by construction and is the
+    # graph the paper reverses; paths of up to 3 steps from the outside vertex
+    cg = build_cylinder_graph(CylinderSpec(2, 2, LatticeSpec(weights)))
+    rep = verify_reversal_distribution(cg.graph, cg.weights, 3, 20_000, RngStream(25),
+                                       root=cg.outside)
+    assert len(rep.literals) == 70
+    assert rep.policy_ok(), rep.summary()
+
+
 def test_reversal_distribution_deterministic_cycle():
     g = DirectedGraph(3, [(0, 1), (1, 2), (2, 0)])
     w = WeightAssignment([1.0, 1.0, 1.0], g)
