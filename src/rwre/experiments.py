@@ -28,11 +28,15 @@ Every lattice output is an annealed quantity, so lattice walks never sample
 an environment: they run as the oriented-edge linearly reinforced walk, whose
 path law is the annealed law (Enriquez & Sabot 2002; Pemantle 1988).  Each
 walk keeps crossing counts at the sites it visits and takes one uniform per
-step.  A chunk builds one walker and restarts it for each replica, so the
-walker's tables are built once per chunk.  Sites are keyed by one integer,
-the coordinates as digits in base 2 * max_steps + 1: no walk of max_steps
-steps gets further than max_steps from the origin along any axis, so keys
-stay distinct, and at the caps walks use they stay machine-word sized.
+step, except where the zero-speed trap condition (`trap_condition`) holds on
+some axis: there it draws each back-and-forth run across one edge whole,
+from its exact law, with three uniforms, and still counts every crossing as
+a step (`_UrnWalk`).  A chunk builds one walker and restarts it for each
+replica, so the walker's tables are built once per chunk.  Sites are keyed
+by one integer, the coordinates as digits in base 2 * max_steps + 1: no walk
+of max_steps steps gets further than max_steps from the origin along any
+axis, so keys stay distinct, and at the caps walks use they stay
+machine-word sized.
 
 Replica counts are split into fixed-size chunks with one RNG stream per
 chunk; worker count never changes any output.
@@ -80,6 +84,13 @@ DEFAULT_STEP_CAP = 100_000
 # for a plain Python loop.  Of 0, 16, 24, 48, 96 and 192, 48 ran the cylinder
 # benchmark's calls fastest.
 _SCALAR_TAIL = 48
+
+# Lower bound on the product of the two return probabilities of an edge
+# pair at which a lattice urn walk draws its back-and-forth run across the
+# pair whole (`_UrnWalk`) rather than step by step.  Of 0.5, 0.6, 0.7, 0.75,
+# 0.8, 0.85 and 0.9, 0.85 ran the lattice benchmark's trap-weight velocity
+# call fastest.
+_PAIR_SKIP = 0.85
 
 # Bytes of probabilities that a cylinder chunk samples at a time before
 # folding them into its cumulative table (`_sample_table`).
@@ -346,6 +357,69 @@ def cylinder_exit_from_origin(spec: CylinderSpec, replicas: int, rng: RngStream,
     )
 
 
+def _beta_geometric(a: float, b: float, u: float, cap: int) -> int:
+    """min(G, cap) for the number G of draws of the first colour before the
+    first of the second from a Polya urn holding a and b, by inverse CDF at
+    the uniform `u`.
+
+    P(G >= g) = (a)_g / (a + b)_g, rising factorials, so G is the largest g
+    at which lgamma(a + g) - lgamma(a + b + g) exceeds log u + lgamma(a) -
+    lgamma(a + b).  The search starts from the large-g estimate P(G >= g) ~
+    (g + a + (b - 1) / 2) ** -b.  Past an estimate at or below G it doubles
+    its step until it brackets G; it then bisects the bracket, or the range
+    below an estimate above G, all capped at `cap`.  A uniform of
+    0.0 is below every P(G >= g) and gives the cap.
+    """
+    if cap <= 0:
+        return 0
+    if u <= 0.0:
+        return cap
+    lg = math.lgamma
+    c = a + b
+    floor = math.log(u) - lg(c) + lg(a)
+    x = -floor / b
+    g = cap if x >= math.log(cap + c) else min(cap, max(0, int(math.exp(x) - a - (b - 1) / 2)))
+    if g > 0 and lg(a + g) - lg(c + g) <= floor:  # G < g
+        lo, hi = 0, g
+    else:
+        lo, step = g, 1
+        while True:
+            if lo >= cap:
+                return cap
+            hi = min(lo + step, cap)
+            if lg(a + hi) - lg(c + hi) <= floor:
+                break
+            lo, step = hi, 2 * step
+    while hi - lo > 1:  # G >= lo, G < hi
+        mid = (lo + hi) // 2
+        if lg(a + mid) - lg(c + mid) > floor:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _pair_run(a_x: float, b_x: float, a_y: float, b_y: float, u_x: float, u_y: float,
+              left: int) -> int:
+    """The number of back-and-forth steps an urn walk takes across the edge
+    pair of x and y, starting at x, before it leaves the pair or `left`
+    steps pass.
+
+    At x, a_x is the weight plus count of the slot back to y and b_x the sum
+    of x's other slots; a_y and b_y are the same at y for the slot to x.
+    The urns at x and y are independent Polya urns, so the numbers G_x and
+    G_y of returns each end makes before it first leaves are beta-geometric,
+    drawn by `_beta_geometric` at `u_x` and `u_y`.  The walk leaves from x
+    after 2 G_x back-and-forth steps if G_x <= G_y, and from y after
+    2 G_y + 1 otherwise, so the count is min(2 G_x, 2 G_y + 1, left): even
+    leaves the walk at x, odd at y.  G_x is capped where 2 G_x reaches
+    `left`, and G_y where 2 G_y + 1 reaches `left` or passes 2 G_x.
+    """
+    g_x = _beta_geometric(a_x, b_x, u_x, (left + 1) // 2)
+    g_y = _beta_geometric(a_y, b_y, u_y, min(left // 2, g_x))
+    return min(2 * g_x, 2 * g_y + 1, left)
+
+
 class _UrnWalk:
     """Walks from the origin of Z^d under the annealed law of the Dirichlet
     environment, run as the oriented-edge linearly reinforced walk.
@@ -355,6 +429,21 @@ class _UrnWalk:
     N(x,i) counts its earlier steps from x along i and N(x) its earlier
     departures from x.  Only visited sites hold counts.  `x1` is the current
     abscissa, `top` its running maximum and `steps` the steps taken so far.
+
+    Where `trap_condition` holds on some axis, a walk spends most of its
+    steps crossing one edge back and forth, and the run across an edge pair
+    has infinite mean length at fresh sites.  On such lattices `run` draws
+    each run whole: standing at a revisited site x, entered from y by slot
+    k, the walk takes the run when p_x p_y >= `_PAIR_SKIP`, with p_x the
+    urn probability of slot k's reverse at x and p_y that of slot k at y.
+    The rule reads only the past, so the walk's law stays exact.
+    `_pair_run` draws the run length from two uniforms, and a third picks
+    the slot the walk leaves by among the other slots of the end it leaves
+    from, in proportion to their weights; the counts at both ends take the
+    whole run, and `steps` counts each crossing.  A run longer than the
+    steps left stops at the step cap inside the pair, on the end set by
+    parity, with counts for the steps taken; a later `run` goes on from
+    there.  On every other lattice each step takes one uniform.
 
     One walker serves a whole chunk of replicas: the constant tables are
     built once, and `restart` puts the walker back at the origin with no
@@ -377,6 +466,13 @@ class _UrnWalk:
                 self._key_moves.append(sign * stride ** axis)
                 self._dx.append(sign if axis == 0 else 0)
         self._uniforms = uniforms
+        # the condition bounds the total by 1, so no sum in it overflows
+        if lattice.total() <= 1.0 and any(trap_condition(lattice, i).holds
+                                          for i in range(1, lattice.dimension + 1)):
+            self.run = self._run_pairs
+            n = len(w)
+            self._others = [[j for j in range(n) if j != back] for back in range(n)]
+            self._no_row = [0.0] * n + [1.0]  # a last row that meets no rule
         self.restart()
 
     def restart(self):
@@ -413,18 +509,77 @@ class _UrnWalk:
                 top = x1
         self._key, self.x1, self.top, self.steps = key, x1, top, steps
 
+    def _run_pairs(self, max_steps: int, lo=-math.inf, hi=math.inf):
+        """`run` with each back-and-forth run across an edge pair drawn
+        whole where the walk meets `_PAIR_SKIP`'s rule; a call's first step
+        is a plain one."""
+        sites, fresh = self._sites, self._fresh
+        key_moves, dx = self._key_moves, self._dx
+        total = len(fresh) - 1
+        last = total - 1
+        others, skip = self._others, _PAIR_SKIP
+        uniform = self._uniforms.__next__
+        key, x1, top, steps = self._key, self.x1, self.top, self.steps
+        prow, k = self._no_row, 0  # the row the walk left last, and its slot
+        while steps < max_steps and lo < x1 < hi:
+            row = sites.get(key)
+            if row is not None and row[k ^ 1] * prow[k] >= skip * row[total] * prow[total]:
+                # x's row is `row`, y's `prow`: draw the run across them
+                back = k ^ 1
+                b = sum([row[j] for j in others[back]])
+                b_y = sum([prow[j] for j in others[k]])
+                r = _pair_run(row[back], b, prow[k], b_y, uniform(), uniform(),
+                              max_steps - steps)
+                steps += r
+                n = (r + 1) // 2  # steps from x back to y
+                row[back] += n
+                row[total] += n
+                n = r // 2
+                prow[k] += n
+                prow[total] += n
+                if r % 2:  # at y, entered from x by `back`
+                    key -= key_moves[k]
+                    x1 -= dx[k]
+                    row, prow, k, b = prow, row, back, b_y
+                if steps == max_steps:
+                    break
+                # leave by one of this end's other slots, weighted as in its urn
+                t = uniform() * b
+                for k in others[k ^ 1]:
+                    if t < row[k]:
+                        break
+                    t -= row[k]
+            else:
+                if row is None:
+                    row = sites[key] = fresh[:]
+                t = uniform() * row[total]
+                k = 0
+                while k < last and t >= row[k]:
+                    t -= row[k]
+                    k += 1
+            row[k] += 1.0
+            row[total] += 1.0
+            key += key_moves[k]
+            x1 += dx[k]
+            steps += 1
+            if x1 > top:
+                top = x1
+            prow = row
+        self._key, self.x1, self.top, self.steps = key, x1, top, steps
+
 
 def _transience_chunk(lattice, levels, step_cap, gen, size):
     """`lattice_transience` on one chunk of `size` replicas drawn from `gen`."""
     lmax = max(levels)
     walk = _UrnWalk(lattice, block_uniforms(gen), step_cap)
-    maxima = np.empty(size, dtype=np.int64)
-    capped = np.empty(size, dtype=bool)
-    for i in range(size):
-        walk.restart()
-        walk.run(step_cap, -1, lmax)
-        maxima[i] = walk.top
-        capped[i] = walk.x1 >= 0 and walk.top < lmax
+    restart, run = walk.restart, walk.run
+    maxima, capped = [], []
+    for _ in range(size):
+        restart()
+        run(step_cap, -1, lmax)
+        maxima.append(walk.top)
+        capped.append(walk.x1 >= 0 and walk.top < lmax)
+    maxima, capped = np.array(maxima, dtype=np.int64), np.array(capped, dtype=bool)
     reached = maxima[:, None] >= np.array(levels)
     return Moments.of(reached), int(capped.sum()), (capped[:, None] & ~reached).sum(axis=0)
 
@@ -491,13 +646,14 @@ def trap_condition(lattice: LatticeSpec, axis: int) -> TrapCheck:
 def _velocity_chunk(lattice, horizons, gen, size):
     """`velocity_probe` on one chunk of `size` replicas drawn from `gen`."""
     walk = _UrnWalk(lattice, block_uniforms(gen), horizons[-1])
-    x1 = np.empty((size, len(horizons)))
-    for i in range(size):
-        walk.restart()
-        for j, n in enumerate(horizons):
-            walk.run(n)
-            x1[i, j] = walk.x1
-    return Moments.of(x1)
+    restart, run = walk.restart, walk.run
+    x1 = []
+    for _ in range(size):
+        restart()
+        for n in horizons:
+            run(n)
+            x1.append(walk.x1)
+    return Moments.of(np.array(x1, dtype=np.float64).reshape(size, len(horizons)))
 
 
 def velocity_probe(lattice: LatticeSpec, horizons, replicas: int, rng: RngStream,

@@ -29,6 +29,7 @@ from rwre import (
     reinforced_trace_frequency,
     ruin_exit_probability,
     trap_condition,
+    velocity_probe,
     verify_reversal_distribution,
 )
 from rwre.cli import main as cli_main
@@ -266,3 +267,34 @@ def test_11_two_dimensional_transience_is_almost_sure(capsys):
            ", ".join(f"P(T_5 < T_-{M}) {e:.4f} +- {se:.4f}"
                      for M, e, se in zip(floors, estimates, ses))
            + f"; rising within 3 se, >= 0.98 at M=64, undecided {undecided}, {dt:.1f}s")
+
+
+def test_12_one_dimensional_speed(capsys):
+    # Solomon (1975): in d=1 with Beta(alpha, beta) sites the speed is
+    # (alpha - beta - 1)/(alpha + beta - 1) when alpha - beta > 1; 0.5 at (4,1)
+    t0 = time.perf_counter()
+    res = velocity_probe(LatticeSpec((4.0, 1.0)), [10**4], 400, RngStream(4301))[0]
+    z = (res.estimate - 0.5) / res.standard_error
+    dt = time.perf_counter() - t0
+    ok = abs(z) <= 3.0 and dt < 120.0
+    report(capsys, "12 d=1 speed vs Solomon's formula", ok,
+           f"E[X_n]/n {res.estimate:.4f} +- {res.standard_error:.4f} at n=10^4 "
+           f"vs 0.5, z {z:+.2f}, {dt:.1f}s")
+
+
+def test_13_three_dimensional_transience_probe(capsys):
+    # acceptance 08's check in d=3: the paper proves directional transience
+    # with positive probability in every dimension
+    t0 = time.perf_counter()
+    lat = LatticeSpec((2.0, 1.0, 1.0, 1.0, 1.0, 1.0))
+    r10, r30 = lattice_transience(lat, [10, 30], 10**4, 10**6, RngStream(4401))
+    bound_ok = all(r.estimate >= 0.5 - 3 * r.standard_error for r in (r10, r30))
+    undecided_ok = all(r.undecided <= 0.02 * r.replicas for r in (r10, r30))
+    comb = math.hypot(r10.standard_error, r30.standard_error)
+    monotone_ok = r10.estimate >= r30.estimate - 3 * comb
+    dt = time.perf_counter() - t0
+    ok = bound_ok and undecided_ok and monotone_ok and dt < 900.0
+    report(capsys, "13 directional transience in d=3", ok,
+           f"P(T_10 < D) {r10.estimate:.4f}, P(T_30 < D) {r30.estimate:.4f}, "
+           f"undecided {r10.undecided}/{r30.undecided} of {r10.replicas}, "
+           f"monotone and >= 0.5 - 3 se, {dt:.1f}s")

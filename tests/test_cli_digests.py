@@ -83,7 +83,7 @@ _DIGESTS = {
     "transience-json": "70351830d067a24ebfe7661625e4c8ab4cdba7f2ad5c1d3bb4380702a20f1133",
     "trap-check": "bae10148221a8fb29a49322b7ad63cee0e8023746bb892449a6e5a5bce50c455",
     "velocity-csv": "a0d5167127c3f9556e8b3af7c137636a8f63ec8b306ab85f78b9fa8fae234145",
-    "velocity-json": "095be82a273ede3852ef48e50fb747d9750394112b42c5a1d841ebc66948c115",
+    "velocity-json": "a83e70165b5e5176e2491ef65339184ec50e7ac65f5f8d7c85ee848735c5ae09",
 }
 
 

@@ -1,6 +1,9 @@
+import bisect
+import collections
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,9 +39,12 @@ from rwre import (
     velocity_probe,
 )
 from rwre.experiments import (
+    _PAIR_SKIP,
     _SCALAR_TAIL,
     _UrnWalk,
+    _beta_geometric,
     _fold_table,
+    _pair_run,
     _ruin,
     _sample_table,
     _walk_until_absorbed,
@@ -446,25 +452,69 @@ def test_lattice_urn_walk_law_matches_exact_formula():
 def _tuple_urn_walk(weights, uniforms, max_steps, lo=-math.inf, hi=math.inf):
     """Reference urn walk keyed by coordinate tuples, with `_UrnWalk`'s
     arithmetic: per site the weights plus counts, then their running total.
-    Returns (final site, top, steps, sites visited)."""
+    Where `trap_condition` holds on some axis it draws back-and-forth runs
+    whole on `_UrnWalk`'s rule, through `_pair_run`.  Returns (final site,
+    top, steps, sites visited, pair runs drawn)."""
     d = len(weights) // 2
+    lat = LatticeSpec(weights)
+    pairs = any(trap_condition(lat, i).holds for i in range(1, d + 1))
     fresh = list(weights) + [sum(weights)]
     sites = {}
     x = [0] * d
-    top = steps = 0
+    top = steps = runs = 0
+    came = None  # (the site the walk left last, the slot it left by)
+
+    def move(k, sign=1):
+        x[k // 2] += sign if k % 2 == 0 else -sign
+
+    def rest(row, slot):  # the sum of a row's slots but `slot`
+        return sum([row[j] for j in range(2 * d) if j != slot])
+
     while steps < max_steps and lo < x[0] < hi:
+        row = sites.get(tuple(x))
+        if pairs and row is not None and came is not None:
+            prow, k = sites[came[0]], came[1]
+            if row[k ^ 1] * prow[k] >= _PAIR_SKIP * row[-1] * prow[-1]:
+                runs += 1
+                r = _pair_run(row[k ^ 1], rest(row, k ^ 1), prow[k], rest(prow, k),
+                              next(uniforms), next(uniforms), max_steps - steps)
+                here = tuple(x)
+                row[k ^ 1] += (r + 1) // 2
+                row[-1] += (r + 1) // 2
+                prow[k] += r // 2
+                prow[-1] += r // 2
+                steps += r
+                if r % 2:
+                    move(k, -1)
+                    came, row, k = (here, k ^ 1), prow, k ^ 1
+                if steps == max_steps:
+                    break
+                t = next(uniforms) * rest(row, k ^ 1)
+                for j in [j for j in range(2 * d) if j != k ^ 1]:
+                    if t < row[j]:
+                        break
+                    t -= row[j]
+                k = j
+                came = (tuple(x), k)
+                row[k] += 1.0
+                row[-1] += 1.0
+                move(k)
+                steps += 1
+                top = max(top, x[0])
+                continue
         row = sites.setdefault(tuple(x), fresh[:])
         t = next(uniforms) * row[-1]
         k = 0
         while k < 2 * d - 1 and t >= row[k]:
             t -= row[k]
             k += 1
+        came = (tuple(x), k)
         row[k] += 1.0
         row[-1] += 1.0
-        x[k // 2] += 1 if k % 2 == 0 else -1
+        move(k)
         steps += 1
         top = max(top, x[0])
-    return tuple(x), top, steps, len(sites)
+    return tuple(x), top, steps, len(sites), runs
 
 
 TRAP_WEIGHTS = (0.06, 0.05, 0.05, 0.05, 0.04, 0.06)
@@ -473,9 +523,10 @@ TRAP_WEIGHTS = (0.06, 0.05, 0.05, 0.05, 0.04, 0.06)
 @pytest.mark.parametrize("d, bias", [(d, bias) for d in (1, 2, 3)
                                      for bias in ("trap", "drift", *range(2 * d))])
 def test_urn_walk_site_keys_match_a_tuple_keyed_walk(d, bias):
-    # trap weights revisit sites often; a drift along +e_1 with the other
-    # axes free carries the walk far along e_1 while it wanders across, where
-    # a too-small stride would give two visited sites one key; weights of 1000
+    # trap weights revisit sites often, and there both walks draw runs
+    # across an edge pair whole; a drift along +e_1 with the other axes free
+    # carries the walk far along e_1 while it wanders across, where a
+    # too-small stride would give two visited sites one key; weights of 1000
     # along one direction and 0.001 elsewhere drive that coordinate to
     # +-max_steps, the edge of the key stride
     if bias == "trap":
@@ -489,17 +540,216 @@ def test_urn_walk_site_keys_match_a_tuple_keyed_walk(d, bias):
     walk = _UrnWalk(lat, block_uniforms(RngStream(90 + d).generator()), max_steps)
     uniforms = block_uniforms(RngStream(90 + d).generator())
     reached_edge = False
+    runs = 0
     for replica in range(40):
         walk.restart()
         band = (-1, 8) if replica % 2 else (-math.inf, math.inf)
         walk.run(max_steps, *band)
-        x, top, steps, n_sites = _tuple_urn_walk(weights, uniforms, max_steps, *band)
+        x, top, steps, n_sites, r = _tuple_urn_walk(weights, uniforms, max_steps, *band)
         assert (walk.x1, walk.top, walk.steps, len(walk._sites)) == (x[0], top, steps, n_sites)
         reached_edge |= max(map(abs, x)) == max_steps
+        runs += r
     if isinstance(bias, int):
         assert reached_edge
+    # pair runs are drawn exactly at the trap weights
+    assert (runs > 0) == (bias == "trap")
     # both walks read the same number of uniforms
     assert next(walk._uniforms) == next(uniforms)
+
+
+def _rising(a, g):
+    return math.prod((a + i for i in range(g)), start=Fraction(1))
+
+
+@pytest.mark.parametrize("weights, x_counts, y_counts, k", [
+    # d=2 trap weights; x entered from y by +e_1, and by -e_2
+    ((0.06, 0.05, 0.05, 0.05), (0, 2, 1, 0), (3, 0, 0, 1), 0),
+    ((0.06, 0.05, 0.05, 0.05), (1, 0, 0, 4), (0, 0, 5, 2), 3),
+    # d=1 at (2,1), x entered from y by -e_1
+    ((2.0, 1.0), (3, 1), (0, 2), 1),
+])
+def test_pair_run_law_matches_the_urn_step_by_step(weights, x_counts, y_counts, k):
+    # the joint law of (steps to leave the pair, end left from, slot left
+    # by) up to S steps, in exact arithmetic: once as a product of urn
+    # probabilities one crossing at a time, once as `_pair_run` composes it
+    # from the beta-geometric laws of G_x and G_y
+    S = 9
+    back = k ^ 1
+    x_row = [Fraction(w) + c for w, c in zip(weights, x_counts)]
+    y_row = [Fraction(w) + c for w, c in zip(weights, y_counts)]
+    step_law = {}
+    state = [(Fraction(1), x_row, y_row, "x")]  # (probability, x's row, y's row, walker's end)
+    for n in range(1, S + 1):
+        state_next = []
+        for p, xr, yr, end in state:
+            row, slot = (xr, back) if end == "x" else (yr, k)
+            tot = sum(row)
+            for j in range(len(row)):
+                if j != slot:
+                    step_law[n, end, j] = step_law.get((n, end, j), 0) + p * row[j] / tot
+            moved = row[:]
+            moved[slot] += 1
+            pass_on = p * row[slot] / tot
+            state_next.append((pass_on, moved, yr, "y") if end == "x" else
+                              (pass_on, xr, moved, "x"))
+        state = state_next
+
+    def survival(row, slot, g):  # P(G >= g) at that end
+        a = row[slot]
+        return _rising(a, g) / _rising(sum(row), g)
+
+    closed_law = {}
+    for r in range(S):  # r back-and-forth steps, then the leaving step
+        if r % 2 == 0:
+            g = r // 2
+            p = ((survival(x_row, back, g) - survival(x_row, back, g + 1))
+                 * survival(y_row, k, g))
+            row, slot, end = x_row, back, "x"
+        else:
+            g = r // 2
+            p = ((survival(y_row, k, g) - survival(y_row, k, g + 1))
+                 * survival(x_row, back, g + 1))
+            row, slot, end = y_row, k, "y"
+        b = sum(row) - row[slot]
+        for j in range(len(row)):
+            if j != slot:
+                closed_law[r + 1, end, j] = p * row[j] / b
+    assert step_law == closed_law
+    # the mass left past S is that of S back-and-forth steps
+    assert sum(p for p, *_ in state) == 1 - sum(closed_law.values())
+
+
+@pytest.mark.parametrize("a, b", [(1.06, 0.15), (2.05, 1.16), (0.05, 0.16), (5.0, 3.0),
+                                  (20.0, 40.0)])
+def test_beta_geometric_draw_is_the_exact_quantile(a, b):
+    # G is the largest g with P(G >= g) > u; uniforms within 1e-9 of some
+    # P(G >= g) may round either way and are skipped
+    cap = 12
+    fa, fc = Fraction(a), Fraction(a) + Fraction(b)
+    survival = [_rising(fa, g) / _rising(fc, g) for g in range(cap + 1)]
+    checked = 0
+    for i in range(1, 2000):
+        u = i / 2000
+        if any(abs(u - s) <= 1e-9 for s in survival):
+            continue
+        exact = max(g for g in range(cap + 1) if survival[g] > u)
+        assert _beta_geometric(a, b, u, cap) == exact, u
+        checked += 1
+    assert checked >= 1990
+    assert _beta_geometric(a, b, 0.0, cap) == cap
+    assert _beta_geometric(a, b, 0.5, 0) == 0
+
+
+@pytest.mark.parametrize("a, b", [(1.06, 0.15), (2.05, 1.16), (0.05, 0.16), (40.0, 3.0),
+                                  (100.0, 100.0)])
+def test_beta_geometric_search_matches_a_running_product(a, b):
+    # at g up to 20000, against log P(G >= g) summed one factor at a time;
+    # uniforms within 1e-9 of a boundary in log are skipped
+    n = 20_000
+    logs = list(itertools.accumulate((math.log1p(-b / (a + b + i)) for i in range(n)),
+                                     initial=0.0))
+    rng = np.random.default_rng(3)
+    checked = 0
+    for t in rng.uniform(0.0, -logs[-1], 400):
+        u = math.exp(-t)
+        g = bisect.bisect_left([-x for x in logs], t) - 1  # the largest g with logs[g] > log u
+        if min(abs(logs[g] + t), abs(logs[g + 1] + t)) <= 1e-9:
+            continue
+        assert _beta_geometric(a, b, u, 10**6) == g, u
+        assert _beta_geometric(a, b, u, g // 2) == g // 2
+        checked += 1
+    assert checked >= 390
+
+
+@pytest.mark.parametrize("gx, gy, left", [(0, 0, 5), (0, 3, 5), (2, 2, 9), (3, 1, 9),
+                                          (4, 6, 5), (5, 9, 6), (7, 2, 4)])
+def test_pair_run_is_min_of_the_two_ends(gx, gy, left):
+    # a uniform inside the quantile interval of g draws g at each end
+    a_x, b_x, a_y, b_y = 1.06, 0.15, 2.05, 0.16
+
+    def inside(a, b, g):
+        hi = math.exp(math.lgamma(a + g) - math.lgamma(a + b + g)
+                      + math.lgamma(a + b) - math.lgamma(a))
+        lo = math.exp(math.lgamma(a + g + 1) - math.lgamma(a + b + g + 1)
+                      + math.lgamma(a + b) - math.lgamma(a))
+        return (lo + hi) / 2
+
+    r = _pair_run(a_x, b_x, a_y, b_y, inside(a_x, b_x, gx), inside(a_y, b_y, gy), left)
+    assert r == min(2 * gx, 2 * gy + 1, left)
+
+
+@pytest.mark.parametrize("left", [1, 2, 7, 8])
+def test_pair_run_past_the_cap_stops_inside_the_pair(left):
+    # in d=1 at weights of 1/64 the walk steps 0 -> 1 -> 0, then meets the
+    # rule at 0 and draws a run; uniforms of 0.0 make it longer than any cap.
+    # The weights are dyadic, so every count below is exact
+    w = 1 / 64
+    lat = LatticeSpec((w, w))
+    assert trap_condition(lat, 1).holds
+    assert ((1 + w) / (1 + 2 * w)) ** 2 >= _PAIR_SKIP
+    walk = _UrnWalk(lat, iter([0.0, 0.9, 0.0, 0.0]), 2 + left)
+    walk.run(2 + left)
+    assert walk.steps == 2 + left
+    assert sum(row[-1] - 2 * w for row in walk._sites.values()) == walk.steps
+    assert walk.x1 == left % 2  # an odd number of crossings ends at 1
+    assert walk._sites[0][0] - w == 1 + (left + 1) // 2
+    assert walk._sites[1][1] - w == 1 + left // 2
+    # the next call goes on from there, with a plain step
+    walk._uniforms = iter([0.0])
+    walk.run(3 + left)
+    assert (walk.steps, walk.x1) == (3 + left, left % 2 + 1)
+
+
+def _chi2_two_sample(xs, ys, min_count=20):
+    """Two-sample chi-square statistic of homogeneity and its degrees of
+    freedom, adjacent values pooled until each bin holds `min_count` of the
+    two samples together."""
+    cx, cy = collections.Counter(xs), collections.Counter(ys)
+    bins, cur = [], [0, 0]
+    for v in sorted(set(cx) | set(cy)):
+        cur = [cur[0] + cx[v], cur[1] + cy[v]]
+        if sum(cur) >= min_count:
+            bins.append(cur)
+            cur = [0, 0]
+    if sum(cur):
+        bins[-1] = [bins[-1][0] + cur[0], bins[-1][1] + cur[1]]
+    nx, ny = len(xs), len(ys)
+    stat = 0.0
+    for bx, by in bins:
+        ex, ey = nx * (bx + by) / (nx + ny), ny * (bx + by) / (nx + ny)
+        stat += (bx - ex) ** 2 / ex + (by - ey) ** 2 / ey
+    return stat, len(bins) - 1
+
+
+def _chi2_quantile(df, z):
+    """Wilson-Hilferty approximation of the chi-square quantile at normal
+    quantile z."""
+    h = 2.0 / (9.0 * df)
+    return df * (1.0 - h + z * math.sqrt(h)) ** 3
+
+
+@pytest.mark.parametrize("n, walks", [(7, 10_000), (37, 8000), (200, 4000)])
+def test_pair_runs_keep_the_walk_law(n, walks, monkeypatch):
+    # walks drawing pair runs against walks stepping one crossing at a time,
+    # at the trap weights: the abscissa and the number of sites visited
+    # after n steps agree in law (two-sample chi-square, each at p = 0.001)
+    lat = lat_2d(0.06, 0.05, 0.05, 0.05)
+
+    def sample(seed):
+        walk = _UrnWalk(lat, block_uniforms(RngStream(seed).generator()), n)
+        out = []
+        for _ in range(walks):
+            walk.restart()
+            walk.run(n)
+            out.append((walk.x1, len(walk._sites)))
+        return out
+
+    skipping = sample(3300 + n)
+    monkeypatch.setattr(rwre.experiments, "_PAIR_SKIP", math.inf)
+    stepping = sample(3400 + n)
+    for i in (0, 1):
+        stat, df = _chi2_two_sample([s[i] for s in skipping], [s[i] for s in stepping])
+        assert stat <= _chi2_quantile(df, 3.09), (i, stat, df)
 
 
 def test_transience_undecided_accounting():
