@@ -227,6 +227,8 @@ def read_environment(g: DirectedGraph, fh) -> Environment:
             raise GraphFormatError(f"line {lineno}: edge id {eid} out of range 0..{g.n_edges - 1}")
         if v != g.tails[eid]:
             raise GraphFormatError(f"line {lineno}: edge {eid} leaves vertex {g.tails[eid]}, not {v}")
+        if covered[eid]:
+            raise GraphFormatError(f"line {lineno}: repeated env line for edge {eid}")
         if not np.isfinite(prob):
             raise GraphFormatError(f"line {lineno}: probability {prob!r} is not finite")
         p[eid] = prob

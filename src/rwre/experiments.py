@@ -22,7 +22,10 @@ call overhead however few walkers remain, and most lockstep steps of a
 cylinder chunk move only a few stragglers, so once the active set is small
 the remaining walkers finish in a plain Python loop.  That loop draws the
 same uniforms in the same walker order and picks the same edge from the
-same table, so records are byte-identical to an all-lockstep run.
+same table, so records are byte-identical to an all-lockstep run.  The walk
+returns the edge each walker took onto an absorbing vertex, and both
+cylinder records read their estimate from it: `cylinder-delta` whether the
+edge leaves the right face, `cylinder-exit` whether it enters the right row.
 
 Every lattice output is an annealed quantity, so lattice walks never sample
 an environment: they run as the oriented-edge linearly reinforced walk, whose
@@ -207,8 +210,9 @@ def _walk_until_absorbed(g: DirectedGraph, table: np.ndarray, start: int,
     picks the same edges, so the phase split never changes a result or the
     generator's final state.  The step cap counts across both phases.
 
-    Returns each walker's final vertex and the vertex it left on its
-    absorbing step, -1 where the step cap stopped it first.
+    Returns, per walker, the id of the edge it took onto an absorbing
+    vertex, -1 where the step cap stopped it first.  The edge names both the
+    vertex left and the vertex reached, and tells parallel twins apart.
     """
     if np.unique(g.out_degrees[~absorbing]).size > 1:
         raise ValueError("vertices that are not absorbing differ in out-degree")
@@ -216,12 +220,12 @@ def _walk_until_absorbed(g: DirectedGraph, table: np.ndarray, start: int,
     size, width = table.shape
     flat = table.ravel()
     first = g.out_offsets[:-1] - np.arange(g.n_vertices)  # the column of v's slot 0
-    heads = g.heads.take(g.out_edge_ids)  # the head of each out-slot
-    pos = np.full(size, start, dtype=np.int64)
-    left = np.full(size, -1, dtype=np.int64)
+    out_ids = g.out_edge_ids
+    heads = g.heads.take(out_ids)  # the head of each out-slot
+    taken = np.full(size, -1, dtype=np.int64)
     active = np.arange(size)
     base = active * width  # each walker's row in `flat`
-    here = pos.copy()
+    here = np.full(size, start, dtype=np.int64)
     steps = 0
     while steps < step_cap and active.size > _SCALAR_TAIL:
         u = gen.random(active.size)
@@ -233,21 +237,18 @@ def _walk_until_absorbed(g: DirectedGraph, table: np.ndarray, start: int,
         nxt = heads.take(cell)
         done = absorbing.take(nxt)
         if done.any():
-            gone = active[done]
-            pos[gone] = nxt[done]
-            left[gone] = here[done]
+            taken[active[done]] = out_ids.take(cell[done])
             kept = ~done
             active, base, nxt = active[kept], base[kept], nxt[kept]
         here = nxt
         steps += 1
-    pos[active] = here
     if steps == step_cap or active.size == 0:
-        return pos, left
+        return taken
 
     rows = table[active].tolist()
     walkers = active.tolist()
     here = here.tolist()
-    first, heads = first.tolist(), heads.tolist()
+    first, heads, out_ids = first.tolist(), heads.tolist(), out_ids.tolist()
     stops = absorbing.tolist()
     for _ in range(step_cap - steps):
         if not walkers:
@@ -263,8 +264,7 @@ def _walk_until_absorbed(g: DirectedGraph, table: np.ndarray, start: int,
                 c += 1
             nxt = heads[c + v]
             if stops[nxt]:
-                pos[walkers[j]] = nxt
-                left[walkers[j]] = v
+                taken[walkers[j]] = out_ids[c + v]
             else:
                 here[j] = nxt
                 kept.append(j)
@@ -272,16 +272,15 @@ def _walk_until_absorbed(g: DirectedGraph, table: np.ndarray, start: int,
             walkers = [walkers[j] for j in kept]
             rows = [rows[j] for j in kept]
             here = [here[j] for j in kept]
-    pos[np.array(walkers, dtype=np.int64)] = here
-    return pos, left
+    return taken
 
 
-def _delta_chunk(cg, absorbing, right_mask, step_cap, gen, size):
-    """`cylinder_delta_exit` on one chunk of `size` replicas drawn from `gen`."""
-    g = cg.graph
-    table = _sample_table(g, cg.weights, gen, size)
-    _, left = _walk_until_absorbed(g, table, cg.outside, absorbing, gen, step_cap)
-    return Moments.of(right_mask[left[left >= 0]])
+def _exit_chunk(g, w, start, absorbing, step_cap, gen, size):
+    """`_walk_until_absorbed` from `start` on one chunk of `size` replicas,
+    their environments and uniforms drawn from `gen`: the edge each took
+    onto an `absorbing` vertex, -1 where `step_cap` stopped it first."""
+    return _walk_until_absorbed(g, _sample_table(g, w, gen, size), start, absorbing, gen,
+                                step_cap)
 
 
 def cylinder_delta_exit(spec: CylinderSpec, replicas: int, rng: RngStream,
@@ -296,12 +295,16 @@ def cylinder_delta_exit(spec: CylinderSpec, replicas: int, rng: RngStream,
     that hit the step cap are excluded from the estimate and reported.
     """
     cg = build_cylinder_graph(spec)
-    right_mask = np.zeros(cg.graph.n_vertices, dtype=bool)
-    right_mask[cg.right_face] = True
-    absorbing = np.zeros(cg.graph.n_vertices, dtype=bool)
+    g = cg.graph
+    absorbing = np.zeros(g.n_vertices, dtype=bool)
     absorbing[cg.outside] = True
-    run_chunk = functools.partial(_delta_chunk, cg, absorbing, right_mask, step_cap)
-    returned = sum(run_chunked(run_chunk, replicas, rng, workers), Moments())
+    # per edge id, then -1: the walk returned from the right face; only edges
+    # into the outside vertex end a walk
+    right = np.zeros(g.n_edges + 1, dtype=bool)
+    right[:-1] = np.isin(g.tails, cg.right_face)
+    run_chunk = functools.partial(_exit_chunk, g, cg.weights, cg.outside, absorbing, step_cap)
+    returned = sum((Moments.of(right[t[t >= 0]])
+                    for t in run_chunked(run_chunk, replicas, rng, workers)), Moments())
     truncated = replicas - returned.n
     return ExperimentResult(
         experiment="cylinder-delta",
@@ -316,14 +319,6 @@ def cylinder_delta_exit(spec: CylinderSpec, replicas: int, rng: RngStream,
     )
 
 
-def _band_chunk(band, absorbing, right_mask, step_cap, gen, size):
-    """`cylinder_exit_from_origin` on one chunk of `size` replicas drawn from `gen`."""
-    g = band.graph
-    table = _sample_table(g, band.weights, gen, size)
-    pos, left = _walk_until_absorbed(g, table, band.origin, absorbing, gen, step_cap)
-    return Moments.of(right_mask[pos]), int(np.count_nonzero(left < 0))
-
-
 def cylinder_exit_from_origin(spec: CylinderSpec, replicas: int, rng: RngStream,
                               step_cap: int = DEFAULT_STEP_CAP,
                               workers: int = 1) -> ExperimentResult:
@@ -336,20 +331,23 @@ def cylinder_exit_from_origin(spec: CylinderSpec, replicas: int, rng: RngStream,
     """
     spec.lattice.require_drift()
     band = build_cylinder_band(spec)
-    right_mask = np.zeros(band.graph.n_vertices, dtype=bool)
-    right_mask[band.right_absorbing] = True
-    absorbing = right_mask.copy()
+    g = band.graph
+    absorbing = np.zeros(g.n_vertices, dtype=bool)
     absorbing[band.left_absorbing] = True
-    run_chunk = functools.partial(_band_chunk, band, absorbing, right_mask, step_cap)
+    absorbing[band.right_absorbing] = True
+    # per edge id, then -1: the walk reached the right row
+    right = np.zeros(g.n_edges + 1, dtype=bool)
+    right[:-1] = np.isin(g.heads, band.right_absorbing)
+    run_chunk = functools.partial(_exit_chunk, g, band.weights, band.origin, absorbing, step_cap)
     chunks = run_chunked(run_chunk, replicas, rng, workers)
-    right = sum((m for m, _ in chunks), Moments())
-    truncated = sum(t for _, t in chunks)
+    reached = sum((Moments.of(right[t]) for t in chunks), Moments())
+    truncated = sum(int(np.count_nonzero(t < 0)) for t in chunks)
     return ExperimentResult(
         experiment="cylinder-exit",
         params={"alpha": list(spec.lattice.weights), "N": spec.N, "L": spec.L,
                 "steps": step_cap},
-        estimate=float(right.mean),
-        standard_error=float(right.standard_error),
+        estimate=float(reached.mean),
+        standard_error=float(reached.standard_error),
         replicas=replicas,
         truncated=truncated,
         undecided=truncated,

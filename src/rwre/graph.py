@@ -447,6 +447,8 @@ def read_graph(fh):
         if parts[0] == "vertices":
             if len(parts) != 2:
                 raise GraphFormatError(f"line {lineno}: malformed vertices header")
+            if n_vertices is not None:
+                raise GraphFormatError(f"line {lineno}: repeated vertices header")
             try:
                 n_vertices = int(parts[1])
             except ValueError:

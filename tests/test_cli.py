@@ -66,6 +66,8 @@ _DRIFT = "requires alpha_1 > beta_1 (got alpha_1=1.0, beta_1=2.0)"
     (["cylinder-delta", "--alpha", "1,2"], _DRIFT),
     (["cylinder-exit", "--alpha", "1,2"], _DRIFT),
     (["transience", "--alpha", "1,2"], _DRIFT),
+    (["ruin", "--alpha", "2,1", "--replicas", "200", "--seed", "-1"],
+     "seed and stream index must be nonnegative"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_each_precondition_exits_two_with_one_message(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

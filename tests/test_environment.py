@@ -257,6 +257,14 @@ def test_environment_dump_bad_fields_name_the_line(text, line):
         read_environment(g, io.StringIO(text))
 
 
+def test_environment_dump_repeated_edge_names_the_line():
+    # a second line for an edge would otherwise overwrite the first
+    g = DirectedGraph(2, [(0, 1), (1, 0)])
+    text = "env 0 0 1.0\nenv 1 1 1.0\nenv 0 0 0.5\n"
+    with pytest.raises(GraphFormatError, match="line 3: repeated env line for edge 0"):
+        read_environment(g, io.StringIO(text))
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_environment_dump_non_finite_probability_names_the_line(value):
     # a dump that covers every edge: the bad value is reported on its own

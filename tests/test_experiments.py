@@ -194,14 +194,16 @@ def test_walk_kernel_matches_pure_lockstep(weights, N, L, replicas, cap, seed, c
         probs = sample_environment_batch(g, w, RngStream(seed).generator(), replicas)
     gen, ref_gen = RngStream(seed + 100).generator(), RngStream(seed + 100).generator()
     table = _fold_table(g, [probs], replicas)
-    pos, left = _walk_until_absorbed(g, table, cg.outside, absorbing, gen, cap)
+    taken = _walk_until_absorbed(g, table, cg.outside, absorbing, gen, cap)
     # the walkers the cap stopped are those never absorbed
-    capped = np.flatnonzero(left < 0)
+    capped = np.flatnonzero(taken < 0)
     ref_pos, ref_left, ref_capped, trace = _lockstep_reference(
         g, probs, cg.outside, absorbing, ref_gen, cap)
-    np.testing.assert_array_equal(pos, ref_pos)
-    np.testing.assert_array_equal(left, ref_left)
     np.testing.assert_array_equal(capped, ref_capped)
+    # the edge each absorbed walker took joins the vertex it left to its final one
+    ended = taken >= 0
+    np.testing.assert_array_equal(g.heads[taken[ended]], ref_pos[ended])
+    np.testing.assert_array_equal(g.tails[taken[ended]], ref_left[ended])
     assert gen.random(4).tolist() == ref_gen.random(4).tolist()
     # the case really exercises what it names
     tail = [absorbed for active, absorbed in trace if active <= _SCALAR_TAIL]
@@ -253,9 +255,15 @@ def test_walk_kernel_takes_first_slot_whose_cumulative_exceeds_u(walkers, absorb
     probs = np.tile([*row, 1.0, 1.0], (walkers, 1))
     absorbing = np.array([absorbing_start, True, True])
     table = _fold_table(g, [probs], walkers)
-    pos, left = _walk_until_absorbed(g, table, 0, absorbing, _FixedUniforms(u), 5)
-    assert pos.tolist() == [g.head_list[edge]] * walkers
-    assert left.tolist() == [0] * walkers
+    taken = _walk_until_absorbed(g, table, 0, absorbing, _FixedUniforms(u), 5)
+    assert taken.tolist() == [edge] * walkers
+    # edges 0 and 1 are parallel twins into one absorbing vertex, which
+    # only the edge id tells apart
+    twins = DirectedGraph(2, [(0, 1), (0, 1), (1, 1)])
+    table = _fold_table(twins, [np.tile([*row, 1.0], (walkers, 1))], walkers)
+    taken = _walk_until_absorbed(twins, table, 0, np.array([absorbing_start, True]),
+                                 _FixedUniforms(u), 5)
+    assert taken.tolist() == [edge] * walkers
     # quenched_walk, which the tie rule is shared with, agrees on finite rows
     if not np.isnan(row[0]):
         env = Environment(g, probs[0], validate=False)
@@ -276,8 +284,8 @@ def test_walk_kernel_requires_one_out_degree_where_walks_go_on(walkers):
     with pytest.raises(ValueError, match="differ in out-degree"):
         _walk_until_absorbed(g, table, 0, absorbing, RngStream(0).generator(), 5)
     absorbing[1] = True
-    pos, left = _walk_until_absorbed(g, table, 0, absorbing, _FixedUniforms(0.75), 5)
-    assert pos.tolist() == [2] * walkers and left.tolist() == [0] * walkers
+    taken = _walk_until_absorbed(g, table, 0, absorbing, _FixedUniforms(0.75), 5)
+    assert taken.tolist() == [g.find_edge(0, 2)] * walkers
 
 
 def _packed_table(g, probs):
@@ -334,14 +342,14 @@ def test_band_chunk_holds_one_block_of_environments():
     # environments about 1 MB more (9.4 MB peak), while sampling all 8192
     # environments in one block peaks at 27.5 MB
     band = build_cylinder_band(CylinderSpec(N=4, L=8, lattice=lat_2d(2.0, 1.0, 1.0, 1.0)))
-    right = np.zeros(band.graph.n_vertices, dtype=bool)
-    right[band.right_absorbing] = True
-    absorbing = right.copy()
+    absorbing = np.zeros(band.graph.n_vertices, dtype=bool)
     absorbing[band.left_absorbing] = True
+    absorbing[band.right_absorbing] = True
     gen = RngStream(67).generator()
     tracemalloc.start()
     try:
-        rwre.experiments._band_chunk(band, absorbing, right, 100_000, gen, CHUNK_REPLICAS)
+        rwre.experiments._exit_chunk(band.graph, band.weights, band.origin, absorbing, 100_000,
+                                     gen, CHUNK_REPLICAS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

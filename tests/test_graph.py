@@ -390,6 +390,13 @@ def test_graph_text_bad_numbers_and_ranges_name_the_line(text, line):
         read_graph(io.StringIO(text))
 
 
+def test_graph_text_repeated_vertices_header_names_the_line():
+    # a second header would otherwise replace the first
+    text = "vertices 3\nedge 0 0 1 1.0\nedge 1 1 0 1.0\nvertices 2\n"
+    with pytest.raises(GraphFormatError, match="line 4: repeated vertices header"):
+        read_graph(io.StringIO(text))
+
+
 def test_graph_text_structural_errors_are_format_errors():
     with pytest.raises(GraphFormatError):
         read_graph(io.StringIO("vertices 0\n"))

@@ -16,7 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwre import PreconditionError, RngStream, parallel
+from rwre import (
+    CylinderSpec,
+    LatticeSpec,
+    PreconditionError,
+    RngStream,
+    cylinder_delta_exit,
+    cylinder_exit_from_origin,
+    parallel,
+)
 from rwre.cli import main as cli_main
 from rwre.parallel import CHUNK_REPLICAS, Moments, chunk_sizes, run_chunked
 from rwre.rng import block_uniforms
@@ -196,6 +204,17 @@ def test_cli_exits_two_on_a_worker_chunk_error(worker_pool, capsys):
         errs.append(capsys.readouterr().err)
     assert errs[0] == errs[1]
     assert errs[0].startswith("error: stationary solve gave a mass") and "first [8187]" in errs[0]
+    assert len(worker_pool.procs) == 1
+
+
+@pytest.mark.parametrize("experiment", [cylinder_delta_exit, cylinder_exit_from_origin])
+def test_cylinder_record_equal_through_a_worker(worker_pool, experiment):
+    # two chunks, so at two workers the 50-replica chunk crosses the pipe
+    spec = CylinderSpec(N=1, L=1, lattice=LatticeSpec((2.0, 1.0, 1.0, 1.0)))
+    serving(worker_pool, 1)
+    records = [experiment(spec, CHUNK_REPLICAS + 50, RngStream(27), step_cap=5000,
+                          workers=workers).to_record() for workers in (1, 2)]
+    assert records[0] == records[1]
     assert len(worker_pool.procs) == 1
 
 
