@@ -34,8 +34,10 @@ walk keeps crossing counts at the sites it visits and takes one uniform per
 step, except where the zero-speed trap condition (`trap_condition`) holds on
 some axis: there it draws each back-and-forth run across one edge whole,
 from its exact law, with three uniforms, and still counts every crossing as
-a step (`_UrnWalk`).  A chunk builds one walker and restarts it for each
-replica, so the walker's tables are built once per chunk.  Sites are keyed
+a step (`_UrnWalk`).  A chunk builds one walker and runs all its replicas in
+one call, each walk after the first from the origin with no counts, so the
+walker's tables and loop state are set up once per chunk, not once per
+replica, which is most of the cost of a walk of a few steps.  Sites are keyed
 by one integer, the coordinates as digits in base 2 * max_steps + 1: no walk
 of max_steps steps gets further than max_steps from the origin along any
 axis, so keys stay distinct, and at the caps walks use they stay
@@ -430,7 +432,7 @@ class _UrnWalk:
 
     Where `trap_condition` holds on some axis, a walk spends most of its
     steps crossing one edge back and forth, and the run across an edge pair
-    has infinite mean length at fresh sites.  On such lattices `run` draws
+    has infinite mean length at fresh sites.  On such lattices `walks` draws
     each run whole: standing at a revisited site x, entered from y by slot
     k, the walk takes the run when p_x p_y >= `_PAIR_SKIP`, with p_x the
     urn probability of slot k's reverse at x and p_y that of slot k at y.
@@ -439,18 +441,21 @@ class _UrnWalk:
     the slot the walk leaves by among the other slots of the end it leaves
     from, in proportion to their weights; the counts at both ends take the
     whole run, and `steps` counts each crossing.  A run longer than the
-    steps left stops at the step cap inside the pair, on the end set by
-    parity, with counts for the steps taken; a later `run` goes on from
-    there.  On every other lattice each step takes one uniform.
+    steps left to a stop ends there inside the pair, on the end set by
+    parity, with counts for the steps taken; the walk goes on from there,
+    towards its next stop or in a later call, with a plain step.  On every
+    other lattice each step takes one uniform.
 
     One walker serves a whole chunk of replicas: the constant tables are
-    built once, and `restart` puts the walker back at the origin with no
-    counts before each replica, reading on from the same uniforms.  A site
-    x is keyed by the integer x_1 + x_2 S + x_3 S^2 + ... with stride
-    S = 2 * max_steps + 1.  No walk of at most `max_steps` steps moves a
-    coordinate further than max_steps from 0, so each coordinate is a digit
-    of a balanced base-S numeral and distinct sites get distinct keys, which
-    stay small (word-sized) integers at the step counts walks reach.
+    built once, and one `walks` call runs every walk of the chunk, each
+    after the first from the origin with no counts, reading on from the same
+    uniforms.  `restart` puts the walker back at the origin between calls,
+    and `run` is `walks` for one walk to one stop.  A site x is keyed by the
+    integer x_1 + x_2 S + x_3 S^2 + ... with stride S = 2 * max_steps + 1.
+    No walk of at most `max_steps` steps moves a coordinate further than
+    max_steps from 0, so each coordinate is a digit of a balanced base-S
+    numeral and distinct sites get distinct keys, which stay small
+    (word-sized) integers at the step counts walks reach.
     """
 
     def __init__(self, lattice: LatticeSpec, uniforms, max_steps: int):
@@ -467,7 +472,7 @@ class _UrnWalk:
         # the condition bounds the total by 1, so no sum in it overflows
         if lattice.total() <= 1.0 and any(trap_condition(lattice, i).holds
                                           for i in range(1, lattice.dimension + 1)):
-            self.run = self._run_pairs
+            self.walks = self._walks_pairs
             n = len(w)
             self._others = [[j for j in range(n) if j != back] for back in range(n)]
             self._no_row = [0.0] * n + [1.0]  # a last row that meets no rule
@@ -480,104 +485,125 @@ class _UrnWalk:
         self.x1 = self.top = self.steps = 0
 
     def run(self, max_steps: int, lo=-math.inf, hi=math.inf):
-        """Step until `max_steps` steps in all, or until the abscissa leaves
-        the open band (lo, hi).  `max_steps` may not exceed the constructor's,
-        which sizes the site keys."""
-        sites, fresh = self._sites, self._fresh
-        key_moves, dx = self._key_moves, self._dx
-        total = len(fresh) - 1
-        last = total - 1
-        uniform = self._uniforms.__next__
-        key, x1, top, steps = self._key, self.x1, self.top, self.steps
-        while steps < max_steps and lo < x1 < hi:
-            row = sites.get(key)
-            if row is None:
-                row = sites[key] = fresh[:]
-            t = uniform() * row[total]
-            k = 0
-            while k < last and t >= row[k]:
-                t -= row[k]
-                k += 1
-            row[k] += 1.0
-            row[total] += 1.0
-            key += key_moves[k]
-            x1 += dx[k]
-            steps += 1
-            if x1 > top:
-                top = x1
-        self._key, self.x1, self.top, self.steps = key, x1, top, steps
+        """`walks(1, [max_steps], lo, hi)`: step on from where the walker
+        stands."""
+        self.walks(1, [max_steps], lo, hi)
 
-    def _run_pairs(self, max_steps: int, lo=-math.inf, hi=math.inf):
-        """`run` with each back-and-forth run across an edge pair drawn
-        whole where the walk meets `_PAIR_SKIP`'s rule; a call's first step
-        is a plain one."""
-        sites, fresh = self._sites, self._fresh
+    def walks(self, count: int, stops, lo=-math.inf, hi=math.inf):
+        """Run `count` walks in turn: the first goes on from where the walker
+        stands, and each later one starts at the origin with no counts, as
+        after `restart`.  A walk steps on to each step count in `stops` in
+        turn, or until its abscissa leaves the open band (lo, hi).  No stop
+        may exceed the constructor's `max_steps`, which sizes the site keys.
+
+        Returns the abscissa at each stop, walk after walk, and each walk's
+        running maximum.  The walker is left where the last walk ended."""
+        fresh = self._fresh
         key_moves, dx = self._key_moves, self._dx
         total = len(fresh) - 1
         last = total - 1
-        others, skip = self._others, _PAIR_SKIP
         uniform = self._uniforms.__next__
-        key, x1, top, steps = self._key, self.x1, self.top, self.steps
-        prow, k = self._no_row, 0  # the row the walk left last, and its slot
-        while steps < max_steps and lo < x1 < hi:
-            row = sites.get(key)
-            if row is not None and row[k ^ 1] * prow[k] >= skip * row[total] * prow[total]:
-                # x's row is `row`, y's `prow`: draw the run across them
-                back = k ^ 1
-                b = sum([row[j] for j in others[back]])
-                b_y = sum([prow[j] for j in others[k]])
-                r = _pair_run(row[back], b, prow[k], b_y, uniform(), uniform(),
-                              max_steps - steps)
-                steps += r
-                n = (r + 1) // 2  # steps from x back to y
-                row[back] += n
-                row[total] += n
-                n = r // 2
-                prow[k] += n
-                prow[total] += n
-                if r % 2:  # at y, entered from x by `back`
-                    key -= key_moves[k]
-                    x1 -= dx[k]
-                    row, prow, k, b = prow, row, back, b_y
-                if steps == max_steps:
-                    break
-                # leave by one of this end's other slots, weighted as in its urn
-                t = uniform() * b
-                for k in others[k ^ 1]:
-                    if t < row[k]:
-                        break
-                    t -= row[k]
-            else:
-                if row is None:
-                    row = sites[key] = fresh[:]
-                t = uniform() * row[total]
-                k = 0
-                while k < last and t >= row[k]:
-                    t -= row[k]
-                    k += 1
-            row[k] += 1.0
-            row[total] += 1.0
-            key += key_moves[k]
-            x1 += dx[k]
-            steps += 1
-            if x1 > top:
-                top = x1
-            prow = row
-        self._key, self.x1, self.top, self.steps = key, x1, top, steps
+        sites, key, x1, top, steps = self._sites, self._key, self.x1, self.top, self.steps
+        at, tops = [], []
+        for walk in range(count):
+            if walk:
+                sites, key, x1, top, steps = {}, 0, 0, 0, 0
+            for max_steps in stops:
+                while steps < max_steps and lo < x1 < hi:
+                    row = sites.get(key)
+                    if row is None:
+                        row = sites[key] = fresh[:]
+                    t = uniform() * row[total]
+                    k = 0
+                    while k < last and t >= row[k]:
+                        t -= row[k]
+                        k += 1
+                    row[k] += 1.0
+                    row[total] += 1.0
+                    key += key_moves[k]
+                    x1 += dx[k]
+                    steps += 1
+                    if x1 > top:
+                        top = x1
+                at.append(x1)
+            tops.append(top)
+        self._sites, self._key, self.x1, self.top, self.steps = sites, key, x1, top, steps
+        return at, tops
+
+    def _walks_pairs(self, count: int, stops, lo=-math.inf, hi=math.inf):
+        """`walks` with each back-and-forth run across an edge pair drawn
+        whole where the walk meets `_PAIR_SKIP`'s rule; each stop's first
+        step is a plain one."""
+        fresh = self._fresh
+        key_moves, dx = self._key_moves, self._dx
+        total = len(fresh) - 1
+        last = total - 1
+        others, skip, no_row = self._others, _PAIR_SKIP, self._no_row
+        uniform = self._uniforms.__next__
+        sites, key, x1, top, steps = self._sites, self._key, self.x1, self.top, self.steps
+        at, tops = [], []
+        for walk in range(count):
+            if walk:
+                sites, key, x1, top, steps = {}, 0, 0, 0, 0
+            for max_steps in stops:
+                prow, k = no_row, 0  # the row the walk left last, and its slot
+                while steps < max_steps and lo < x1 < hi:
+                    row = sites.get(key)
+                    if row is not None and row[k ^ 1] * prow[k] >= skip * row[total] * prow[total]:
+                        # x's row is `row`, y's `prow`: draw the run across them
+                        back = k ^ 1
+                        b = sum([row[j] for j in others[back]])
+                        b_y = sum([prow[j] for j in others[k]])
+                        r = _pair_run(row[back], b, prow[k], b_y, uniform(), uniform(),
+                                      max_steps - steps)
+                        steps += r
+                        n = (r + 1) // 2  # steps from x back to y
+                        row[back] += n
+                        row[total] += n
+                        n = r // 2
+                        prow[k] += n
+                        prow[total] += n
+                        if r % 2:  # at y, entered from x by `back`
+                            key -= key_moves[k]
+                            x1 -= dx[k]
+                            row, prow, k, b = prow, row, back, b_y
+                        if steps == max_steps:
+                            break
+                        # leave by one of this end's other slots, weighted as in its urn
+                        t = uniform() * b
+                        for k in others[k ^ 1]:
+                            if t < row[k]:
+                                break
+                            t -= row[k]
+                    else:
+                        if row is None:
+                            row = sites[key] = fresh[:]
+                        t = uniform() * row[total]
+                        k = 0
+                        while k < last and t >= row[k]:
+                            t -= row[k]
+                            k += 1
+                    row[k] += 1.0
+                    row[total] += 1.0
+                    key += key_moves[k]
+                    x1 += dx[k]
+                    steps += 1
+                    if x1 > top:
+                        top = x1
+                    prow = row
+                at.append(x1)
+            tops.append(top)
+        self._sites, self._key, self.x1, self.top, self.steps = sites, key, x1, top, steps
+        return at, tops
 
 
 def _transience_chunk(lattice, levels, step_cap, gen, size):
     """`lattice_transience` on one chunk of `size` replicas drawn from `gen`."""
     lmax = max(levels)
     walk = _UrnWalk(lattice, block_uniforms(gen), step_cap)
-    restart, run = walk.restart, walk.run
-    maxima, capped = [], []
-    for _ in range(size):
-        restart()
-        run(step_cap, -1, lmax)
-        maxima.append(walk.top)
-        capped.append(walk.x1 >= 0 and walk.top < lmax)
-    maxima, capped = np.array(maxima, dtype=np.int64), np.array(capped, dtype=bool)
+    x1, maxima = walk.walks(size, [step_cap], -1, lmax)
+    x1, maxima = np.array(x1, dtype=np.int64), np.array(maxima, dtype=np.int64)
+    capped = (x1 >= 0) & (maxima < lmax)
     reached = maxima[:, None] >= np.array(levels)
     return Moments.of(reached), int(capped.sum()), (capped[:, None] & ~reached).sum(axis=0)
 
@@ -644,13 +670,7 @@ def trap_condition(lattice: LatticeSpec, axis: int) -> TrapCheck:
 def _velocity_chunk(lattice, horizons, gen, size):
     """`velocity_probe` on one chunk of `size` replicas drawn from `gen`."""
     walk = _UrnWalk(lattice, block_uniforms(gen), horizons[-1])
-    restart, run = walk.restart, walk.run
-    x1 = []
-    for _ in range(size):
-        restart()
-        for n in horizons:
-            run(n)
-            x1.append(walk.x1)
+    x1, _ = walk.walks(size, horizons)
     return Moments.of(np.array(x1, dtype=np.float64).reshape(size, len(horizons)))
 
 

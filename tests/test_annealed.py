@@ -20,6 +20,7 @@ from rwre import (
     annealed_path_probability_exact,
     annealed_path_probability_mc,
     build_cylinder_band,
+    build_cylinder_graph,
     build_torus,
     enumerate_paths,
     format_path_literal,
@@ -31,7 +32,7 @@ from rwre import (
     sample_environment,
     urn_path_probability,
 )
-from common import random_path, tree_edge_lists, walk_by_choices
+from common import random_path, tree_edge_lists, urn_state_masses, walk_by_choices
 
 
 def d1_torus3():
@@ -136,6 +137,58 @@ def test_batch_log_probabilities_every_short_torus_path():
         expected = math.log(urn_path_probability(w, traj_from_edges(g, p)))
         assert logs[i] == pytest.approx(expected, rel=1e-12)
     assert logs[-1] == 0.0
+
+
+def _augmented(weights, N, L):
+    cg = build_cylinder_graph(CylinderSpec(N, L, LatticeSpec(weights)))
+    absorbing = np.zeros(cg.graph.n_vertices, dtype=bool)
+    absorbing[cg.outside] = True
+    return cg.weights, cg.outside, absorbing
+
+
+def _torus(weights, periods):
+    g, w = build_torus(LatticeSpec(weights), periods)
+    return w, 0, np.zeros(g.n_vertices, dtype=bool)
+
+
+@pytest.mark.parametrize("case, steps", [
+    (_augmented((2.0, 1.0), 1, 2), 9),
+    (_augmented((2.0, 1.0, 1.0, 1.0), 1, 1), 5),
+    (_augmented((0.3, 0.2, 0.1, 0.4), 2, 1), 4),
+    (_torus((2.0, 0.5, 1.3, 0.7), [2, 2]), 5),
+])
+def test_urn_state_masses_are_sums_of_annealed_path_probabilities(case, steps):
+    # the exact oracle's dynamic program against every path, one at a time:
+    # each state's mass is the sum of the exact probabilities of the paths
+    # of `steps` steps that reach it, and each exit edge's mass that of the
+    # paths ending on their first step onto an absorbing vertex by it
+    w, start, absorbing = case
+    g = w.graph
+    states, exits = urn_state_masses(w, start, absorbing, steps)
+    live, ended = [[]], []
+    for _ in range(steps):
+        grown = []
+        for p in live:
+            for e in g.out_edge_lists[g.head_list[p[-1]] if p else start]:
+                (ended if absorbing[g.head_list[e]] else grown).append(p + [e])
+        live = grown
+    want = {}
+    for p, log_p in zip(live, annealed_log_paths_batch(w, live)):
+        key = (g.head_list[p[-1]], tuple(np.bincount(p, minlength=g.n_edges).tolist()))
+        want.setdefault(key, []).append(math.exp(log_p))
+    assert states.keys() == want.keys()
+    for key, mass in states.items():
+        assert mass == pytest.approx(math.fsum(want[key]), rel=1e-12)
+    ended_by = {}
+    for p, log_p in zip(ended, annealed_log_paths_batch(w, ended)):
+        ended_by.setdefault(p[-1], []).append(math.exp(log_p))
+    assert exits.keys() == ended_by.keys()
+    for e, masses in exits.items():
+        assert math.fsum(masses) == pytest.approx(math.fsum(ended_by[e]), rel=1e-12)
+    # no mass is lost
+    total = math.fsum(states.values()) + math.fsum(m for ms in exits.values() for m in ms)
+    assert total == pytest.approx(1.0, rel=1e-12)
+    assert len(states) < len(live)  # some paths merged
 
 
 @pytest.mark.parametrize("weights", [(1e9, 1.0), (1e12, 3.0), (1e9, 1e9)])

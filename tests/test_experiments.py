@@ -22,6 +22,7 @@ from rwre import (
     RngStream,
     StoppingRule,
     Trajectory,
+    WeightAssignment,
     annealed_path_probability_exact,
     build_cylinder_band,
     build_cylinder_graph,
@@ -47,11 +48,13 @@ from rwre.experiments import (
     _pair_run,
     _ruin,
     _sample_table,
+    _transience_chunk,
+    _velocity_chunk,
     _walk_until_absorbed,
 )
-from rwre.parallel import CHUNK_REPLICAS, chunk_sizes
+from rwre.parallel import CHUNK_REPLICAS, Moments, chunk_sizes
 from rwre.rng import block_uniforms
-from common import shuffled_edges
+from common import beta_cdf, ks_statistic, shuffled_edges, urn_exit_bracket
 
 
 def lat_2d(*weights):
@@ -123,6 +126,40 @@ def test_delta_exit_requires_drift():
     good = CylinderSpec(N=2, L=2, lattice=lat_2d(2.0, 1.0, 1.0, 1.0))
     with pytest.raises(PreconditionError):
         cylinder_delta_exit(good, 0, RngStream(63))
+
+
+def _delta_bracket(weights, N, L, steps, right_weight=None):
+    """`urn_exit_bracket` of the right-face return on the augmented
+    cylinder, its right-face edges reweighted to `right_weight` if given."""
+    cg = build_cylinder_graph(CylinderSpec(N, L, LatticeSpec(weights)))
+    g, w = cg.graph, cg.weights
+    absorbing = np.zeros(g.n_vertices, dtype=bool)
+    absorbing[cg.outside] = True
+    right = np.isin(g.tails, cg.right_face) & (g.heads == cg.outside)
+    if right_weight is not None:
+        w = WeightAssignment(np.where(right, right_weight, w.values), g)
+    return urn_exit_bracket(w, cg.outside, absorbing, right, steps)
+
+
+@pytest.mark.parametrize("weights, N, L, steps, width", [
+    ((2.0, 1.0), 1, 1, 800, 2e-5),
+    ((2.0, 1.0), 1, 2, 400, 5e-4),
+    ((2.0, 1.0), 1, 3, 120, 1e-2),
+    ((2.0, 1.0, 1.0, 1.0), 1, 1, 24, 0.1),
+])
+def test_delta_exit_bracket_contains_the_exact_expectation(weights, N, L, steps, width):
+    # the exact urn-state bracket, with no seed: 1 - beta_1/alpha_1 lies
+    # inside it at every step count, and it is narrow enough to have power
+    lo, hi = _delta_bracket(weights, N, L, steps)
+    assert lo <= expected_exit_probability(LatticeSpec(weights)) <= hi
+    assert 0 < hi - lo < width
+
+
+def test_delta_exit_bracket_excludes_a_wrong_right_face_weight():
+    # right-face edges weighted alpha_1 instead of alpha_1 - beta_1 break
+    # the null divergence, and the bracket moves off 1 - beta_1/alpha_1
+    lo, hi = _delta_bracket((2.0, 1.0), 1, 2, 400, right_weight=2.0)
+    assert lo > 0.5 + 100 * (hi - lo)
 
 
 def test_delta_exit_truncation_bookkeeping():
@@ -457,20 +494,26 @@ def test_lattice_urn_walk_law_matches_exact_formula():
     assert sum(abs(z) > 3.0 for z in zs) <= 1
 
 
-def _tuple_urn_walk(weights, uniforms, max_steps, lo=-math.inf, hi=math.inf):
+TupleWalk = collections.namedtuple("TupleWalk", "at site top steps sites runs cut")
+
+
+def _tuple_urn_walk(weights, uniforms, stops, lo=-math.inf, hi=math.inf):
     """Reference urn walk keyed by coordinate tuples, with `_UrnWalk`'s
     arithmetic: per site the weights plus counts, then their running total.
     Where `trap_condition` holds on some axis it draws back-and-forth runs
-    whole on `_UrnWalk`'s rule, through `_pair_run`.  Returns (final site,
-    top, steps, sites visited, pair runs drawn)."""
+    whole on `_UrnWalk`'s rule, through `_pair_run`.  It steps on to each
+    step count in `stops` in turn, or until the abscissa leaves (lo, hi),
+    and each stop starts with a plain step.  Returns a `TupleWalk`: the
+    abscissa at each stop, the final site, top, steps, sites visited, pair
+    runs drawn, and pair runs that a stop cut short."""
     d = len(weights) // 2
     lat = LatticeSpec(weights)
     pairs = any(trap_condition(lat, i).holds for i in range(1, d + 1))
     fresh = list(weights) + [sum(weights)]
     sites = {}
     x = [0] * d
-    top = steps = runs = 0
-    came = None  # (the site the walk left last, the slot it left by)
+    top = steps = runs = cut = 0
+    at = []
 
     def move(k, sign=1):
         x[k // 2] += sign if k % 2 == 0 else -sign
@@ -478,51 +521,55 @@ def _tuple_urn_walk(weights, uniforms, max_steps, lo=-math.inf, hi=math.inf):
     def rest(row, slot):  # the sum of a row's slots but `slot`
         return sum([row[j] for j in range(2 * d) if j != slot])
 
-    while steps < max_steps and lo < x[0] < hi:
-        row = sites.get(tuple(x))
-        if pairs and row is not None and came is not None:
-            prow, k = sites[came[0]], came[1]
-            if row[k ^ 1] * prow[k] >= _PAIR_SKIP * row[-1] * prow[-1]:
-                runs += 1
-                r = _pair_run(row[k ^ 1], rest(row, k ^ 1), prow[k], rest(prow, k),
-                              next(uniforms), next(uniforms), max_steps - steps)
-                here = tuple(x)
-                row[k ^ 1] += (r + 1) // 2
-                row[-1] += (r + 1) // 2
-                prow[k] += r // 2
-                prow[-1] += r // 2
-                steps += r
-                if r % 2:
-                    move(k, -1)
-                    came, row, k = (here, k ^ 1), prow, k ^ 1
-                if steps == max_steps:
-                    break
-                t = next(uniforms) * rest(row, k ^ 1)
-                for j in [j for j in range(2 * d) if j != k ^ 1]:
-                    if t < row[j]:
+    for max_steps in stops:
+        came = None  # (the site the walk left last, the slot it left by)
+        while steps < max_steps and lo < x[0] < hi:
+            row = sites.get(tuple(x))
+            if pairs and row is not None and came is not None:
+                prow, k = sites[came[0]], came[1]
+                if row[k ^ 1] * prow[k] >= _PAIR_SKIP * row[-1] * prow[-1]:
+                    runs += 1
+                    r = _pair_run(row[k ^ 1], rest(row, k ^ 1), prow[k], rest(prow, k),
+                                  next(uniforms), next(uniforms), max_steps - steps)
+                    here = tuple(x)
+                    row[k ^ 1] += (r + 1) // 2
+                    row[-1] += (r + 1) // 2
+                    prow[k] += r // 2
+                    prow[-1] += r // 2
+                    steps += r
+                    if r % 2:
+                        move(k, -1)
+                        came, row, k = (here, k ^ 1), prow, k ^ 1
+                    if steps == max_steps:
+                        cut += 1
                         break
-                    t -= row[j]
-                k = j
-                came = (tuple(x), k)
-                row[k] += 1.0
-                row[-1] += 1.0
-                move(k)
-                steps += 1
-                top = max(top, x[0])
-                continue
-        row = sites.setdefault(tuple(x), fresh[:])
-        t = next(uniforms) * row[-1]
-        k = 0
-        while k < 2 * d - 1 and t >= row[k]:
-            t -= row[k]
-            k += 1
-        came = (tuple(x), k)
-        row[k] += 1.0
-        row[-1] += 1.0
-        move(k)
-        steps += 1
-        top = max(top, x[0])
-    return tuple(x), top, steps, len(sites), runs
+                    t = next(uniforms) * rest(row, k ^ 1)
+                    for j in [j for j in range(2 * d) if j != k ^ 1]:
+                        if t < row[j]:
+                            break
+                        t -= row[j]
+                    k = j
+                    came = (tuple(x), k)
+                    row[k] += 1.0
+                    row[-1] += 1.0
+                    move(k)
+                    steps += 1
+                    top = max(top, x[0])
+                    continue
+            row = sites.setdefault(tuple(x), fresh[:])
+            t = next(uniforms) * row[-1]
+            k = 0
+            while k < 2 * d - 1 and t >= row[k]:
+                t -= row[k]
+                k += 1
+            came = (tuple(x), k)
+            row[k] += 1.0
+            row[-1] += 1.0
+            move(k)
+            steps += 1
+            top = max(top, x[0])
+        at.append(x[0])
+    return TupleWalk(at, tuple(x), top, steps, len(sites), runs, cut)
 
 
 TRAP_WEIGHTS = (0.06, 0.05, 0.05, 0.05, 0.04, 0.06)
@@ -553,16 +600,80 @@ def test_urn_walk_site_keys_match_a_tuple_keyed_walk(d, bias):
         walk.restart()
         band = (-1, 8) if replica % 2 else (-math.inf, math.inf)
         walk.run(max_steps, *band)
-        x, top, steps, n_sites, r = _tuple_urn_walk(weights, uniforms, max_steps, *band)
-        assert (walk.x1, walk.top, walk.steps, len(walk._sites)) == (x[0], top, steps, n_sites)
-        reached_edge |= max(map(abs, x)) == max_steps
-        runs += r
+        ref = _tuple_urn_walk(weights, uniforms, [max_steps], *band)
+        assert (walk.x1, walk.top, walk.steps, len(walk._sites)) == (
+            ref.site[0], ref.top, ref.steps, ref.sites)
+        reached_edge |= max(map(abs, ref.site)) == max_steps
+        runs += ref.runs
     if isinstance(bias, int):
         assert reached_edge
     # pair runs are drawn exactly at the trap weights
     assert (runs > 0) == (bias == "trap")
     # both walks read the same number of uniforms
     assert next(walk._uniforms) == next(uniforms)
+
+
+def _same_moments(a, b):
+    return a.n == b.n and np.array_equal(a.total, b.total) and np.array_equal(a.m2, b.m2)
+
+
+@pytest.mark.parametrize("weights, stops, size", [
+    ((2.0, 1.0), [1, 3, 20], 300),                 # d=1 drift
+    ((4.0, 0.001, 1.0, 1.0), [1, 2, 9, 40], 200),  # d=2 drift along +e_1
+    ((0.001, 0.001, 1000.0, 0.001), [5, 60], 50),  # bias along +e_2, to the key stride
+    (TRAP_WEIGHTS[:4], [1, 5, 37, 200], 100),      # trap weights: pair runs cut at stops
+])
+def test_velocity_chunk_matches_tuple_keyed_walks(weights, stops, size, monkeypatch):
+    # one chunk's moments, walk by walk against the reference, bit for bit,
+    # and both read the same uniforms in the same order
+    made = []
+
+    def recording(gen):
+        made.append(block_uniforms(gen))
+        return made[-1]
+
+    monkeypatch.setattr(rwre.experiments, "block_uniforms", recording)
+    got = _velocity_chunk(LatticeSpec(weights), stops, RngStream(96).generator(), size)
+    uniforms = block_uniforms(RngStream(96).generator())
+    refs = [_tuple_urn_walk(weights, uniforms, stops) for _ in range(size)]
+    want = Moments.of(np.array([ref.at for ref in refs], dtype=np.float64))
+    assert _same_moments(got, want)
+    assert next(made[0]) == next(uniforms)
+    assert (sum(ref.cut for ref in refs) > 0) == (weights == TRAP_WEIGHTS[:4])
+
+
+@pytest.mark.parametrize("weights, levels, cap, size", [
+    ((2.0, 1.0), [3, 5], 6, 400),                   # d=1: both band exits and the cap
+    ((2.0, 1.0, 1.0, 1.0), [2, 5], 12, 300),        # d=2 drift
+    ((1000.0, 0.001, 0.001, 0.001), [40], 30, 20),  # bias along +e_1 to the cap
+    (TRAP_WEIGHTS[:4], [3, 6], 300, 150),           # trap weights, pair runs at the cap
+])
+def test_transience_chunk_matches_tuple_keyed_walks(weights, levels, cap, size, monkeypatch):
+    # the chunk's moments, capped count and undecided counts against walks
+    # of the reference in the band (-1, max(levels)) to the cap
+    made = []
+
+    def recording(gen):
+        made.append(block_uniforms(gen))
+        return made[-1]
+
+    monkeypatch.setattr(rwre.experiments, "block_uniforms", recording)
+    moments, capped, undecided = _transience_chunk(LatticeSpec(weights), levels, cap,
+                                                   RngStream(97).generator(), size)
+    uniforms = block_uniforms(RngStream(97).generator())
+    lmax = max(levels)
+    refs = [_tuple_urn_walk(weights, uniforms, [cap], -1, lmax) for _ in range(size)]
+    reached = np.array([[ref.top >= L for L in levels] for ref in refs])
+    held = np.array([ref.at[-1] >= 0 and ref.top < lmax for ref in refs])
+    assert _same_moments(moments, Moments.of(reached))
+    assert capped == held.sum()
+    assert undecided.tolist() == (held[:, None] & ~reached).sum(axis=0).tolist()
+    assert next(made[0]) == next(uniforms)
+    exits = collections.Counter("low" if ref.at[-1] < 0 else "high" if ref.top >= lmax
+                                else "cap" for ref in refs)
+    assert exits["cap"] > 0
+    if weights[0] < 1000:  # the biased walks all run to the cap
+        assert exits["low"] > 0 and exits["high"] > 0
 
 
 def _rising(a, g):
@@ -898,6 +1009,35 @@ def test_quenched_ruin_validation():
         quenched_ruin_probability([0.5, 1.0])
     with pytest.raises(PreconditionError):
         quenched_ruin_probability([[0.5], [0.5]])
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.5, 1.0), (0.4, 1.0), (1.0, 0.2), (1.0, 3.0),
+                                  (3.0, 4.0), (0.5, 0.5)])
+def test_beta_cdf_closed_forms(a, b):
+    # I_x(a, 1) = x^a, I_x(1, b) = 1 - (1 - x)^b, a binomial tail at
+    # integer shapes, and the arcsine law at (1/2, 1/2)
+    x = np.linspace(0.0, 1.0, 401)
+    if b == 1.0:
+        want = x ** a
+    elif a == 1.0:
+        want = 1.0 - (1.0 - x) ** b
+    elif a == 0.5 == b:
+        want = 2.0 / math.pi * np.arcsin(np.sqrt(x))
+    else:
+        n = int(a + b) - 1
+        want = sum(math.comb(n, j) * x ** j * (1.0 - x) ** (n - j) for j in range(int(a), n + 1))
+    assert np.allclose(beta_cdf(x, a, b), want, rtol=1e-13, atol=1e-14)
+
+
+def test_ks_statistic_of_an_exact_grid_and_a_shifted_one():
+    # the midpoints (i - 1/2)/n sit 1/(2n) from the uniform distribution
+    # function; mapped to 0.1 + 0.9 x, the first sits 0.1 + 0.45/n above
+    # the empirical distribution just below it, the furthest of all
+    n = 400
+    grid = (np.arange(n) + 0.5) / n
+    assert ks_statistic(grid, lambda x: x) == pytest.approx(0.5 / math.sqrt(n))
+    assert ks_statistic(0.1 + 0.9 * grid, lambda x: x) == pytest.approx(
+        math.sqrt(n) * (0.1 + 0.45 / n))
 
 
 def test_ruin_oracle_single_site_mean():
