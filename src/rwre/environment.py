@@ -10,6 +10,7 @@ only the floating-point format bounds them away from 0 and 1.
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,8 +104,9 @@ def sample_rows(g: DirectedGraph, w: WeightAssignment, gen: np.random.Generator,
     order, and the (count, len(eids)) matrix of their probabilities.  Vertex
     rows are independent, so no other row is drawn.  One Gamma(w_e, 1) is
     drawn per environment and listed edge, in that order, and divided by the
-    sum over its tail's out-edges, summed in `out_edge_ids` order (0/0 gives
-    a NaN row).
+    sum over its tail's out-edges, summed in `out_edge_ids` order.  A row
+    whose draws all underflow to 0 is left NaN (0/0), with a RuntimeWarning
+    unless numpy's error state ignores invalid values.
 
     The matrix is C-ordered: the draws are divided in place, and every
     gather runs along the last axis with `take`, whose output is C-ordered
@@ -127,7 +129,11 @@ def sample_rows(g: DirectedGraph, w: WeightAssignment, gen: np.random.Generator,
         sums = np.add.reduceat(gammas.take(grouped, axis=-1), starts, axis=-1)
     else:
         sums = np.add.reduceat(gammas, starts, axis=-1)
-    np.divide(gammas, sums.take(row[g.tails[eids]], axis=-1), out=gammas)
+    if not sums.all() and np.geterr()["invalid"] != "ignore":
+        warnings.warn("a sampled Dirichlet row is NaN: every Gamma draw of the row "
+                      "underflowed to 0", RuntimeWarning)
+    with np.errstate(invalid="ignore"):
+        np.divide(gammas, sums.take(row[g.tails[eids]], axis=-1), out=gammas)
     return eids, gammas
 
 

@@ -35,13 +35,12 @@ step, except where the zero-speed trap condition (`trap_condition`) holds on
 some axis: there it draws each back-and-forth run across one edge whole,
 from its exact law, with three uniforms, and still counts every crossing as
 a step (`_UrnWalk`).  A chunk builds one walker and runs all its replicas in
-one call, each walk after the first from the origin with no counts, so the
-walker's tables and loop state are set up once per chunk, not once per
-replica, which is most of the cost of a walk of a few steps.  Sites are keyed
-by one integer, the coordinates as digits in base 2 * max_steps + 1: no walk
-of max_steps steps gets further than max_steps from the origin along any
-axis, so keys stay distinct, and at the caps walks use they stay
-machine-word sized.
+one call, each walk from the origin with no counts, so the walker's tables
+and loop state are set up once per chunk, not once per replica, which is
+most of the cost of a walk of a few steps.  Sites are keyed by one integer,
+the coordinates as digits in base 2 * max_steps + 1: no walk of max_steps
+steps gets further than max_steps from the origin along any axis, so keys
+stay distinct, and at the caps walks use they stay machine-word sized.
 
 Replica counts are split into fixed-size chunks with one RNG stream per
 chunk; worker count never changes any output.
@@ -427,8 +426,7 @@ class _UrnWalk:
     From site x the walk steps along direction i (weight order +e_1, -e_1,
     +e_2, ...) with probability (w_i + N(x,i)) / (sum_j w_j + N(x)), where
     N(x,i) counts its earlier steps from x along i and N(x) its earlier
-    departures from x.  Only visited sites hold counts.  `x1` is the current
-    abscissa, `top` its running maximum and `steps` the steps taken so far.
+    departures from x.  Only visited sites hold counts.
 
     Where `trap_condition` holds on some axis, a walk spends most of its
     steps crossing one edge back and forth, and the run across an edge pair
@@ -440,22 +438,20 @@ class _UrnWalk:
     `_pair_run` draws the run length from two uniforms, and a third picks
     the slot the walk leaves by among the other slots of the end it leaves
     from, in proportion to their weights; the counts at both ends take the
-    whole run, and `steps` counts each crossing.  A run longer than the
-    steps left to a stop ends there inside the pair, on the end set by
-    parity, with counts for the steps taken; the walk goes on from there,
-    towards its next stop or in a later call, with a plain step.  On every
-    other lattice each step takes one uniform.
+    whole run, and the walk's step count counts each crossing.  A run longer
+    than the steps left to a stop ends there inside the pair, on the end set
+    by parity, with counts for the steps taken; the walk goes on from there
+    towards its next stop with a plain step.  On every other lattice each
+    step takes one uniform.
 
     One walker serves a whole chunk of replicas: the constant tables are
     built once, and one `walks` call runs every walk of the chunk, each
-    after the first from the origin with no counts, reading on from the same
-    uniforms.  `restart` puts the walker back at the origin between calls,
-    and `run` is `walks` for one walk to one stop.  A site x is keyed by the
-    integer x_1 + x_2 S + x_3 S^2 + ... with stride S = 2 * max_steps + 1.
-    No walk of at most `max_steps` steps moves a coordinate further than
-    max_steps from 0, so each coordinate is a digit of a balanced base-S
-    numeral and distinct sites get distinct keys, which stay small
-    (word-sized) integers at the step counts walks reach.
+    from the origin with no counts, reading on from the same uniforms.  A
+    site x is keyed by the integer x_1 + x_2 S + x_3 S^2 + ... with stride
+    S = 2 * max_steps + 1.  No walk of at most `max_steps` steps moves a
+    coordinate further than max_steps from 0, so each coordinate is a digit
+    of a balanced base-S numeral and distinct sites get distinct keys, which
+    stay small (word-sized) integers at the step counts walks reach.
     """
 
     def __init__(self, lattice: LatticeSpec, uniforms, max_steps: int):
@@ -476,38 +472,23 @@ class _UrnWalk:
             n = len(w)
             self._others = [[j for j in range(n) if j != back] for back in range(n)]
             self._no_row = [0.0] * n + [1.0]  # a last row that meets no rule
-        self.restart()
-
-    def restart(self):
-        """Back to the origin with no counts at any site."""
-        self._sites = {}
-        self._key = 0
-        self.x1 = self.top = self.steps = 0
-
-    def run(self, max_steps: int, lo=-math.inf, hi=math.inf):
-        """`walks(1, [max_steps], lo, hi)`: step on from where the walker
-        stands."""
-        self.walks(1, [max_steps], lo, hi)
 
     def walks(self, count: int, stops, lo=-math.inf, hi=math.inf):
-        """Run `count` walks in turn: the first goes on from where the walker
-        stands, and each later one starts at the origin with no counts, as
-        after `restart`.  A walk steps on to each step count in `stops` in
-        turn, or until its abscissa leaves the open band (lo, hi).  No stop
-        may exceed the constructor's `max_steps`, which sizes the site keys.
+        """Run `count` walks in turn, each from the origin with no counts.
+        A walk steps on to each step count in `stops` in turn, or until its
+        abscissa leaves the open band (lo, hi).  No stop may exceed the
+        constructor's `max_steps`, which sizes the site keys.
 
         Returns the abscissa at each stop, walk after walk, and each walk's
-        running maximum.  The walker is left where the last walk ended."""
+        running maximum."""
         fresh = self._fresh
         key_moves, dx = self._key_moves, self._dx
         total = len(fresh) - 1
         last = total - 1
         uniform = self._uniforms.__next__
-        sites, key, x1, top, steps = self._sites, self._key, self.x1, self.top, self.steps
         at, tops = [], []
-        for walk in range(count):
-            if walk:
-                sites, key, x1, top, steps = {}, 0, 0, 0, 0
+        for _ in range(count):
+            sites, key, x1, top, steps = {}, 0, 0, 0, 0
             for max_steps in stops:
                 while steps < max_steps and lo < x1 < hi:
                     row = sites.get(key)
@@ -527,7 +508,6 @@ class _UrnWalk:
                         top = x1
                 at.append(x1)
             tops.append(top)
-        self._sites, self._key, self.x1, self.top, self.steps = sites, key, x1, top, steps
         return at, tops
 
     def _walks_pairs(self, count: int, stops, lo=-math.inf, hi=math.inf):
@@ -540,11 +520,9 @@ class _UrnWalk:
         last = total - 1
         others, skip, no_row = self._others, _PAIR_SKIP, self._no_row
         uniform = self._uniforms.__next__
-        sites, key, x1, top, steps = self._sites, self._key, self.x1, self.top, self.steps
         at, tops = [], []
-        for walk in range(count):
-            if walk:
-                sites, key, x1, top, steps = {}, 0, 0, 0, 0
+        for _ in range(count):
+            sites, key, x1, top, steps = {}, 0, 0, 0, 0
             for max_steps in stops:
                 prow, k = no_row, 0  # the row the walk left last, and its slot
                 while steps < max_steps and lo < x1 < hi:
@@ -593,7 +571,6 @@ class _UrnWalk:
                     prow = row
                 at.append(x1)
             tops.append(top)
-        self._sites, self._key, self.x1, self.top, self.steps = sites, key, x1, top, steps
         return at, tops
 
 

@@ -348,11 +348,18 @@ def _serve():
 _POOL = _Pool()
 atexit.register(_POOL.close)
 
+# A sum of n squares below n * _M2_FLOOR may have lost up to 2**-106 of it to
+# squares below 2**-1022; such sums are held times 2**_M2_SHIFT, which puts
+# every nonzero square of a float64 (the least is 2**-2148) in the normal range.
+_M2_FLOOR = 2.0 ** -969
+_M2_SHIFT = 1900
+
 
 @dataclass(frozen=True, eq=False)
 class Moments:
     """Replica count `n`, sum `total` and sum of squared deviations from the
-    mean `m2` of per-replica values, per column.
+    mean, `m2` * 2**`m2_exp`, of per-replica values, per column; `m2_exp` is
+    -`_M2_SHIFT` where that sum is below n * `_M2_FLOOR`, else 0.
 
     `Moments()` holds no replicas; `a + b` pools two disjoint sets.
     """
@@ -360,6 +367,7 @@ class Moments:
     n: int = 0
     total: np.ndarray = 0.0
     m2: np.ndarray = 0.0
+    m2_exp: np.ndarray = 0
 
     @classmethod
     def of(cls, values) -> "Moments":
@@ -368,7 +376,7 @@ class Moments:
 
         The result is bit-identical to `total = values.sum(axis=0)` and
         `np.square(values - total / n).sum(axis=0)`, the deviations squared
-        in place.
+        in place, wherever that sum is at least n * `_M2_FLOOR`.
         """
         values = np.asarray(values, dtype=np.float64)
         n = values.shape[0]
@@ -377,7 +385,13 @@ class Moments:
             return cls(n, total, total)
         dev = values - total / n
         np.square(dev, out=dev)
-        return cls(n, total, dev.sum(axis=0))
+        m2 = dev.sum(axis=0)
+        shift = np.where(m2 < n * _M2_FLOOR, _M2_SHIFT, 0)
+        if not shift.any():
+            return cls(n, total, m2)
+        dev = np.ldexp(values - total / n, shift // 2)
+        np.square(dev, out=dev)
+        return cls(n, total, dev.sum(axis=0), -shift)
 
     def __add__(self, other: "Moments") -> "Moments":
         if other.n == 0:
@@ -386,8 +400,15 @@ class Moments:
             return other
         n = self.n + other.n
         delta = other.total / other.n - self.total / self.n
-        return Moments(n, self.total + other.total,
-                       self.m2 + other.m2 + delta * delta * (self.n * other.n / n))
+        weight = self.n * other.n / n
+
+        def pooled(shift):  # each term is at most the sum, so none overflows
+            return (np.ldexp(self.m2, self.m2_exp + shift)
+                    + np.ldexp(other.m2, other.m2_exp + shift)
+                    + np.square(np.ldexp(delta, shift // 2)) * weight)
+
+        shift = np.where(pooled(0) < n * _M2_FLOOR, _M2_SHIFT, 0)
+        return Moments(n, self.total + other.total, pooled(shift), -shift)
 
     @property
     def mean(self):
@@ -400,4 +421,4 @@ class Moments:
         replicas."""
         if self.n < 2:
             return np.zeros_like(self.total)
-        return np.sqrt(self.m2 / (self.n - 1) / self.n)
+        return np.ldexp(np.sqrt(self.m2 / (self.n - 1) / self.n), self.m2_exp // 2)

@@ -348,6 +348,7 @@ def _reverse_chunk(g, w, plan, n_paths, gen, size):
     rev = _reversed_probabilities(g, probs, stationary_batch(probs, g))
     factors = rev.T.take(g.reversal.out_edge_ids, axis=0)
     total, m2 = np.empty(n_paths), np.empty(n_paths)
+    m2_exp = np.empty(n_paths, dtype=np.int64)
     blocks = {}
     for depth, row, lo, hi, first in plan:
         block = factors[lo:hi] if depth == 1 else factors[lo:hi] * blocks[depth - 1][row]
@@ -355,7 +356,8 @@ def _reverse_chunk(g, w, plan, n_paths, gen, size):
         moments = Moments.of(block.T)
         total[first:first + hi - lo] = moments.total
         m2[first:first + hi - lo] = moments.m2
-    return Moments(size, total, m2)
+        m2_exp[first:first + hi - lo] = moments.m2_exp
+    return Moments(size, total, m2, m2_exp)
 
 
 def verify_reversal_distribution(g: DirectedGraph, w: WeightAssignment, k: int,

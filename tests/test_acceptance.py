@@ -250,13 +250,9 @@ def test_11_two_dimensional_transience_is_almost_sure(capsys):
     floors = (1, 4, 16, 64)
     estimates, ses, undecided = [], [], 0
     for M in floors:
-        hits = np.empty(walks)
-        for i in range(walks):
-            walk.restart()
-            walk.run(cap, -M, level)
-            hits[i] = walk.x1 >= level
-            undecided += -M < walk.x1 < level
-        m = Moments.of(hits)
+        x1 = np.array(walk.walks(walks, [cap], -M, level)[0])
+        undecided += int(np.count_nonzero((-M < x1) & (x1 < level)))
+        m = Moments.of(x1 >= level)
         estimates.append(float(m.mean))
         ses.append(float(m.standard_error))
     rising_ok = all(b >= a - 3 * math.hypot(sa, sb) for a, b, sa, sb in

@@ -104,6 +104,7 @@ def test_dimension_check(capsys):
     assert exc.value.code == 2 and "--d" in capsys.readouterr().err
 
 
+_NAN_ROW = "a sampled Dirichlet row is NaN: every Gamma draw of the row underflowed to 0"
 _NUMPY_OOM = "Unable to allocate 988. MiB for an array with shape (8192, 15808)"
 
 
@@ -235,10 +236,11 @@ def test_reverse_check_runs_without_scipy(capsys):
 
 def test_reverse_check_nan_rows_exit_two(capsys):
     # at weight 0.003 some sampled rows are NaN (every Gamma draw underflowed)
-    with pytest.warns(RuntimeWarning, match="invalid value"):
+    with pytest.warns(RuntimeWarning, match=_NAN_ROW) as caught:
         code, out, err = run_cli(capsys, "reverse-check", "--alpha", "0.003,0.003,0.003,0.003",
                                  "--torus", "3,3", "--k", "2", "--replicas", "2000",
                                  "--seed", "13")
+    assert {str(w.message) for w in caught} == {_NAN_ROW}
     assert code == 2
     assert err.startswith("error: stationary solve") and "NaN row" in err
     assert out == ""
@@ -247,10 +249,11 @@ def test_reverse_check_nan_rows_exit_two(capsys):
 def test_annealed_prob_nan_estimate_exits_two(capsys):
     # a NaN Monte Carlo estimate must not be written as a record (its z would
     # read 0.0, and bare NaN is not JSON)
-    with pytest.warns(RuntimeWarning, match="invalid value"):
+    with pytest.warns(RuntimeWarning, match=_NAN_ROW) as caught:
         code, out, err = run_cli(capsys, "annealed-prob", "--alpha", "0.003,0.003",
                                  "--torus", "50", "--path", "0,1,2,3,4,5,6,7,8,9,10",
                                  "--replicas", "20000", "--seed", "3")
+    assert {str(w.message) for w in caught} == {_NAN_ROW}
     assert code == 2
     assert err.startswith("error: Monte Carlo estimate is NaN")
     assert "departed vertices [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]" in err
@@ -259,10 +262,11 @@ def test_annealed_prob_nan_estimate_exits_two(capsys):
 
 def test_sample_env_nan_rows_exit_two(capsys):
     # at weight 0.003 every Gamma draw of a row can underflow to 0, and the
-    # row normalises to NaN (0/0, which numpy warns about)
-    with pytest.warns(RuntimeWarning, match="invalid value"):
+    # row normalises to NaN (0/0, which the sampler warns about)
+    with pytest.warns(RuntimeWarning, match=_NAN_ROW) as caught:
         code, out, err = run_cli(capsys, "sample-env", "--alpha", "0.003,0.003",
                                  "--torus", "50", "--seed", "1")
+    assert {str(w.message) for w in caught} == {_NAN_ROW}
     assert code == 2
     assert "rows do not sum to 1 at vertices [49]" in err
     assert "nan" not in out

@@ -471,14 +471,8 @@ def test_lattice_urn_walk_law_matches_exact_formula():
     g, w = build_torus(lat, [9])
     n = 40_000
     walk = _UrnWalk(lat, block_uniforms(RngStream(85).generator()), 4)
-    counts = {}
-    for _ in range(n):
-        walk.restart()
-        xs = []
-        for step in range(1, 5):
-            walk.run(step)
-            xs.append(walk.x1)
-        counts[tuple(xs)] = counts.get(tuple(xs), 0) + 1
+    at, _ = walk.walks(n, [1, 2, 3, 4])
+    counts = collections.Counter(tuple(at[i:i + 4]) for i in range(0, 4 * n, 4))
     zs = []
     total = 0.0
     for signs in itertools.product((1, -1), repeat=4):
@@ -492,6 +486,28 @@ def test_lattice_urn_walk_law_matches_exact_formula():
     assert sum(counts.values()) == n and len(counts) == 16
     assert max(abs(z) for z in zs) <= 6.0
     assert sum(abs(z) > 3.0 for z in zs) <= 1
+
+
+class _SiteRows(list):
+    """An `_UrnWalk`'s fresh row that keeps each copy it hands out: the rows
+    of the sites its walks visit, in the order they first reach them, with
+    the counts the walks leave there."""
+
+    def __init__(self, row):
+        super().__init__(row)
+        self.copies = []
+
+    def __getitem__(self, i):
+        got = super().__getitem__(i)
+        if isinstance(i, slice):
+            self.copies.append(got)
+        return got
+
+
+def _site_rows(walk):
+    """The list that the site rows of `walk`'s later walks go to."""
+    walk._fresh = _SiteRows(walk._fresh)
+    return walk._fresh.copies
 
 
 TupleWalk = collections.namedtuple("TupleWalk", "at site top steps sites runs cut")
@@ -573,6 +589,7 @@ def _tuple_urn_walk(weights, uniforms, stops, lo=-math.inf, hi=math.inf):
 
 
 TRAP_WEIGHTS = (0.06, 0.05, 0.05, 0.05, 0.04, 0.06)
+NO_BAND = (-math.inf, math.inf)
 
 
 @pytest.mark.parametrize("d, bias", [(d, bias) for d in (1, 2, 3)
@@ -594,15 +611,17 @@ def test_urn_walk_site_keys_match_a_tuple_keyed_walk(d, bias):
     lat = LatticeSpec(weights)
     walk = _UrnWalk(lat, block_uniforms(RngStream(90 + d).generator()), max_steps)
     uniforms = block_uniforms(RngStream(90 + d).generator())
+    rows = _site_rows(walk)
     reached_edge = False
     runs = 0
     for replica in range(40):
-        walk.restart()
+        rows.clear()
         band = (-1, 8) if replica % 2 else (-math.inf, math.inf)
-        walk.run(max_steps, *band)
+        at, tops = walk.walks(1, [max_steps], *band)
         ref = _tuple_urn_walk(weights, uniforms, [max_steps], *band)
-        assert (walk.x1, walk.top, walk.steps, len(walk._sites)) == (
-            ref.site[0], ref.top, ref.steps, ref.sites)
+        # each step adds 1 to the total of the row it leaves
+        steps = round(sum(row[-1] for row in rows) - len(rows) * sum(weights))
+        assert (at[0], tops[0], steps, len(rows)) == (ref.at[0], ref.top, ref.steps, ref.sites)
         reached_edge |= max(map(abs, ref.site)) == max_steps
         runs += ref.runs
     if isinstance(bias, int):
@@ -611,6 +630,29 @@ def test_urn_walk_site_keys_match_a_tuple_keyed_walk(d, bias):
     assert (runs > 0) == (bias == "trap")
     # both walks read the same number of uniforms
     assert next(walk._uniforms) == next(uniforms)
+
+
+@pytest.mark.parametrize("weights, stops, band", [
+    ((2.0, 1.0), [1, 3, 20], (-1, 5)),                  # d=1 drift, both band exits
+    ((4.0, 0.001, 1.0, 1.0), [2, 40], NO_BAND),         # d=2 drift along +e_1
+    ((1.1, 1.0, 1.0, 1.0), [300], (-4, 5)),             # weak drift in a band
+    ((0.001, 0.001, 1000.0, 0.001), [5, 60], NO_BAND),  # bias along +e_2
+    (TRAP_WEIGHTS[:2], [1, 200, 2000], NO_BAND),        # trap weights, d=1
+    (TRAP_WEIGHTS[:4], [1, 200, 2000], NO_BAND),        # trap weights: runs cut at stops
+    (TRAP_WEIGHTS[:4], [2000], (-1, 6)),                # trap weights in a band
+])
+def test_one_walks_call_equals_one_call_per_walk(weights, stops, band):
+    # every walk starts at the origin with no counts, so `count` walks in one
+    # call give what `count` one-walk calls on the same stream give
+    lat = LatticeSpec(weights)
+    count = 40
+    whole = _UrnWalk(lat, block_uniforms(RngStream(98).generator()), stops[-1])
+    single = _UrnWalk(lat, block_uniforms(RngStream(98).generator()), stops[-1])
+    at, tops = whole.walks(count, stops, *band)
+    each = [single.walks(1, stops, *band) for _ in range(count)]
+    assert at == [x for a, _ in each for x in a]
+    assert tops == [t for _, ts in each for t in ts]
+    assert next(whole._uniforms) == next(single._uniforms)
 
 
 def _same_moments(a, b):
@@ -807,16 +849,17 @@ def test_pair_run_past_the_cap_stops_inside_the_pair(left):
     assert trap_condition(lat, 1).holds
     assert ((1 + w) / (1 + 2 * w)) ** 2 >= _PAIR_SKIP
     walk = _UrnWalk(lat, iter([0.0, 0.9, 0.0, 0.0]), 2 + left)
-    walk.run(2 + left)
-    assert walk.steps == 2 + left
-    assert sum(row[-1] - 2 * w for row in walk._sites.values()) == walk.steps
-    assert walk.x1 == left % 2  # an odd number of crossings ends at 1
-    assert walk._sites[0][0] - w == 1 + (left + 1) // 2
-    assert walk._sites[1][1] - w == 1 + left // 2
-    # the next call goes on from there, with a plain step
-    walk._uniforms = iter([0.0])
-    walk.run(3 + left)
-    assert (walk.steps, walk.x1) == (3 + left, left % 2 + 1)
+    rows = _site_rows(walk)  # the origin's, then site 1's
+    # an odd number of crossings ends at 1
+    assert walk.walks(1, [2 + left]) == ([left % 2], [1])
+    assert sum(row[-1] - 2 * w for row in rows) == 2 + left
+    assert rows[0][0] - w == 1 + (left + 1) // 2
+    assert rows[1][1] - w == 1 + left // 2
+    # a later stop goes on from there, with a plain step
+    walk = _UrnWalk(lat, iter([0.0, 0.9, 0.0, 0.0, 0.0]), 3 + left)
+    rows = _site_rows(walk)
+    assert walk.walks(1, [2 + left, 3 + left]) == ([left % 2, left % 2 + 1], [left % 2 + 1])
+    assert sum(row[-1] - 2 * w for row in rows) == 3 + left
 
 
 def _chi2_two_sample(xs, ys, min_count=20):
@@ -856,11 +899,12 @@ def test_pair_runs_keep_the_walk_law(n, walks, monkeypatch):
 
     def sample(seed):
         walk = _UrnWalk(lat, block_uniforms(RngStream(seed).generator()), n)
+        rows = _site_rows(walk)
         out = []
         for _ in range(walks):
-            walk.restart()
-            walk.run(n)
-            out.append((walk.x1, len(walk._sites)))
+            rows.clear()
+            at, _ = walk.walks(1, [n])
+            out.append((at[0], len(rows)))
         return out
 
     skipping = sample(3300 + n)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import os
 import platform
 import select
@@ -9,11 +10,12 @@ import textwrap
 import types
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rwre import (
@@ -370,17 +372,65 @@ def test_moments_bernoulli_values():
     assert pool(np.split(hits, [3, 4, 9])).standard_error == pytest.approx(1 / 6, rel=1e-12)
 
 
+def exact_mean_and_se(values):
+    """The mean and the standard error of `values` in exact rationals, each
+    rounded once to a float at the end."""
+    xs = [Fraction(v) for v in values]
+    n = len(xs)
+    mean = sum(xs) / n
+    if n < 2:
+        return float(mean), 0.0
+    var = sum((x - mean) ** 2 for x in xs) / (n - 1) / n
+    if var == 0:
+        return float(mean), 0.0
+    # scale by 4**k to about 1 first, so that the float is not subnormal
+    k = (var.denominator.bit_length() - var.numerator.bit_length()) // 2
+    return float(mean), math.ldexp(math.sqrt(var * 4 ** k), -k)
+
+
+TINY = [6.09160780346593e-160, 4.521809517022454e-162, 2.5445367115811155e-159,
+        5.985450005304746e-162]
+
+
+# squared deviations below the normal range: at TINY the plain two-pass SE
+# is off by 3.9e-6 relative, and at the second input numpy's `std` by 4e-9
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(-1e9, 1e9, allow_nan=False), min_size=1, max_size=300),
        st.lists(st.integers(0, 300), max_size=12))
+@example(TINY, [])
+@example(TINY, [1, 3])
+@example([0.0] * 5 + [2.27e-158], [])
+@example([0.0] * 5 + [2.27e-158], [5])
 def test_moments_any_chunking_matches_two_pass(values, cuts):
     data = np.array(values)
     m = pool(np.split(data, sorted(cuts)))
+    mean, se = exact_mean_and_se(values)
     # rounding scale: the error of any summation order is bounded by
     # n * eps * max|x|, so compare with that absolute slack as well
     scale = np.abs(data).max() * 1e-12
     assert m.n == data.size
-    assert m.mean == pytest.approx(data.mean(), rel=1e-12, abs=scale)
-    if data.size > 1:
-        expected_se = data.std(ddof=1) / np.sqrt(data.size)
-        assert m.standard_error == pytest.approx(expected_se, rel=1e-9, abs=scale)
+    assert m.mean == pytest.approx(mean, rel=1e-12, abs=scale)
+    assert m.standard_error == pytest.approx(se, rel=1e-9, abs=scale)
+
+
+def test_moments_rescale_only_columns_below_the_floor():
+    # a column of tiny values next to a plain one, pooled over three
+    # chunks: the tiny column's SE is exact to rounding, and the plain
+    # column keeps the two-pass formula's bits
+    rng = np.random.default_rng(58)
+    data = np.stack([rng.normal(size=400) * 1e-160, rng.normal(size=400)], axis=1)
+    parts = np.split(data, [100, 250])
+    m = pool(parts)
+    assert m.standard_error[0] == pytest.approx(exact_mean_and_se(data[:, 0])[1], rel=1e-14)
+    assert m.m2_exp[0] < 0 and m.m2_exp[1] == 0
+
+    def two_pass(p):
+        total = p.sum(axis=0)
+        return len(p), total, np.square(p - total / len(p)).sum(axis=0)
+
+    n, total, m2 = two_pass(parts[0])
+    for p in parts[1:]:
+        k, t, q = two_pass(p)
+        delta = t / k - total / n
+        n, total, m2 = n + k, total + t, m2 + q + delta * delta * (n * k / (n + k))
+    assert m.m2[1] == m2[1]

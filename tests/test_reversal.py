@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 from fractions import Fraction
@@ -31,8 +32,9 @@ from rwre import (
     stationary_distribution,
     verify_reversal_distribution,
 )
+import rwre.parallel
 import rwre.reversal
-from rwre.parallel import Moments, run_chunked
+from rwre.parallel import CHUNK_REPLICAS, Moments, run_chunked
 from rwre.reversal import _reverse_chunk, _reversed_probabilities, _sibling_plan
 from common import (divergent_two_vertex, random_cycle, shuffled_edges, tree_edge_lists,
                     two_state_chain, walk_by_choices)
@@ -649,6 +651,19 @@ def test_blocked_reversal_products_match_the_unblocked_build(replicas):
     mc, se = _unblocked_reversal_moments(g, w, 4, replicas, RngStream(59))
     assert rep.mc.tobytes() == mc.tobytes()
     assert rep.se.tobytes() == se.tobytes()
+
+
+def test_reversal_keeps_the_scale_of_each_sum_of_squares(monkeypatch):
+    # with every sum of squares held times 4 (a floor above them all) the
+    # report keeps its bits: each sibling group's exponent reaches the SE,
+    # through a second chunk's merge
+    g, w = _torus_2x2()
+    plain = verify_reversal_distribution(g, w, 3, CHUNK_REPLICAS + 17, RngStream(62))
+    monkeypatch.setattr(rwre.parallel, "_M2_FLOOR", math.inf)
+    monkeypatch.setattr(rwre.parallel, "_M2_SHIFT", 2)
+    scaled = verify_reversal_distribution(g, w, 3, CHUNK_REPLICAS + 17, RngStream(62))
+    assert scaled.mc.tobytes() == plain.mc.tobytes()
+    assert scaled.se.tobytes() == plain.se.tobytes()
 
 
 def _mixed_degree_graph():
