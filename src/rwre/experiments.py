@@ -42,8 +42,10 @@ the coordinates as digits in base 2 * max_steps + 1: no walk of max_steps
 steps gets further than max_steps from the origin along any axis, so keys
 stay distinct, and at the caps walks use they stay machine-word sized.
 
-Replica counts are split into fixed-size chunks with one RNG stream per
-chunk; worker count never changes any output.
+Replica counts are split into chunks of `CHUNK_REPLICAS` with one RNG
+stream per chunk, except that a lattice walk call below 2 * CHUNK_REPLICAS
+replicas splits into two halves (`_walk_chunk_size`).  Chunk sizes depend
+on the replica count alone, so worker count never changes any output.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from .graph import (
     build_cylinder_band,
     build_cylinder_graph,
 )
-from .parallel import Moments, run_chunked
+from .parallel import CHUNK_REPLICAS, Moments, run_chunked
 from .rng import RngStream, block_uniforms
 
 __all__ = [
@@ -419,6 +421,19 @@ def _pair_run(a_x: float, b_x: float, a_y: float, b_y: float, u_x: float, u_y: f
     return min(2 * g_x, 2 * g_y + 1, left)
 
 
+def _walk_chunk_size(replicas: int) -> int:
+    """Replicas per chunk of a lattice walk call of `replicas` walks: half
+    the call, rounded up, and at most `CHUNK_REPLICAS`.
+
+    A walk chunk is one sequential loop, so a smaller chunk gives up no
+    vectorisation and costs only one more walker set-up, while two chunks
+    let a second worker take half of any call.  From 2 * CHUNK_REPLICAS - 1
+    replicas on, chunks keep `CHUNK_REPLICAS` replicas.  The size depends on
+    the replica count alone, never on the worker count.
+    """
+    return min(CHUNK_REPLICAS, (replicas + 1) // 2)
+
+
 class _UrnWalk:
     """Walks from the origin of Z^d under the annealed law of the Dirichlet
     environment, run as the oriented-edge linearly reinforced walk.
@@ -595,14 +610,15 @@ def lattice_transience(lattice: LatticeSpec, levels, replicas: int, step_cap: in
     step cap hits.  A capped walk still decides the levels its running
     maximum already reached; the rest are undecided and count as failures in
     the estimate, which is therefore a conservative lower bound.  Returns one
-    result per level, in the order given.
+    result per level, in the order given.  The walks run in chunks of
+    `_walk_chunk_size`, so a call of 2 or more replicas can use two workers.
     """
     lattice.require_drift()
     levels = [int(L) for L in levels]
     if not levels or any(L < 1 for L in levels):
         raise PreconditionError("levels must be positive integers")
     run_chunk = functools.partial(_transience_chunk, lattice, levels, step_cap)
-    chunks = run_chunked(run_chunk, replicas, rng, workers)
+    chunks = run_chunked(run_chunk, replicas, rng, workers, _walk_chunk_size(replicas))
     successes = sum((m for m, _, _ in chunks), Moments())
     truncated = sum(t for _, t, _ in chunks)
     undecided = sum(u for _, _, u in chunks)
@@ -658,12 +674,15 @@ def velocity_probe(lattice: LatticeSpec, horizons, replicas: int, rng: RngStream
     One walk per replica runs to the largest horizon and its abscissa is read
     off at each checkpoint, so the per-horizon estimates are coupled.  No
     stopping rule applies; walks always complete, so nothing is truncated.
+    The walks run in chunks of `_walk_chunk_size`, so a call of 2 or more
+    replicas can use two workers.
     """
     horizons = sorted(int(n) for n in horizons)
     if not horizons or horizons[0] < 1:
         raise PreconditionError("horizons must be positive integers")
     run_chunk = functools.partial(_velocity_chunk, lattice, horizons)
-    x1 = sum(run_chunked(run_chunk, replicas, rng, workers), Moments())
+    chunks = run_chunked(run_chunk, replicas, rng, workers, _walk_chunk_size(replicas))
+    x1 = sum(chunks, Moments())
     return [ExperimentResult(
         experiment="velocity",
         params={"alpha": list(lattice.weights), "horizon": n},
@@ -677,9 +696,15 @@ def velocity_probe(lattice: LatticeSpec, horizons, replicas: int, rng: RngStream
 def _ruin(p: np.ndarray) -> np.ndarray:
     """The classical ruin formula on each row of `p`, the rightward step
     probabilities at sites 0..L-1: 1 / sum_{j=0..L} prod_{i<j} rho_i with
-    rho_i = (1 - p_i)/p_i."""
-    rho = (1.0 - p) / p
-    return 1.0 / (1.0 + np.cumprod(rho, axis=1).sum(axis=1))
+    rho_i = (1 - p_i)/p_i.
+
+    A p_i of 0, or products past the float range, give rho or the sum inf
+    and the formula its limit 0, without a warning; a row with p_i of both
+    0 and 1 gives inf * 0 = NaN, which the caller checks for.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rho = (1.0 - p) / p
+        return 1.0 / (1.0 + np.cumprod(rho, axis=1).sum(axis=1))
 
 
 def quenched_ruin_probability(right_probs) -> float:
@@ -695,8 +720,20 @@ def quenched_ruin_probability(right_probs) -> float:
 
 
 def _ruin_chunk(a1, b1, L, gen, size):
-    """`ruin_exit_probability` on one chunk of `size` replicas drawn from `gen`."""
-    return Moments.of(_ruin(gen.beta(a1, b1, size=(size, L))))
+    """`ruin_exit_probability` on one chunk of `size` replicas drawn from `gen`.
+
+    At tiny weights Beta draws round to exactly 0 or 1, and an environment
+    holding both makes `_ruin` NaN; the chunk is refused rather than
+    averaged.
+    """
+    h = _ruin(gen.beta(a1, b1, size=(size, L)))
+    bad = int(np.count_nonzero(~np.isfinite(h)))
+    if bad:
+        raise PreconditionError(
+            f"the ruin formula is NaN in {bad} of {size} environments of a chunk: "
+            f"Beta({a1}, {b1}) draws hit exactly 0 or 1 in float64, and an environment "
+            f"holding both gives inf * 0; use larger weights")
+    return Moments.of(h)
 
 
 def ruin_exit_probability(lattice: LatticeSpec, L: int, replicas: int, rng: RngStream,
@@ -706,7 +743,8 @@ def ruin_exit_probability(lattice: LatticeSpec, L: int, replicas: int, rng: RngS
     Averages the quenched ruin formula over sampled environments: each site's
     rightward probability is an independent Beta(alpha_1, beta_1) draw.  No
     walking happens, so this is an independent route to the same expectation
-    as the walk-based estimate.
+    as the walk-based estimate.  Raises `PreconditionError` where the weights
+    are so small that Beta draws of exactly 0 and 1 make the formula NaN.
     """
     if lattice.dimension != 1:
         raise PreconditionError("the ruin oracle is one-dimensional")

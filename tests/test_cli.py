@@ -1,4 +1,3 @@
-import contextlib
 import csv
 import io
 import json
@@ -6,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -272,23 +272,32 @@ def test_sample_env_nan_rows_exit_two(capsys):
     assert "nan" not in out
 
 
-@pytest.mark.parametrize("argv, warns", [
+@pytest.mark.parametrize("argv", [
     # no walk returns within one step, so no walk is decided
-    (["cylinder-delta", "--alpha", "2,1", "--L", "1", "--replicas", "1", "--steps", "1"], False),
-    # Beta draws underflow to 0 and 1, and the ruin formula multiplies inf by 0
-    (["ruin", "--alpha", "0.001,0.0005", "--L", "4", "--replicas", "2000"], True),
-    (["grid", "cylinder-delta", "--alpha", "2,1,1,1", "--N", "1", "--L", "1,2",
-      "--replicas", "3", "--steps", "1"], False),
+    ["cylinder-delta", "--alpha", "2,1", "--L", "1", "--replicas", "1", "--steps", "1"],
+    ["grid", "cylinder-delta", "--alpha", "2,1,1,1", "--N", "1", "--L", "1,2",
+     "--replicas", "3", "--steps", "1"],
 ])
-def test_non_finite_record_exits_two_before_writing(capsys, argv, warns):
+def test_non_finite_record_exits_two_before_writing(capsys, argv):
     # bare NaN is not JSON and CSV would get `nan`: the record is refused,
     # by name, and nothing reaches stdout
-    with pytest.warns(RuntimeWarning) if warns else contextlib.nullcontext():
-        code, out, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
     assert len(errors) == 1 and "record (" in errors[0], err
+
+
+def test_ruin_refuses_beta_draws_of_exactly_0_and_1(capsys):
+    # Beta draws round to 0 and 1, and the ruin formula multiplies inf by 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "ruin", "--alpha", "0.001,0.0005", "--L", "4",
+                                 "--replicas", "2000")
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and "draws hit exactly 0 or 1" in errors[0], err
 
 
 def test_cylinder_delta_json_record(capsys):
@@ -446,7 +455,7 @@ def test_transience_warning_names_the_most_undecided_record(capsys):
     code, out, err = run_cli(capsys, *argv, "--steps", "100")
     assert code == 0
     r10, r30 = json.loads(out)
-    assert (r10["truncated"], r10["undecided"]) == (86, 7)
+    assert (r10["truncated"], r10["undecided"]) == (86, 5)
     assert (r30["truncated"], r30["undecided"]) == (86, 86)
     assert err == ("warning: 86 of 200 replicas hit the step cap --steps 100 and 86 are "
                    "undecided (worst of 2 records: L=30); the estimate may be biased, raise --steps\n")

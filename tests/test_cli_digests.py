@@ -5,8 +5,10 @@ invocation.  The cases cover every record subcommand in JSON and CSV, the
 three `grid` experiments and an empty sweep, and one invocation of each
 other subcommand.  A subcommand that takes `--workers` runs at 1 and at 2
 workers against the same digest, so the worker count is pinned to change
-nothing.  The replica counts above 8192 give two chunks, so that two
-workers both run.
+nothing.  Replica counts above 8192 give two chunks, and a lattice walk
+call (transience, velocity) below 16384 replicas splits into two halves,
+so that two workers both run.  The 16385-replica velocity case pins that
+larger walk calls keep chunks of 8192.
 """
 
 import contextlib
@@ -36,6 +38,8 @@ _CASES = {
                        "--replicas", "8500", "--seed", "807"], True),
     "velocity-csv": (["velocity", "--alpha", "2,1", "--horizons", "5",
                       "--replicas", "8500", "--seed", "808", "--format", "csv"], True),
+    "velocity-csv-16385": (["velocity", "--alpha", "2,1", "--horizons", "5",
+                            "--replicas", "16385", "--seed", "808", "--format", "csv"], True),
     "ruin-json": (["ruin", "--alpha", "2,1", "--L", "4", "--replicas", "9000",
                    "--seed", "809"], True),
     "ruin-csv": (["ruin", "--alpha", "0.5,0.4", "--L", "2", "--replicas", "9000",
@@ -73,17 +77,18 @@ _DIGESTS = {
     "grid-cylinder-delta": "a9da6ecc0233b501e5fd9cd0b10fff154a602d6495c5607cf75501c37ec9007e",
     "grid-cylinder-exit": "0b97b370c93831d06d9cf3436dcccec6c8de86195263e0e1f8d5f2f6a0be34b0",
     "grid-empty": "5fbdf800b609c0cb42ceddf3716fd852d433fd51c85a6259247b6119689c5db0",
-    "grid-transience": "941b4ae54d1802e9de1e8f1eb2a8a658d6d2732ad6edb975ae65e25e24d0b9a8",
+    "grid-transience": "126301abeead99f8c04ecbcc5e53bd34e27d6787a460534e2587d29ee62a583a",
     "reverse-check-json": "7196f4dad576069f73bd134edf02c512a4011ddf5e3d99aa25a2d8fa13f07983",
     "ruin-csv": "7a206e33a5eccb14f2644cd5b96fca24558bddd0a29cb4ca1f623dea80df8172",
     "ruin-json": "93f136f4e2d0bdc68417470a4a7a3059b3a8eae9914a3d23ffc68eba4c5c3c30",
     "sample-env-cylinder": "a38973c5328d4191efad4d6ef5c33b5502b465fa50cc9f895e3484755155b63d",
     "sample-env-torus": "d7f8d9eb597d38545d9712ccae83779506e534207a6d16585804dc339c53e1de",
-    "transience-csv": "553cd19690ecf5180f3cbe9771764f848a15e5a03bdc4125ff09f124034f2cdf",
-    "transience-json": "70351830d067a24ebfe7661625e4c8ab4cdba7f2ad5c1d3bb4380702a20f1133",
+    "transience-csv": "32c6b4580d88935e3a746da4d1fc12a4dba8d016c1d016b62c246a9d0ac01267",
+    "transience-json": "7383811e6148e533f20c1e51ce501e1e1dc11f81d84e35e14d7d9a12d4a1874e",
     "trap-check": "bae10148221a8fb29a49322b7ad63cee0e8023746bb892449a6e5a5bce50c455",
-    "velocity-csv": "a0d5167127c3f9556e8b3af7c137636a8f63ec8b306ab85f78b9fa8fae234145",
-    "velocity-json": "a83e70165b5e5176e2491ef65339184ec50e7ac65f5f8d7c85ee848735c5ae09",
+    "velocity-csv": "df04c8376a9ebe2de871210774f4b00f595374e5552c042952c7bdf103bd134d",
+    "velocity-csv-16385": "87c2771086a4e1ec528b7056de541c3f9a201d55cb4188ccd77e785533f8e499",
+    "velocity-json": "850fcb50a5cb7422e749ad1e76b2dc59e9f9072ac16a0da1d7abe5a9a97efd14",
 }
 
 

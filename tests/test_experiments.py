@@ -1017,6 +1017,11 @@ def test_quenched_ruin_examples():
     assert quenched_ruin_probability([0.7]) == pytest.approx(0.7, rel=1e-14)
 
 
+def test_quenched_ruin_past_the_float_range_reads_zero():
+    # rho_0 rho_1 rho_2 = 1e900 overflows, and RuntimeWarnings are errors here
+    assert quenched_ruin_probability([1e-300] * 3) == 0.0
+
+
 def test_quenched_ruin_matches_linear_solve():
     rng = np.random.default_rng(79)
     for _ in range(25):

@@ -25,9 +25,12 @@ from rwre import (
     RngStream,
     cylinder_delta_exit,
     cylinder_exit_from_origin,
+    lattice_transience,
     parallel,
+    velocity_probe,
 )
 from rwre.cli import main as cli_main
+from rwre.experiments import _walk_chunk_size
 from rwre.parallel import CHUNK_REPLICAS, Moments, chunk_sizes, run_chunked
 from rwre.rng import block_uniforms
 from common import draw, pid, reciprocal, refuse_one, slow_draw
@@ -218,6 +221,27 @@ def test_cylinder_record_equal_through_a_worker(worker_pool, experiment):
                           workers=workers).to_record() for workers in (1, 2)]
     assert records[0] == records[1]
     assert len(worker_pool.procs) == 1
+
+
+@pytest.mark.parametrize("run", [
+    lambda workers: lattice_transience(LatticeSpec((2.0, 1.0, 1.0, 1.0)), [2, 4], 50, 200,
+                                       RngStream(28), workers),
+    lambda workers: velocity_probe(LatticeSpec((0.06, 0.05, 0.05, 0.05)), [8, 2], 50,
+                                   RngStream(29), workers),
+], ids=["transience", "velocity"])
+def test_lattice_records_equal_through_a_worker(worker_pool, run):
+    # 50 walks give two 25-walk chunks, so at two workers one crosses the pipe
+    serving(worker_pool, 1)
+    records = [[r.to_record() for r in run(workers)] for workers in (1, 2)]
+    assert records[0] == records[1]
+    assert len(worker_pool.procs) == 1
+
+
+def test_lattice_walk_calls_split_in_halves_below_two_full_chunks():
+    counts = (1, 2, 3, 50, 16382, 16383, 16385)
+    assert {n: chunk_sizes(n, _walk_chunk_size(n)) for n in counts} == {
+        1: [1], 2: [1, 1], 3: [2, 1], 50: [25, 25], 16382: [8191, 8191],
+        16383: [8192, 8191], 16385: [8192, 8192, 1]}
 
 
 def test_worker_warning_is_issued_again_in_the_caller(worker_pool):
