@@ -22,6 +22,15 @@ from .stopping import CAP, TARGET, StoppingReport, StoppingRule
 
 ROW_SUM_TOL = 1e-12
 
+# Highest out-degree whose rows `normalise_rows` sums by strided column adds;
+# above it, it calls `np.add.reduceat`.  Up to 8 terms reduceat adds a row as
+# a0 + ((a1 + a2) + a3), one term at a time, which the strided adds repeat
+# bit for bit (`tests/test_parallel.py` pins that order); from 9 terms on it
+# switches to blocked pairwise sums.
+_STRIDED_DEGREE = 8
+
+_NAN_ROW = "a sampled Dirichlet row is NaN: every Gamma draw of the row underflowed to 0"
+
 
 class Environment:
     """Per-edge transition probabilities, row-stochastic at every vertex."""
@@ -103,38 +112,95 @@ def sample_rows(g: DirectedGraph, w: WeightAssignment, gen: np.random.Generator,
     Returns (eids, probs): the out-edges of those vertices in ascending id
     order, and the (count, len(eids)) matrix of their probabilities.  Vertex
     rows are independent, so no other row is drawn.  One Gamma(w_e, 1) is
-    drawn per environment and listed edge, in that order, and divided by the
-    sum over its tail's out-edges, summed in `out_edge_ids` order.  A row
-    whose draws all underflow to 0 is left NaN (0/0), with a RuntimeWarning
-    unless numpy's error state ignores invalid values.
+    drawn per environment and listed edge, in that order (with a scalar
+    shape when every w_e is equal, which draws the same values faster), and
+    divided in place by `normalise_rows`.  A vertex of out-degree 0 has no
+    column.
 
-    The matrix is C-ordered: the draws are divided in place, and every
-    gather runs along the last axis with `take`, whose output is C-ordered
-    too (fancy indexing on that axis gives Fortran-ordered temporaries,
-    which the reduction and the divide walk several times slower).  When
-    the listed edges already come grouped by tail, as on every graph the
-    builders make, the draws are summed where they are, without a regrouped
-    copy.
+    When the listed edges come grouped by tail, as on every graph the
+    builders make, the draws are normalised where they are; otherwise they
+    are regrouped into `out_edge_ids` order and put back.  The matrix is
+    C-ordered: both gathers run along the last axis with `take`, whose
+    output is C-ordered too (fancy indexing on that axis gives
+    Fortran-ordered temporaries, which the adds and the divide walk several
+    times slower).
     """
     listed = np.zeros(g.n_vertices, dtype=bool)
     listed[vertices] = True
-    row = np.cumsum(listed) - 1           # a listed vertex's row in the sums
     eids = np.flatnonzero(listed[g.tails])
     # the columns of eids in `out_edge_ids` order, each tail's edges adjacent
     grouped = np.searchsorted(eids, g.out_edge_ids[listed[g.tails[g.out_edge_ids]]])
     deg = g.out_degrees[listed]
-    starts = np.cumsum(deg) - deg
-    gammas = gen.standard_gamma(w.values[eids], size=(count, eids.size))
-    if np.any(grouped != np.arange(grouped.size)):
-        sums = np.add.reduceat(gammas.take(grouped, axis=-1), starts, axis=-1)
+    shapes = w.values[eids]
+    if shapes.size and (shapes == shapes[0]).all():
+        shapes = shapes[0]  # the same draws, without numpy's broadcast loop
+    gammas = gen.standard_gamma(shapes, size=(count, eids.size))
+    if np.array_equal(grouped, np.arange(grouped.size)):
+        normalise_rows(gammas, deg)
     else:
-        sums = np.add.reduceat(gammas, starts, axis=-1)
-    if not sums.all() and np.geterr()["invalid"] != "ignore":
-        warnings.warn("a sampled Dirichlet row is NaN: every Gamma draw of the row "
-                      "underflowed to 0", RuntimeWarning)
-    with np.errstate(invalid="ignore"):
-        np.divide(gammas, sums.take(row[g.tails[eids]], axis=-1), out=gammas)
+        regrouped = gammas.take(grouped, axis=-1)
+        normalise_rows(regrouped, deg)
+        # the ids are in range; any mode but "raise" writes `out` unbuffered
+        regrouped.take(np.argsort(grouped), axis=-1, out=gammas, mode="clip")
     return eids, gammas
+
+
+def normalise_rows(gammas: np.ndarray, degrees, thresholds=None):
+    """Normalise the Gamma draws of consecutive vertex rows: the one path
+    by which rwre turns Gammas into Dirichlet rows.
+
+    `gammas` is (count, sum(degrees)), each row holding the draws of
+    vertices of out-degree `degrees[0]`, `degrees[1]`, ... one after the
+    other.  The vertices are taken run by run, a run being consecutive
+    vertices of one positive degree d (a vertex of degree 0 has no column),
+    and a run's draws are viewed as (count, vertices, d).  Each vertex's
+    draws are summed as `np.add.reduceat` sums them (`_STRIDED_DEGREE`), and
+    divided by those sums broadcast over the run.  A row whose draws all
+    underflow to 0 is NaN (0/0), with one `RuntimeWarning` per call unless
+    numpy's error state ignores invalid values.
+
+    Without `thresholds` the draws are divided in place.  Otherwise
+    `gammas` is left as it is, and `thresholds`, (count, sum(max(d - 1,
+    0))), receives vertex by vertex the cumulative probabilities of each
+    vertex's slots but its last, summed one slot at a time in slot order
+    (the adds `np.cumsum` makes).  Both arrays must have contiguous rows, as
+    C-ordered arrays and their row slices do, so that each run's columns
+    reshape to a view.
+    """
+    count = gammas.shape[0]
+    degrees = np.asarray(degrees)
+    starts = np.flatnonzero(np.diff(degrees, prepend=-1)).tolist()  # each run's first vertex
+    warn = np.geterr()["invalid"] != "ignore"
+    nan = False
+    col = stored = 0
+    with np.errstate(invalid="ignore"):
+        for lo, hi in zip(starts, [*starts[1:], degrees.size]):
+            d, m = int(degrees[lo]), hi - lo
+            if d == 0:
+                continue
+            flat = gammas[:, col:col + m * d]
+            col += m * d
+            if d == 1:
+                sums = flat.copy()
+            elif d <= _STRIDED_DEGREE:
+                sums = flat[:, 1::d].copy()
+                for j in range(2, d):
+                    sums += flat[:, j::d]
+                sums += flat[:, ::d]  # a0 + (...), as addition commutes exactly
+            else:
+                sums = np.add.reduceat(flat, np.arange(0, m * d, d), axis=-1)
+            nan = nan or not sums.all()
+            block = flat.reshape(count, m, d)
+            if thresholds is None:
+                np.divide(block, sums[..., None], out=block)
+                continue
+            cum = thresholds[:, stored:stored + m * (d - 1)].reshape(count, m, d - 1)
+            stored += m * (d - 1)
+            np.divide(block[..., :-1], sums[..., None], out=cum)
+            for j in range(1, d - 1):
+                cum[..., j] += cum[..., j - 1]
+    if nan and warn:
+        warnings.warn(_NAN_ROW, RuntimeWarning)
 
 
 def log_path_probability(env: Environment, traj: Trajectory) -> float:

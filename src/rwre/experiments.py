@@ -12,10 +12,11 @@ active-set that shrinks as walks get absorbed.  A chunk's environments are
 read from one packed table whose row holds, vertex by vertex, the cumulative
 probabilities of each vertex's out-slots but its last; a walker at v finds
 its out-edge with deg(v) - 1 compares, each moving it one column on while
-its uniform is at or above the cumulative there.  Environments are sampled
-about 1 MiB at a time, and each block is folded into the table and then
-dropped, so a chunk never holds its whole (replicas x edges) probability
-matrix.  Every vertex a walk goes on from has the same out-degree (both
+its uniform is at or above the cumulative there.  The Gammas of the
+environments are drawn about 1 MiB at a time, and `normalise_rows` divides
+each block straight into the table, where it is summed, so a chunk holds
+neither a block of probabilities nor its whole (replicas x edges) matrix.
+Every vertex a walk goes on from has the same out-degree (both
 cylinder builders give each 2d), so a lockstep step makes one count of
 compares for all its walkers.  A lockstep step still costs a fixed numpy
 call overhead however few walkers remain, and most lockstep steps of a
@@ -57,7 +58,7 @@ from typing import Optional
 
 import numpy as np
 
-from .environment import sample_environment_batch
+from .environment import normalise_rows
 from .errors import PreconditionError
 from .graph import (
     CylinderSpec,
@@ -98,8 +99,8 @@ _SCALAR_TAIL = 48
 # call fastest.
 _PAIR_SKIP = 0.85
 
-# Bytes of probabilities that a cylinder chunk samples at a time before
-# folding them into its cumulative table (`_sample_table`).
+# Bytes of Gamma draws that a cylinder chunk makes at a time before dividing
+# them into its cumulative table (`_sample_table`).
 _BLOCK_BYTES = 1 << 20
 
 # The keys of `ExperimentResult.to_record`, in order; also the CSV header.
@@ -147,52 +148,40 @@ def expected_exit_probability(lattice: LatticeSpec) -> float:
     return 1.0 - lattice.beta(1) / lattice.alpha(1)
 
 
-def _fold_table(g: DirectedGraph, blocks, size: int) -> np.ndarray:
+def _sample_table(g: DirectedGraph, w, gen: np.random.Generator, size: int) -> np.ndarray:
     """The (size, n_edges - n_vertices) cumulative table of `size`
-    environment rows, given as consecutive blocks of (rows, n_edges)
-    probabilities.
+    environments drawn from `gen`, as `sample_environment_batch` draws them.
 
     Row r holds, vertex by vertex, the cumulative probabilities of v's
     out-slots 0..deg(v) - 2 in environment r, summed one slot at a time in
     slot order (the adds `np.cumsum` makes); v's last slot is not stored.
     Slot j of v is the edge `g.out_edge_ids[g.out_offsets[v] + j]` and sits
-    in column `g.out_offsets[v] - v + j`.  Each block is gathered into its
-    rows of the table, summed there and dropped.
+    in column `g.out_offsets[v] - v + j` (a vertex of out-degree 0, which no
+    cylinder has, stores no column and breaks that rule for the vertices
+    after it).
+
+    The Gammas are drawn `_BLOCK_BYTES` at a time, and `normalise_rows`
+    divides each block straight into its rows of the table and sums them
+    there, so no block of probabilities is ever held.  Philox draws split
+    over several calls equal those of one call, so this leaves the table
+    and `gen` as one call for all `size` would.
     """
-    stored = np.ones(g.n_edges, dtype=bool)  # every out-slot but each vertex's last
-    stored[g.out_offsets[1:] - 1] = False
-    eids = g.out_edge_ids[stored]
-    slot = (np.arange(g.n_edges) - np.repeat(g.out_offsets[:-1], g.out_degrees))[stored]
-    # per slot j = 1, 2, ...: the columns holding it, each the sum of its
-    # probability and the column before
-    later = [np.flatnonzero(slot == j) for j in range(1, int(slot.max(initial=0)) + 1)]
-    table = np.empty((size, eids.size))
-    lo = 0
-    for probs in blocks:
-        cum = table[lo:lo + probs.shape[0]]
-        lo += probs.shape[0]
-        # the ids are in range; any mode but "raise" writes `out` unbuffered
-        probs.take(eids, axis=1, out=cum, mode="clip")
-        del probs  # before the next block is drawn
-        for cols in later:
-            cum[:, cols] += cum[:, cols - 1]
-    return table
-
-
-def _sample_table(g: DirectedGraph, w, gen: np.random.Generator, size: int) -> np.ndarray:
-    """`_fold_table` of `size` environments drawn from `gen` with
-    `sample_environment_batch`, `_BLOCK_BYTES` of probabilities at a time:
-    Philox draws split over several calls equal those of one call, so this
-    leaves the table and `gen` as one call for all `size` would."""
+    table = np.empty((size, g.n_edges - np.count_nonzero(g.out_degrees)))
     block = max(1, _BLOCK_BYTES // (8 * g.n_edges))
-    blocks = (sample_environment_batch(g, w, gen, min(block, size - lo))
-              for lo in range(0, size, block))
-    return _fold_table(g, blocks, size)
+    regroup = not np.array_equal(g.out_edge_ids, np.arange(g.n_edges))
+    for lo in range(0, size, block):
+        rows = table[lo:lo + block]
+        gammas = gen.standard_gamma(w.values, size=(rows.shape[0], g.n_edges))
+        if regroup:
+            gammas = gammas.take(g.out_edge_ids, axis=1)
+        normalise_rows(gammas, g.out_degrees, thresholds=rows)
+        del gammas  # before the next block is drawn
+    return table
 
 
 def _walk_until_absorbed(g: DirectedGraph, table: np.ndarray, start: int,
                          absorbing: np.ndarray, gen: np.random.Generator, step_cap: int):
-    """Walk one replica per row of the `_fold_table` `table` from `start`
+    """Walk one replica per row of the `_sample_table` `table` from `start`
     until it steps onto a vertex where `absorbing` is True, or `step_cap`
     steps pass.  Every vertex that is not absorbing must have the same
     out-degree (ValueError otherwise), as on both cylinder builders.

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -270,6 +271,29 @@ def test_sample_env_nan_rows_exit_two(capsys):
     assert code == 2
     assert "rows do not sum to 1 at vertices [49]" in err
     assert "nan" not in out
+
+
+def test_cylinder_delta_nan_rows_warn_once_from_the_sampler():
+    # at weight 0.001 some cylinder rows are NaN; a NaN row takes slot 0, so
+    # the run still writes its record, and stderr opens with the sampler's
+    # one warning, raised in rwre/environment.py, then the truncation line
+    argv = ["cylinder-delta", "--alpha", "0.002,0.001,0.001,0.001", "--N", "2", "--L", "2",
+            "--replicas", "2000", "--steps", "200", "--seed", "7"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "rwre.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "experiment": "cylinder-delta",
+        "params": {"alpha": [0.002, 0.001, 0.001, 0.001], "N": 2, "L": 2, "steps": 200},
+        "estimate": 0.3363740022805017, "se": 0.01596323304386269, "replicas": 2000,
+        "truncated": 1123, "undecided": 1123, "seed": 7, "wall_time_s": None}
+    lines = done.stderr.splitlines()
+    assert done.stderr.count(_NAN_ROW) == 1
+    assert re.fullmatch(rf".*[/\\]rwre[/\\]environment\.py:\d+: RuntimeWarning: "
+                        rf"{re.escape(_NAN_ROW)}", lines[0])
+    assert lines[-1].startswith("warning: 1123 of 2000 replicas hit the step cap")
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rwre import (
     CylinderSpec,
@@ -9,6 +11,7 @@ from rwre import (
     Environment,
     GraphFormatError,
     LatticeSpec,
+    PreconditionError,
     RngStream,
     StoppingRule,
     Trajectory,
@@ -98,9 +101,13 @@ def test_small_shape_sampling_valid():
 def _full_table_reference(g, w, gen, count):
     """The full-table sampler that `sample_environment_batch` must match bit
     for bit: one (count, n_edges) Gamma draw, each divided by its tail's sum
-    over out-edges, summed in `out_edge_ids` order."""
+    over out-edges, summed in `out_edge_ids` order by `np.add.reduceat`
+    (over the vertices that have out-edges: it has no empty segment)."""
     gammas = gen.standard_gamma(w.values, size=(count, g.n_edges))
-    sums = np.add.reduceat(gammas[..., g.out_edge_ids], g.out_offsets[:-1], axis=-1)
+    live = g.out_degrees > 0
+    sums = np.zeros((count, g.n_vertices))
+    sums[:, live] = np.add.reduceat(gammas[..., g.out_edge_ids], g.out_offsets[:-1][live],
+                                    axis=-1)
     return gammas / sums[..., g.tails]
 
 
@@ -163,6 +170,58 @@ def test_sample_rows_regroups_interleaved_tails():
             ref[:, cols] = gammas[:, cols] / np.add.reduceat(gammas[:, cols], [0], axis=1)
         assert probs.tobytes() == ref.tobytes()
         assert probs.flags.c_contiguous
+
+
+@st.composite
+def degree_run_graphs(draw):
+    """A graph given by runs of vertices of one out-degree in 0..12, its
+    edges listed grouped by tail or in a random order, and its weights,
+    log-uniform in [1e-3, 5]."""
+    runs = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(1, 3)),
+                         min_size=1, max_size=5))
+    degrees = [d for d, repeat in runs for _ in range(repeat)]
+    assume(sum(degrees) > 0)
+    n = len(degrees)
+    tails = np.repeat(np.arange(n), degrees)
+    heads = draw(st.lists(st.integers(0, n - 1), min_size=tails.size, max_size=tails.size))
+    order = np.arange(tails.size)
+    if draw(st.booleans()):
+        order = np.array(draw(st.permutations(order.tolist())), dtype=np.int64)
+    g = DirectedGraph(n, np.column_stack((tails[order], np.array(heads)[order])))
+    exponents = draw(st.lists(st.floats(-3.0, np.log10(5.0)),
+                              min_size=g.n_edges, max_size=g.n_edges))
+    return g, WeightAssignment(np.power(10.0, exponents), g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=degree_run_graphs(), count=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+def test_run_normalisation_bitwise_matches_reduceat_reference(graph, count, seed):
+    # runs of degree up to 8 are summed by strided column adds, longer ones
+    # by reduceat; both must give reduceat's sums over the whole table, and
+    # the NaN rows of tiny shapes must be the same NaNs
+    g, w = graph
+    with np.errstate(invalid="ignore"):
+        probs = sample_environment_batch(g, w, RngStream(seed).generator(), count)
+        ref = _full_table_reference(g, w, RngStream(seed).generator(), count)
+    assert probs.tobytes() == ref.tobytes()
+    assert probs.flags.c_contiguous
+
+
+@pytest.mark.parametrize("edges, sink", [
+    ([(1, 2), (2, 1), (1, 0)], 0),
+    ([(0, 2), (2, 0), (0, 1)], 1),
+    ([(0, 1), (1, 0), (0, 2)], 2),
+], ids=["first", "middle", "last"])
+def test_sink_has_no_row_and_fails_validation(edges, sink):
+    # a vertex of out-degree 0 has no column; the other rows are sampled as
+    # on their own, and the environment is refused for the sink's empty row
+    g = DirectedGraph(3, edges)
+    w = WeightAssignment([1.5, 0.7, 2.0], g)
+    probs = sample_environment_batch(g, w, RngStream(21).generator(), 2)
+    ref = _full_table_reference(g, w, RngStream(21).generator(), 2)
+    assert probs.tobytes() == ref.tobytes()
+    with pytest.raises(PreconditionError, match=rf"rows do not sum to 1 at vertices \[{sink}\]"):
+        sample_environment(g, w, RngStream(21))
 
 
 def test_path_probability_examples():

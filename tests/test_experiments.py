@@ -44,7 +44,6 @@ from rwre.experiments import (
     _SCALAR_TAIL,
     _UrnWalk,
     _beta_geometric,
-    _fold_table,
     _pair_run,
     _ruin,
     _sample_table,
@@ -230,7 +229,7 @@ def test_walk_kernel_matches_pure_lockstep(weights, N, L, replicas, cap, seed, c
     with np.errstate(invalid="ignore"):
         probs = sample_environment_batch(g, w, RngStream(seed).generator(), replicas)
     gen, ref_gen = RngStream(seed + 100).generator(), RngStream(seed + 100).generator()
-    table = _fold_table(g, [probs], replicas)
+    table = _packed_table(g, probs)
     taken = _walk_until_absorbed(g, table, cg.outside, absorbing, gen, cap)
     # the walkers the cap stopped are those never absorbed
     capped = np.flatnonzero(taken < 0)
@@ -291,13 +290,13 @@ def test_walk_kernel_takes_first_slot_whose_cumulative_exceeds_u(walkers, absorb
     g = DirectedGraph(3, [(0, 1), (0, 2), (1, 1), (2, 2)])
     probs = np.tile([*row, 1.0, 1.0], (walkers, 1))
     absorbing = np.array([absorbing_start, True, True])
-    table = _fold_table(g, [probs], walkers)
+    table = _packed_table(g, probs)
     taken = _walk_until_absorbed(g, table, 0, absorbing, _FixedUniforms(u), 5)
     assert taken.tolist() == [edge] * walkers
     # edges 0 and 1 are parallel twins into one absorbing vertex, which
     # only the edge id tells apart
     twins = DirectedGraph(2, [(0, 1), (0, 1), (1, 1)])
-    table = _fold_table(twins, [np.tile([*row, 1.0], (walkers, 1))], walkers)
+    table = _packed_table(twins, np.tile([*row, 1.0], (walkers, 1)))
     taken = _walk_until_absorbed(twins, table, 0, np.array([absorbing_start, True]),
                                  _FixedUniforms(u), 5)
     assert taken.tolist() == [edge] * walkers
@@ -316,7 +315,7 @@ def test_walk_kernel_requires_one_out_degree_where_walks_go_on(walkers):
     # vertex 0 has two out-edges and vertex 1 one, so a walk may go on from
     # vertices of different out-degrees unless vertex 1 absorbs
     g = DirectedGraph(3, [(0, 1), (0, 2), (1, 2), (2, 2)])
-    table = _fold_table(g, [np.full((walkers, 4), 0.5)], walkers)
+    table = _packed_table(g, np.full((walkers, 4), 0.5))
     absorbing = np.array([False, False, True])
     with pytest.raises(ValueError, match="differ in out-degree"):
         _walk_until_absorbed(g, table, 0, absorbing, RngStream(0).generator(), 5)
@@ -344,16 +343,26 @@ def _packed_table(g, probs):
     ((2.0, 1.0, 1.0, 1.0), 4, 8, 3000, None, 5, "ragged blocks"),
     # d = 3: the start (outside) vertex stores 15 slots, every other vertex 5
     ((2.0, 1.0, 1.0, 1.0, 1.0, 1.0), 4, 2, 100, 7, 3, "start table"),
+    # the out-degree changes seven times along the vertex ids, through runs
+    # of degree 1, 4 and 16 (above the strided sums' 8) and a sink
+    (None, None, None, 100, 7, 6, "degree runs"),
 ])
 def test_blocked_thresholds_equal_one_shot_columns(monkeypatch, weights, N, L, size, block,
                                                    seed, case):
-    spec = CylinderSpec(N=N, L=L, lattice=LatticeSpec(weights))
-    if case == "ragged blocks":
+    if case == "degree runs":
+        degrees = [1, 1, 4, 4, 4, 16, 0, 4, 1, 16, 16]
+        tails = np.repeat(np.arange(len(degrees)), degrees)
+        heads = np.random.default_rng(seed).integers(len(degrees), size=tails.size)
+        g = DirectedGraph(len(degrees), np.column_stack((tails, heads)))
+        w = WeightAssignment(np.linspace(0.05, 3.0, g.n_edges), g)
+        monkeypatch.setattr(rwre.experiments, "_BLOCK_BYTES", 8 * g.n_edges * block)
+    elif case == "ragged blocks":
+        spec = CylinderSpec(N=N, L=L, lattice=LatticeSpec(weights))
         band = build_cylinder_band(spec)
         g, w = band.graph, band.weights
         block = rwre.experiments._BLOCK_BYTES // (8 * g.n_edges)
     else:
-        cg = build_cylinder_graph(spec)
+        cg = build_cylinder_graph(CylinderSpec(N=N, L=L, lattice=LatticeSpec(weights)))
         g, w = cg.graph, cg.weights
         if case == "shuffled ids":
             g, w = shuffled_edges(g, w, seed)
@@ -364,7 +373,8 @@ def test_blocked_thresholds_equal_one_shot_columns(monkeypatch, weights, N, L, s
         got = _sample_table(g, w, gen, size)
         probs = sample_environment_batch(g, w, ref_gen, size)
     ref = _packed_table(g, probs)
-    assert got.shape == ref.shape == (size, g.n_edges - g.n_vertices)
+    # every out-slot but each vertex's last; a sink stores none
+    assert got.shape == ref.shape == (size, g.n_edges - np.count_nonzero(g.out_degrees))
     np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
     np.testing.assert_equal(gen.bit_generator.state, ref_gen.bit_generator.state)
     if case == "start table":
@@ -375,9 +385,9 @@ def test_blocked_thresholds_equal_one_shot_columns(monkeypatch, weights, N, L, s
 
 def test_band_chunk_holds_one_block_of_environments():
     # one 8192-replica chunk on the N=4, L=8 band (40 vertices, 136 edges):
-    # its (8192, 96) cumulative table takes 6.3 MB and one block of
-    # environments about 1 MB more (9.4 MB peak), while sampling all 8192
-    # environments in one block peaks at 27.5 MB
+    # its (8192, 96) cumulative table takes 6.3 MB and one block of Gamma
+    # draws about 1 MB more (8.8 MB peak), while drawing all 8192
+    # environments' Gammas in one block peaks at 18.0 MB
     band = build_cylinder_band(CylinderSpec(N=4, L=8, lattice=lat_2d(2.0, 1.0, 1.0, 1.0)))
     absorbing = np.zeros(band.graph.n_vertices, dtype=bool)
     absorbing[band.left_absorbing] = True

@@ -103,6 +103,41 @@ def test_numpy_bitstream_canary():
     ), f"numpy {np.__version__} draws a different Philox/standard_gamma stream"
 
 
+def test_numpy_scalar_gamma_shape_canary():
+    # sample_rows draws the Gammas of rows that share one shape with that
+    # shape as a scalar, which skips numpy's broadcast loop; the records stay
+    # put only while both forms draw the same values
+    for shape in (0.003, 0.3, 1.0, 2.5):
+        scalar = RngStream(2009, 3).generator().standard_gamma(shape, size=(64, 7))
+        array = RngStream(2009, 3).generator().standard_gamma(np.full(7, shape), size=(64, 7))
+        assert scalar.tobytes() == array.tobytes(), f"numpy {np.__version__}, shape {shape}"
+
+
+def test_numpy_reduceat_order_canary():
+    # Dirichlet rows of up to 8 out-edges are summed by strided column adds
+    # in the order `np.add.reduceat` adds a segment of up to 8 terms,
+    # a0 + ((a1 + a2) + a3), one term at a time after the first, and the
+    # sampler tests compare them with reduceat bit for bit.  If numpy changes
+    # that order, those tests fail with this one, which says why.  With
+    # a0 = 1 and two terms of 2^-53 the orders differ: ((1 + 2^-53) + 2^-53)
+    # rounds to 1, and 1 + (2^-53 + 2^-53) does not.
+    tiny = 2.0 ** -53
+    for d in range(3, 9):
+        row = np.array([1.0, tiny, tiny] + [0.0] * (d - 3))
+        got = np.add.reduceat(np.tile(row, (2, 3)), [0, d, 2 * d], axis=-1)
+        assert got.tolist() == [[1.0 + 2 * tiny] * 3] * 2, \
+            f"numpy {np.__version__} reorders reduceat at d={d}"
+    rows = np.random.default_rng(5).standard_gamma(0.3, size=(64, 8 * 5))
+    for d in range(2, 9):
+        seg = rows[:, :d * 5]
+        strided = seg[:, 1::d].copy()
+        for j in range(2, d):
+            strided += seg[:, j::d]
+        strided = seg[:, ::d] + strided
+        assert np.add.reduceat(seg, np.arange(0, d * 5, d), axis=-1).tobytes() == \
+            strided.tobytes(), f"numpy {np.__version__} reorders reduceat at d={d}"
+
+
 def test_keyed_generator_independent_of_access_order():
     s = RngStream(9, 2)
     first = s.keyed_generator(5, 7).random(4)
